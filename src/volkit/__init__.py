@@ -52,10 +52,8 @@ from volkit.systems import (
     LinearBlock,
     MultiplierCascade,
     SaturatingAmplifier,
-    analytic_transfer,
     kernel_oracle,
     lowpass_ladder,
-    multiplier_current,
 )
 
 __all__ = [
@@ -75,7 +73,6 @@ __all__ = [
     "Waveform",
     "amplitude_schedule",
     "analytic_dataset",
-    "analytic_transfer",
     "canonicalize_index",
     "canonicalize_kernel_args",
     "capture_phasors",
@@ -86,7 +83,6 @@ __all__ = [
     "extract",
     "kernel_oracle",
     "lowpass_ladder",
-    "multiplier_current",
     "nrmse",
     "reduced_sweep_plan",
     "simulate_dataset",

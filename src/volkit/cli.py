@@ -519,9 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker hint; results are batch-vectorized and "
-                            "identical for any value")
         p.add_argument("--seed", dest="seed", type=int, default=None,
                        help="seed for schedule jitter")
 
@@ -596,7 +593,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, FormatError, FileNotFoundError, ExtractionError,
+    except (CliError, FormatError, OSError, ExtractionError,
             PlanInvalidError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

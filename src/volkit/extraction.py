@@ -104,25 +104,27 @@ def coefficient_matrix(k: FrequencyIndex, unknowns: list[MixTerm],
                      for amps in schedule])
 
 
-def build_ls_system(dataset: SpectralDataset, triplet_id: int,
+def build_ls_system(dataset: SpectralDataset, triplet_ids,
                     k: FrequencyIndex,
                     settings: ExtractionSettings | None = None) -> LSSystem:
-    """Assemble the regression for one (triplet, index) pair."""
+    """Assemble the regression at index ``k`` for one triplet id, or for a
+    sequence of them with one right-hand-side column each."""
     settings = settings or ExtractionSettings()
     k = tuple(k)
     unknowns = unknowns_at_index(k, settings.truncation)
     if not unknowns:
         raise ValueError(f"no unknowns of order <= {settings.truncation} at {k}")
     schedule = dataset.plan.schedule
-    kpos = dataset.index_position(k)
-    rhs = dataset.phasors[triplet_id, :, kpos].copy()
-    for amp_id in range(len(schedule)):
-        if not np.isfinite(rhs[amp_id]):
-            raise MissingPhasorError(triplet_id, amp_id, k)
+    ids = np.atleast_1d(triplet_ids)
+    block = dataset.phasors[ids, :, dataset.index_position(k)]  # (sets, amps)
+    missing = np.argwhere(~np.isfinite(block))
+    if len(missing):
+        col, amp_id = missing[0]
+        raise MissingPhasorError(int(ids[col]), int(amp_id), k)
     return LSSystem(
         index=k,
         matrix=coefficient_matrix(k, unknowns, schedule),
-        rhs=rhs,
+        rhs=block.T if np.ndim(triplet_ids) else block[0],
         unknowns=unknowns,
         row_amplitudes=tuple(schedule),
     )
@@ -241,52 +243,45 @@ def extract(dataset: SpectralDataset, plan: SweepPlan | None = None,
     lattice = tuple(int(round(f / plan.df_hz)) for f in plan.lattice_hz())
     grids = {n: KernelGrid(order=n, lattice_units=lattice, df_hz=plan.df_hz)
              for n in range(1, settings.truncation + 1)}
-    trips = plan.triplets()
-    schedule = plan.schedule
+    trips = np.array(plan.triplets(), dtype=float)
     indices = [k for k in dataset.indices
                if settings.include_dc or any(v != 0 for v in k)]
     report = ExtractionReport(n_indices=len(indices), n_triplets=len(trips))
+    # per order: argument arrays and values in solve order, inserted at once
+    samples = {n: ([], []) for n in grids}
 
     for k in indices:
-        unknowns = unknowns_at_index(k, settings.truncation)
-        if not unknowns:
+        if not unknowns_at_index(k, settings.truncation):
             continue
-        kpos = dataset.index_position(k)
-        rhs_all = dataset.phasors[:, :, kpos].T  # (amps, triplets)
-        good = np.all(np.isfinite(rhs_all), axis=0)
-        for t in np.nonzero(~good)[0]:
-            bad_amp = int(np.nonzero(~np.isfinite(rhs_all[:, t]))[0][0])
-            report.failures.append(
-                (int(t), k, f"missing phasor at amplitude {bad_amp}"))
-        if not good.any():
+        finite = np.isfinite(dataset.phasors[:, :, dataset.index_position(k)])
+        good = finite.all(axis=1)
+        report.failures.extend(
+            (int(t), k, f"missing phasor at amplitude {np.argmin(finite[t])}")
+            for t in np.nonzero(~good)[0])
+        good_ids = np.nonzero(good)[0]
+        if not len(good_ids):
             continue
-        system = LSSystem(
-            index=k,
-            matrix=coefficient_matrix(k, unknowns, schedule),
-            rhs=rhs_all[:, good],
-            unknowns=unknowns,
-            row_amplitudes=tuple(schedule),
-        )
         try:
-            values, diag = solve_ls(system, settings)
+            values, diag = solve_ls(
+                build_ls_system(dataset, good_ids, k, settings), settings)
         except ExtractionError as err:
-            for t in np.nonzero(good)[0]:
-                report.failures.append((int(t), k, str(err)))
+            report.failures.extend((int(t), k, str(err)) for t in good_ids)
             continue
         report.warnings.extend(diag.warnings)
         rel = diag.residual_norm / np.maximum(diag.rhs_norm, 1e-300)
         report.max_relative_residual = max(report.max_relative_residual,
                                            float(rel.max()))
-        good_ids = np.nonzero(good)[0]
-        for term in unknowns:
-            vals = values[term]
-            grid = grids[term.order]
-            for col, t in enumerate(good_ids):
-                args = term.argument_frequencies(trips[t])
-                grid.insert(args, complex(vals[col]))
+        freqs = trips[good_ids]
+        for term, vals in values.items():
+            tones = np.array(term.argument_tones())
+            args, vals_list = samples[term.order]
+            args.append(np.sign(tones) * freqs[:, np.abs(tones) - 1])
+            vals_list.append(vals)
 
-    for n, grid in grids.items():
-        report.points_per_order[n] = grid.n_points
+    for n, (args, vals) in samples.items():
+        if args:
+            grids[n].insert(np.concatenate(args), np.concatenate(vals))
+        report.points_per_order[n] = grids[n].n_points
     if report.success_fraction < settings.min_success_fraction:
         raise ExtractionError(
             f"only {report.success_fraction:.1%} of (triplet, index) systems "

@@ -1,9 +1,12 @@
 """Canonical storage and interpolation of symmetric kernel samples.
 
 A kernel value is stored once per symmetry class: argument tuples are
-canonicalized under permutation (sort) and global sign flip (conjugate)
-before keying, so permutation queries return the identical stored complex
-number and sign-flipped queries return its exact conjugate.
+canonicalized under permutation (sort) and global sign flip (conjugate),
+so permutation queries return the identical stored complex number and
+sign-flipped queries return its exact conjugate.  A grid holds three
+arrays, which extraction, the file format and freezing use directly:
+sorted unique canonical integer coordinates (P, order), complex128 sums
+(P,) and int64 counts (P,).
 
 For synthesis the sparse canonical samples are frozen into a dense tensor
 over the signed sweep lattice.  Probing never co-sweeps some coordinate
@@ -22,8 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from volkit.mixing import canonicalize_frequency_args
-
 
 class OffLatticeError(ValueError):
     """An inserted argument does not sit on the grid's sweep lattice."""
@@ -38,77 +39,112 @@ class EmptyGridError(RuntimeError):
     """Interpolation requested from a grid with no samples."""
 
 
-@dataclass
+@dataclass(eq=False)
 class KernelGrid:
     """Accumulating store of order-n kernel samples on a frequency lattice.
 
-    ``lattice_units`` are the positive sweep frequencies in integer
-    multiples of ``df_hz`` (coordinates are exact integers internally).
+    ``lattice_units`` are the positive sweep frequencies and ``coords``
+    the sample coordinates, both in integer multiples of ``df_hz``.
+    Passing ``coords``, ``sums`` and ``counts`` restores a stored grid.
     Re-inserted canonical points average with the incumbent value.
     """
 
     order: int
     lattice_units: tuple[int, ...]
     df_hz: float
-    _sums: dict = field(default_factory=dict)
-    _counts: dict = field(default_factory=dict)
+    coords: np.ndarray | None = field(default=None, repr=False)
+    sums: np.ndarray | None = field(default=None, repr=False)
+    counts: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.lattice_units = tuple(sorted(set(int(u) for u in self.lattice_units)))
         if any(u <= 0 for u in self.lattice_units):
             raise ValueError("lattice frequencies must be positive")
-        self._lattice_set = set(self.lattice_units)
+        self._lattice = np.asarray(self.lattice_units, dtype=np.int64)
+        if self.coords is None:
+            self.coords, self.sums, self.counts = np.zeros((0, self.order)), [], []
+        self.coords = np.array(self.coords, dtype=np.int64)
+        self.sums = np.array(self.sums, dtype=complex)
+        self.counts = np.array(self.counts, dtype=np.int64)
+        canon = _lexically_canonical_rows(
+            self._to_units(self.coords * self.df_hz))[0]
+        if not np.array_equal(np.unique(canon, axis=0), self.coords):
+            raise ValueError("coordinates are not sorted unique canonical rows")
+        n = len(canon)
+        if (self.sums.shape, self.counts.shape) != ((n,), (n,)) \
+                or (self.counts < 1).any():
+            raise ValueError("need one sum and one count >= 1 per point")
 
     # -- coordinate handling -------------------------------------------------
 
-    def _to_units(self, args_hz) -> tuple[int, ...]:
-        if len(args_hz) != self.order:
+    def _to_units(self, args_hz) -> np.ndarray:
+        """(Q, order) integer coordinates of one tuple or a (Q, order) array."""
+        args = np.atleast_2d(np.asarray(args_hz, dtype=float))
+        if args.ndim != 2 or args.shape[1] != self.order:
             raise ValueError(
-                f"expected {self.order} arguments, got {len(args_hz)}")
-        units = []
-        for axis, f in enumerate(args_hz):
-            u = f / self.df_hz
-            if abs(u - round(u)) > 1e-6:
-                raise OffLatticeError(
-                    axis, f, f"axis {axis}: {f} Hz is not on the df grid")
-            u = int(round(u))
-            if abs(u) not in self._lattice_set:
-                raise OffLatticeError(
-                    axis, f, f"axis {axis}: {f} Hz not on the sweep lattice")
-            units.append(u)
-        return tuple(units)
+                f"expected {self.order} arguments, got {args.shape[-1]}")
+        u = args / self.df_hz
+        off_df = ~(np.abs(u - np.rint(u)) <= 1e-6)
+        units = np.where(off_df, 0, np.rint(u)).astype(np.int64)
+        bad = off_df | ~np.isin(np.abs(units), self._lattice)
+        if bad.any():
+            row, axis = (int(i) for i in np.argwhere(bad)[0])
+            f = float(args[row, axis])
+            grid = "df grid" if off_df[row, axis] else "sweep lattice"
+            raise OffLatticeError(
+                axis, f, f"axis {axis}: {f} Hz is not on the {grid}")
+        return units
 
-    def insert(self, args_hz, value: complex) -> None:
-        units = self._to_units(args_hz)
-        key, conj = canonicalize_frequency_args(units)
-        v = np.conj(value) if conj else complex(value)
-        if key in self._sums:
-            self._sums[key] += v
-            self._counts[key] += 1
-        else:
-            self._sums[key] = complex(v)
-            self._counts[key] = 1
+    def insert(self, args_hz, value) -> None:
+        """Add one argument tuple and value, or (Q, order) arguments and Q
+        values.  Each point adds to the sum at its canonical coordinates,
+        conjugated when the canonical form is the sign flip."""
+        canon, conj, _ = _lexically_canonical_rows(self._to_units(args_hz))
+        values = np.asarray(value, dtype=complex).reshape(-1)
+        if len(values) != len(canon):
+            raise ValueError(f"{len(canon)} argument rows, {len(values)} values")
+        values = np.where(conj, np.conj(values), values)
+        rows = np.concatenate([self.coords, canon])
+        vals = np.concatenate([self.sums, values])
+        cnts = np.concatenate([self.counts, np.ones(len(values), np.int64)])
+        self.coords, first, inverse = np.unique(
+            rows, axis=0, return_index=True, return_inverse=True)
+        # Start each sum from its first term, not from zero, and add the
+        # rest in insertion order: sequential addition then rounds exactly
+        # as one-at-a-time accumulation does, signed zeros included.
+        later = np.ones(len(rows), dtype=bool)
+        later[first] = False
+        inverse = inverse.reshape(-1)[later]
+        self.sums, self.counts = vals[first], cnts[first]
+        np.add.at(self.sums, inverse, vals[later])
+        np.add.at(self.counts, inverse, cnts[later])
+
+    def _means(self) -> np.ndarray:
+        """Averaged values.  Each component is divided by its count, which
+        rounds as Python's complex / int does; numpy's complex division
+        would multiply by a rounded reciprocal instead."""
+        parts = self.sums.view(float).reshape(-1, 2) / self.counts[:, None]
+        return parts.view(complex).reshape(-1)
 
     def query_exact(self, args_hz) -> complex | None:
-        units = self._to_units(args_hz)
-        key, conj = canonicalize_frequency_args(units)
-        if key not in self._sums:
+        canon, conj, _ = _lexically_canonical_rows(self._to_units(args_hz))
+        hit = np.nonzero((self.coords == canon[0]).all(axis=1))[0]
+        if not len(hit):
             return None
-        v = self._sums[key] / self._counts[key]
-        return complex(np.conj(v)) if conj else complex(v)
+        v = complex(self._means()[hit[0]])
+        return v.conjugate() if conj[0] else v
 
     @property
     def n_points(self) -> int:
-        return len(self._sums)
+        return len(self.coords)
 
     def items(self):
-        """Yield (canonical args in Hz, averaged value)."""
-        for key in sorted(self._sums):
-            v = self._sums[key] / self._counts[key]
-            yield tuple(u * self.df_hz for u in key), complex(v)
+        """(canonical args in Hz, averaged value) pairs, sorted by coords."""
+        args = (self.coords * self.df_hz).tolist()
+        return zip(map(tuple, args), self._means().tolist())
 
     def freeze(self) -> "FrozenKernelGrid":
-        if not self._sums:
+        if not self.n_points:
             raise EmptyGridError(f"order-{self.order} grid has no samples")
         return FrozenKernelGrid._build(self)
 
@@ -160,12 +196,9 @@ class FrozenKernelGrid:
     def _build(cls, grid: KernelGrid) -> "FrozenKernelGrid":
         pos = np.asarray(grid.lattice_units, dtype=np.int64)
         signed = np.concatenate([-pos[::-1], pos])
-        index_of = {int(u): i for i, u in enumerate(signed)}
         n, size = grid.order, len(signed)
         vals = np.full((size,) * n, np.nan + 0j, dtype=complex)
-        for key, s in grid._sums.items():
-            coord = tuple(index_of[u] for u in key)
-            vals[coord] = s / grid._counts[key]
+        vals[tuple(np.searchsorted(signed, grid.coords).T)] = grid._means()
         vals = cls._symmetrize(vals, n)
         known = ~np.isnan(vals)
         vals = cls._fill_holes(vals, signed.astype(float) * grid.df_hz, n)
@@ -325,6 +358,3 @@ class KernelArchive:
         if order not in self._frozen:
             self._frozen[order] = self.grids[order].freeze()
         return self._frozen[order]
-
-    def query_interpolated(self, order: int, args_hz):
-        return self.frozen(order).query(args_hz)

@@ -114,9 +114,6 @@ class SpectralDataset:
     def phasor(self, triplet_id: int, amp_id: int, k: FrequencyIndex) -> complex:
         return complex(self.phasors[triplet_id, amp_id, self._index_pos[tuple(k)]])
 
-    def has_index(self, k: FrequencyIndex) -> bool:
-        return tuple(k) in self._index_pos
-
     def index_position(self, k: FrequencyIndex) -> int:
         return self._index_pos[tuple(k)]
 

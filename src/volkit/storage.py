@@ -3,14 +3,17 @@
 Datasets use one block per large-signal operating point with phasors keyed
 by the index vector string and stored as [re, im] pairs, so externally
 measured multi-tone spectra can be hand-written or exported into the same
-schema and fed to the extractor.  Bulk archive data rides as base64
-little-endian float64.  Every file embeds the format version and a config
-hash; readers reject unknown major versions.
+schema and fed to the extractor.  Kernel archives store each grid's
+coordinate, sum and count arrays as base64 little-endian int64, complex128
+(as interleaved float64) and int64.  Every file embeds the format version
+and a config hash; readers reject unknown major versions, and a file that
+does not match its schema raises FormatError.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import os
@@ -46,6 +49,8 @@ def _envelope(kind: str, payload: dict, cfg_hash: str | None) -> dict:
 
 
 def _check_envelope(doc: dict, kind: str) -> None:
+    if not isinstance(doc, dict):
+        raise FormatError(f"expected a volkit/{kind} object")
     name = doc.get("format")
     if name != f"volkit/{kind}":
         raise FormatError(f"expected volkit/{kind}, found {name!r}")
@@ -69,37 +74,32 @@ def read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def encode_f64(arr: np.ndarray) -> str:
+def encode_array(arr, dtype: str) -> str:
+    """Base64 of the array's bytes as ``dtype`` (for example ``"<i8"``)."""
     return base64.b64encode(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode()
+        np.ascontiguousarray(arr, dtype=dtype).tobytes()).decode()
 
 
-def decode_f64(blob: str, shape=None) -> np.ndarray:
-    arr = np.frombuffer(base64.b64decode(blob), dtype="<f8")
-    return arr.reshape(shape) if shape is not None else arr
+def decode_array(blob: str, dtype: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(blob), dtype=dtype)
 
 
-def encode_i64(arr: np.ndarray) -> str:
-    return base64.b64encode(
-        np.ascontiguousarray(arr, dtype="<i8").tobytes()).decode()
+def _schema(from_dict):
+    """Make ``<kind>_from_dict`` report any missing key, bad value or bad
+    shape as a FormatError."""
+    kind = from_dict.__name__.split("_")[0]
 
-
-def decode_i64(blob: str, shape=None) -> np.ndarray:
-    arr = np.frombuffer(base64.b64decode(blob), dtype="<i8")
-    return arr.reshape(shape) if shape is not None else arr
-
-
-def encode_complex(arr: np.ndarray) -> str:
-    flat = np.asarray(arr, dtype=complex).reshape(-1)
-    inter = np.empty(2 * len(flat))
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
-    return encode_f64(inter)
-
-
-def decode_complex(blob: str, shape) -> np.ndarray:
-    inter = decode_f64(blob)
-    return (inter[0::2] + 1j * inter[1::2]).reshape(shape)
+    @functools.wraps(from_dict)
+    def checked(d):
+        try:
+            return from_dict(d)
+        except FormatError:
+            raise
+        except (AttributeError, IndexError, KeyError, TypeError,
+                ValueError) as err:
+            raise FormatError(
+                f"malformed {kind}: {type(err).__name__}: {err}") from err
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,7 @@ def plan_to_dict(plan: SweepPlan) -> dict:
     }
 
 
+@_schema
 def plan_from_dict(d: dict) -> SweepPlan:
     return SweepPlan(
         axes_hz=tuple(tuple(a) for a in d["axes_hz"]),
@@ -173,6 +174,7 @@ def dataset_to_dict(ds: SpectralDataset) -> dict:
     }
 
 
+@_schema
 def dataset_from_dict(d: dict) -> SpectralDataset:
     plan = plan_from_dict(d["plan"])
     indices = tuple(tuple(int(v) for v in k) for k in d["k"])
@@ -180,8 +182,13 @@ def dataset_from_dict(d: dict) -> SpectralDataset:
     phasors = np.full(
         (plan.n_triplets, len(plan.schedule), len(indices)),
         np.nan + 1j * np.nan, dtype=complex)
+    n_trip, n_amp = phasors.shape[:2]
     for block in d["lsop_blocks"]:
         t, a = int(block["triplet_id"]), int(block["amp_id"])
+        if not (0 <= t < n_trip and 0 <= a < n_amp):
+            raise FormatError(
+                f"block (triplet {t}, amplitude {a}) is outside the plan's "
+                f"{n_trip} x {n_amp} operating points")
         for key, (re, im) in block["B"].items():
             phasors[t, a, pos[key]] = complex(re, im)
     capture = CaptureInfo(**d["capture"]) if d.get("capture") else None
@@ -205,19 +212,15 @@ def load_dataset(path: str) -> SpectralDataset:
 
 
 def archive_to_dict(archive: KernelArchive) -> dict:
-    grids = {}
-    for order, grid in archive.grids.items():
-        keys = sorted(grid._sums)
-        coords = np.array(keys, dtype=np.int64).reshape(len(keys), order)
-        sums = np.array([grid._sums[k] for k in keys], dtype=complex)
-        counts = np.array([grid._counts[k] for k in keys], dtype=np.int64)
-        grids[str(order)] = {
+    grids = {
+        str(order): {
             "lattice_units": list(grid.lattice_units),
-            "n_points": len(keys),
-            "coords_b64": encode_i64(coords),
-            "sums_b64": encode_complex(sums),
-            "counts_b64": encode_i64(counts),
-        }
+            "n_points": grid.n_points,
+            "coords_b64": encode_array(grid.coords, "<i8"),
+            "sums_b64": encode_array(grid.sums, "<c16"),
+            "counts_b64": encode_array(grid.counts, "<i8"),
+        } for order, grid in archive.grids.items()
+    }
     return {
         "metadata": dict(archive.metadata),
         "df_hz": next(iter(archive.grids.values())).df_hz,
@@ -225,23 +228,21 @@ def archive_to_dict(archive: KernelArchive) -> dict:
     }
 
 
+@_schema
 def archive_from_dict(d: dict) -> KernelArchive:
     df = float(d["df_hz"])
     grids = {}
     for order_s, g in d["grids"].items():
-        order = int(order_s)
-        grid = KernelGrid(order=order,
-                          lattice_units=tuple(g["lattice_units"]),
-                          df_hz=df)
-        n = int(g["n_points"])
-        coords = decode_i64(g["coords_b64"], (n, order))
-        sums = decode_complex(g["sums_b64"], (n,))
-        counts = decode_i64(g["counts_b64"], (n,))
-        for i in range(n):
-            key = tuple(int(v) for v in coords[i])
-            grid._sums[key] = complex(sums[i])
-            grid._counts[key] = int(counts[i])
-        grids[order] = grid
+        order, n = int(order_s), int(g["n_points"])
+        coords = decode_array(g["coords_b64"], "<i8")
+        if n < 0 or len(coords) != n * order:
+            raise FormatError(f"order-{order} grid: {len(coords)} coordinates "
+                              f"do not fit n_points={n}")
+        grids[order] = KernelGrid(
+            order=order, lattice_units=tuple(g["lattice_units"]), df_hz=df,
+            coords=coords.reshape(n, order),
+            sums=decode_array(g["sums_b64"], "<c16"),
+            counts=decode_array(g["counts_b64"], "<i8"))
     return KernelArchive(grids=grids, metadata=d.get("metadata", {}))
 
 

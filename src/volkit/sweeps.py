@@ -139,12 +139,6 @@ class SweepPlan:
             return len(self.axes_hz[0])
         return int(np.prod([len(a) for a in self.axes_hz]))
 
-    def tone_set(self, triplet_id: int, amp_id: int) -> ToneSet:
-        return ToneSet(
-            freqs_hz=self.triplets()[triplet_id],
-            amps_v=self.schedule[amp_id],
-        )
-
     def lattice_hz(self) -> np.ndarray:
         """Union of all axis points, sorted ascending (the kernel lattice)."""
         return np.unique(np.concatenate([np.asarray(a) for a in self.axes_hz]))

@@ -91,11 +91,6 @@ class LinearBlock:
         return self.c @ x + self.d * u
 
 
-def analytic_transfer(block: LinearBlock, omega_rad) -> np.ndarray:
-    """Module-level alias for :meth:`LinearBlock.transfer`."""
-    return block.transfer(omega_rad)
-
-
 def lowpass_ladder(
     l_henry: float = 42.52e-9,
     c_farad: float = 8.5e-12,
@@ -115,15 +110,6 @@ def lowpass_ladder(
     b = np.array([1.0 / (r_ohm * c_farad), 0.0, 0.0])
     c = np.array([0.0, 0.0, 2.0])
     return LinearBlock(a=a, b=b, c=c, d=0.0)
-
-
-def multiplier_current(v1: float, v2: float, v3: float, z_f: float = 50.0) -> float:
-    """Port-3 current law of the analog multiplier: (v1*v2 - v3)/Zf.
-
-    Driving an ideal buffer (i3 = 0) forces v3 = v1*v2, which is the
-    operating point the cascade below assumes.
-    """
-    return (v1 * v2 - v3) / z_f
 
 
 @dataclass(frozen=True)

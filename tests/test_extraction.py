@@ -80,6 +80,30 @@ class TestBuildSystem:
         assert err.value.amp_id == 2
         assert err.value.index == (0, 0, 1)
 
+    def test_triplet_set_stacks_single_systems(self):
+        plan = make_plan()
+        ds = analytic_dataset(oracle_fn(MultiplierCascade()), plan, truncation=3)
+        ids = [5, 0, 3]
+        stacked = build_ls_system(ds, ids, (0, 0, 1))
+        assert stacked.rhs.shape == (len(plan.schedule), len(ids))
+        for col, t in enumerate(ids):
+            single = build_ls_system(ds, t, (0, 0, 1))
+            np.testing.assert_array_equal(stacked.matrix, single.matrix)
+            np.testing.assert_array_equal(stacked.rhs[:, col], single.rhs)
+        values, _ = solve_ls(stacked)
+        one, _ = solve_ls(build_ls_system(ds, 3, (0, 0, 1)))
+        for term in stacked.unknowns:
+            assert values[term][2] == pytest.approx(one[term], rel=1e-12)
+
+    def test_missing_phasor_in_triplet_set_is_named(self):
+        plan = make_plan()
+        ds = analytic_dataset(oracle_fn(MultiplierCascade()), plan, truncation=3)
+        kpos = ds.index_position((0, 1, -2))
+        ds.phasors[4, 3, kpos] = np.nan
+        with pytest.raises(MissingPhasorError) as err:
+            build_ls_system(ds, [2, 4, 6], (0, 1, -2))
+        assert (err.value.triplet_id, err.value.amp_id) == (4, 3)
+
 
 class TestSolve:
     def test_single_unknown_two_rows_is_ratio(self):

@@ -9,6 +9,7 @@ from volkit.kernels import (
     KernelGrid,
     OffLatticeError,
 )
+from volkit.mixing import canonicalize_frequency_args
 from volkit.systems import MultiplierCascade, kernel_oracle, lowpass_ladder
 
 
@@ -75,6 +76,104 @@ class TestStore:
         grid = KernelGrid(order=2, lattice_units=(7,), df_hz=1e6)
         with pytest.raises(ValueError, match="expected 2"):
             grid.insert((7e6,), 1.0)
+
+
+def dict_store(units, values):
+    """Reference model: one point at a time into dicts keyed by tuples."""
+    sums, counts = {}, {}
+    for row, v in zip(units, values):
+        key, conj = canonicalize_frequency_args(tuple(int(u) for u in row))
+        v = complex(np.conj(v)) if conj else complex(v)
+        if key in sums:
+            sums[key] += v
+            counts[key] += 1
+        else:
+            sums[key], counts[key] = v, 1
+    return sums, counts
+
+
+# (lattice units, argument rows in df units, values)
+BULK_CASES = {
+    "duplicates": ((7, 41), [(7, 41), (41, 7), (7, 41), (-7, 41)],
+                   [1 + 1j, 3.0, 0.1 - 0.3j, 2j]),
+    "conjugate twins": ((7, 41), [(7, -41), (-7, 41), (-41, 7)],
+                        [2 + 2j, 4 - 4j, -0.0 + 0.5j]),
+    "self-conjugate": ((7, 41, 87), [(7, -7, 41), (41, -7, 7), (-7, 7, -41),
+                                     (87, -87, 7)],
+                       [0.25 + 1e-17j, 0.5 - 0.0j, -0.0 - 0.0j, 1.5 + 0j]),
+    "permutation": ((127, 161, 207), [(127, 161, -161), (161, -161, 127),
+                                      (-161, 127, 161)],
+                    [0.3 - 0.7j, 0.3 - 0.7j, 0.1 + 0.2j]),
+    "conjugate query": ((7, 41, 87), [(7, 41, 87), (-7, -41, -87)],
+                        [1.1 + 0.25j, 1.1 - 0.25j]),
+    "order one": ((7, 41), [(7,), (41,), (-7,)], [1.0, 2.0 - 1j, 0.5j]),
+    "random repeats": ((7, 41, 87, 127),
+                       np.random.default_rng(3).choice(
+                           [-127, -87, -41, -7, 7, 41, 87, 127], (400, 3)),
+                       np.random.default_rng(4).normal(size=(400, 2))
+                       @ np.array([1, 1j])),
+}
+
+
+class TestBulkInsert:
+    """One bulk insert stores exactly what a loop of single inserts does."""
+
+    @pytest.mark.parametrize("case", sorted(BULK_CASES))
+    def test_bulk_equals_loop_bit_for_bit(self, case):
+        lattice, units, values = BULK_CASES[case]
+        units = np.asarray(units)
+        order = units.shape[1]
+        bulk = KernelGrid(order=order, lattice_units=lattice, df_hz=1e6)
+        loop = KernelGrid(order=order, lattice_units=lattice, df_hz=1e6)
+        bulk.insert(units * 1e6, values)
+        for row, v in zip(units, values):
+            loop.insert(tuple(row * 1e6), v)
+        np.testing.assert_array_equal(bulk.coords, loop.coords)
+        assert bulk.sums.tobytes() == loop.sums.tobytes()
+        np.testing.assert_array_equal(bulk.counts, loop.counts)
+
+        ref_sums, ref_counts = dict_store(units, values)
+        keys = sorted(ref_sums)
+        assert [tuple(r) for r in bulk.coords.tolist()] == keys
+        want = np.array([ref_sums[k] for k in keys], dtype=complex)
+        assert bulk.sums.tobytes() == want.tobytes()
+        assert bulk.counts.tolist() == [ref_counts[k] for k in keys]
+
+    def test_split_bulk_inserts_accumulate_in_order(self):
+        lattice, units, values = BULK_CASES["random repeats"]
+        units = np.asarray(units) * 1e6
+        once = KernelGrid(order=3, lattice_units=lattice, df_hz=1e6)
+        twice = KernelGrid(order=3, lattice_units=lattice, df_hz=1e6)
+        once.insert(units, values)
+        twice.insert(units[:150], values[:150])
+        twice.insert(units[150:], values[150:])
+        np.testing.assert_array_equal(once.coords, twice.coords)
+        assert once.sums.tobytes() == twice.sums.tobytes()
+
+    def test_bulk_off_lattice_names_first_offender(self):
+        grid = KernelGrid(order=2, lattice_units=(7, 41), df_hz=1e6)
+        args = np.array([[7e6, 41e6], [41e6, 7.5e6], [53e6, 7e6]])
+        with pytest.raises(OffLatticeError) as err:
+            grid.insert(args, np.ones(3))
+        assert (err.value.axis, err.value.freq_hz) == (1, 7.5e6)
+        assert grid.n_points == 0
+
+    def test_value_count_must_match_rows(self):
+        grid = KernelGrid(order=1, lattice_units=(7, 41), df_hz=1e6)
+        with pytest.raises(ValueError, match="values"):
+            grid.insert(np.array([[7e6], [41e6]]), np.ones(3))
+
+    @pytest.mark.parametrize("coords, counts, match", [
+        ([[7, 9]], [1], "not on the sweep lattice"),
+        ([[41, 7]], [0], "count >= 1"),
+        ([[7, 41], [-7, 41]], [1, 1], "canonical"),
+        ([[41, 7], [41, -7]], [1, 1], "canonical"),
+    ])
+    def test_restored_arrays_are_checked(self, coords, counts, match):
+        with pytest.raises(ValueError, match=match):
+            KernelGrid(order=2, lattice_units=(7, 41), df_hz=1e6,
+                       coords=coords, sums=np.ones(len(counts)),
+                       counts=counts)
 
 
 class TestFrozenInterpolation:
@@ -158,6 +257,16 @@ class TestFrozenInterpolation:
         with pytest.raises(EmptyGridError):
             grid.freeze()
 
+    def test_empty_bulk_insert_and_empty_restore_refuse_to_freeze(self):
+        inserted = KernelGrid(order=1, lattice_units=(7,), df_hz=1e6)
+        inserted.insert(np.zeros((0, 1)), np.zeros(0))
+        restored = KernelGrid(order=1, lattice_units=(7,), df_hz=1e6,
+                              coords=np.zeros((0, 1)), sums=[], counts=[])
+        for grid in (inserted, restored):
+            assert grid.n_points == 0
+            with pytest.raises(EmptyGridError):
+                grid.freeze()
+
 
 class TestArchive:
     def test_orders_must_be_contiguous(self):
@@ -171,7 +280,7 @@ class TestArchive:
         archive = KernelArchive(grids={1: grid}, metadata={"system_id": "x"})
         assert archive.frozen(1) is archive.frozen(1)
         assert archive.truncation_order == 1
-        v = archive.query_interpolated(1, (100e6,))
+        v = archive.frozen(1).query((100e6,))
         assert isinstance(v, complex)
 
 

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from volkit.cli import main
+from volkit.kernels import KernelArchive, KernelGrid
 from volkit.probing import analytic_dataset
 from volkit.storage import (
     FormatError,
+    decode_array,
+    encode_array,
     load_archive,
     load_dataset,
     load_plan,
@@ -55,10 +58,20 @@ class TestRoundTrips:
         save_archive(path, archive)
         back = load_archive(path)
         for n, grid in archive.grids.items():
-            got = dict(back.grid(n).items())
-            for args, val in grid.items():
-                assert got[args] == val
+            fresh, reloaded = list(grid.items()), list(back.grid(n).items())
+            assert [a for a, _ in fresh] == [a for a, _ in reloaded]
+            assert (np.array([v for _, v in fresh]).tobytes()
+                    == np.array([v for _, v in reloaded]).tobytes())
         assert back.metadata == archive.metadata
+
+    def test_archive_signed_zeros_round_trip(self, tmp_path):
+        grid = KernelGrid(order=1, lattice_units=(7, 41), df_hz=1e6)
+        grid.insert(np.array([[7e6], [41e6]]),
+                    np.array([complex(-0.0, 1.0), complex(2.0, -0.0)]))
+        save_archive(tmp_path / "a.json", KernelArchive(grids={1: grid}))
+        back = load_archive(tmp_path / "a.json").grid(1)
+        assert back.sums.tobytes() == grid.sums.tobytes()
+        np.testing.assert_array_equal(back.coords, grid.coords)
 
     def test_dataset_missing_entries_become_nan(self, tmp_path):
         plan = tiny_plan()
@@ -95,6 +108,106 @@ class TestRoundTrips:
         path = tmp_path / "plan.json"
         save_plan(path, tiny_plan(), "abc123")
         assert read_json(path)["config_hash"] == "abc123"
+
+
+def _drop_plan(doc):
+    del doc["plan"]
+
+
+def _unknown_index_key(doc):
+    doc["lsop_blocks"][0]["B"]["[9,9,9]"] = [1.0, 0.0]
+
+
+def _block_field(key, value):
+    def mutate(doc):
+        doc["lsop_blocks"][1][key] = value
+    return mutate
+
+
+def _plan_drop_schedule(doc):
+    del doc["V"]
+
+
+def _grid_field(key, fn):
+    def mutate(doc):
+        grid = doc["grids"]["2"]
+        arr = decode_array(grid[key], "<i8").copy()
+        grid[key] = encode_array(fn(arr), "<i8")
+    return mutate
+
+
+def _grid_points_plus_one(doc):
+    doc["grids"]["3"]["n_points"] += 1
+
+
+def _off_lattice(arr):
+    arr[0] += 1
+    return arr
+
+
+def _zero_count(arr):
+    arr[-1] = 0
+    return arr
+
+
+MALFORMED = {
+    "dataset without plan": ("dataset", _drop_plan),
+    "dataset unknown index key": ("dataset", _unknown_index_key),
+    "dataset triplet_id too large": ("dataset",
+                                     _block_field("triplet_id", 10**6)),
+    "dataset negative triplet_id": ("dataset", _block_field("triplet_id", -1)),
+    "dataset amp_id too large": ("dataset", _block_field("amp_id", 99)),
+    "dataset block without B": ("dataset", _block_field("B", None)),
+    "plan without schedule": ("plan", _plan_drop_schedule),
+    "archive n_points mismatch": ("archive", _grid_points_plus_one),
+    "archive coordinate off lattice": ("archive",
+                                       _grid_field("coords_b64", _off_lattice)),
+    "archive count below one": ("archive",
+                                _grid_field("counts_b64", _zero_count)),
+    "archive truncated counts": ("archive",
+                                 _grid_field("counts_b64", lambda a: a[:-1])),
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_files(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    plan = tiny_plan()
+    ds = analytic_dataset(oracle_fn(MultiplierCascade()), plan, 3)
+    save_plan(out / "plan.json", plan)
+    save_dataset(out / "dataset.json", ds)
+    save_archive(out / "archive.json", extract(ds, plan)[0])
+    return out
+
+
+class TestMalformedFiles:
+    """Every malformed input file ends in exit code 3 with no traceback."""
+
+    COMMANDS = {
+        "plan": ["probe", "--plan"],
+        "dataset": ["extract", "--dataset"],
+        "archive": ["synthesize", "--archive"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exit_code_3(self, case, tiny_files, tmp_path, capsys):
+        kind, mutate = MALFORMED[case]
+        doc = read_json(tiny_files / f"{kind}.json")
+        mutate(doc)
+        path = tmp_path / f"{kind}.json"
+        write_json(path, doc)
+        assert main([*self.COMMANDS[kind], str(path),
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        with pytest.raises(FormatError):
+            {"plan": load_plan, "dataset": load_dataset,
+             "archive": load_archive}[kind](path)
+
+    def test_unmodified_files_load(self, tiny_files):
+        load_plan(tiny_files / "plan.json")
+        load_dataset(tiny_files / "dataset.json")
+        load_archive(tiny_files / "archive.json")
 
 
 class TestCli:
@@ -178,6 +291,11 @@ class TestCli:
         assert main(["extract", "--dataset", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 3
         assert main(["probe", "--out", str(tmp_path)]) == 3
+
+    def test_unreadable_input_is_input_error(self, tmp_path, capsys):
+        assert main(["extract", "--dataset", str(tmp_path),
+                     "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

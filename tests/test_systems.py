@@ -7,10 +7,8 @@ from volkit.systems import (
     LinearBlock,
     MultiplierCascade,
     SaturatingAmplifier,
-    analytic_transfer,
     kernel_oracle,
     lowpass_ladder,
-    multiplier_current,
     oracle_fn,
 )
 
@@ -37,24 +35,8 @@ class TestLowpassLadder:
         with pytest.raises(ValueError, match="stable"):
             LinearBlock(a=np.array([[1.0]]), b=[1.0], c=[1.0])
 
-    def test_module_level_transfer_alias(self):
-        blk = lowpass_ladder()
-        w = 2 * np.pi * 1e8
-        assert analytic_transfer(blk, w) == blk.transfer(w)
-
     def test_time_constant_positive(self):
         assert lowpass_ladder().slowest_time_constant > 0
-
-
-class TestMultiplierLaw:
-    def test_unit_product_into_short(self):
-        assert multiplier_current(1.0, 1.0, 0.0) == pytest.approx(0.02)
-
-    def test_zero_input_zero_current(self):
-        assert multiplier_current(0.0, 3.7, 0.0) == 0.0
-
-    def test_balanced_port_carries_no_current(self):
-        assert multiplier_current(2.0, 3.0, 6.0) == 0.0
 
 
 class TestKernelOracle:
