@@ -291,43 +291,100 @@ class FrozenKernelGrid:
         if arr.shape[1] != self.order:
             raise ValueError(f"queries must have {self.order} columns")
         canon, conj, self_conj = _lexically_canonical_rows(arr)
+        cell, w, inside = self._stencil(canon)
+        out = self._interpolate(cell, w, inside.all(axis=1), conj, self_conj)
+        return complex(out[0]) if scalar else out
 
-        out = np.zeros(len(canon), dtype=complex)
-        inside = np.ones(len(canon), dtype=bool)
-        for j in range(self.order):
-            inside &= np.abs(canon[:, j]) <= self.band_edge_hz + self.margin_hz
-        if inside.any():
-            pts = np.clip(canon[inside], self.axis_hz[0], self.axis_hz[-1])
-            cell = np.clip(
-                np.searchsorted(self.axis_hz, pts, side="right") - 1,
-                0, len(self.axis_hz) - 2)
-            x0 = self.axis_hz[cell]
-            x1 = self.axis_hz[cell + 1]
-            w = (pts - x0) / (x1 - x0)
-            mag_acc = np.zeros(len(pts))
-            ph_acc = np.zeros(len(pts))
-            for corner in itertools.product((0, 1), repeat=self.order):
-                weight = np.ones(len(pts))
-                idx = []
-                for j, c in enumerate(corner):
-                    weight = weight * (w[:, j] if c else (1.0 - w[:, j]))
-                    idx.append(cell[:, j] + c)
-                mag_acc += weight * self.mag[tuple(idx)]
-                ph_acc += weight * self.phase[tuple(idx)]
-            vals = mag_acc * np.exp(1j * ph_acc)
-            # exact lattice hits return the stored complex value bit-for-bit
-            on_node = np.all((w == 0.0) | (w == 1.0), axis=1)
-            if on_node.any():
-                node_idx = tuple(
-                    (cell + (w == 1.0).astype(np.int64))[on_node, j]
-                    for j in range(self.order))
-                vals[on_node] = self.values[node_idx]
-            out[inside] = vals
-        out = np.where(conj, np.conj(out), out)
+    def query_comb(self, comb_hz, rows) -> np.ndarray:
+        """Kernel values at the tuples ``comb_hz[rows]``, bit for bit what
+        ``query`` returns for them.
+
+        ``comb_hz`` is a strictly ascending comb that is its own negation
+        (``comb_hz[nb-1-i] == -comb_hz[i]``), such as the bins of a
+        Hermitian spectrum, and ``rows`` a (Q, order) array of ascending
+        indices into it.  Each comb point's lattice cell and weight are
+        computed once, and a row's canonical form is either the reversed
+        row or its mirror ``nb-1-row``, chosen by a sign test.
+        """
+        comb = np.asarray(comb_hz, dtype=float)
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1, self.order)
+        nb, n = len(comb), self.order
+        if not (np.array_equal(comb[::-1], -comb)
+                and (np.diff(comb) > 0).all()):
+            raise ValueError("comb must be strictly ascending and symmetric")
+        if len(rows) and not (0 <= rows[:, 0].min() and rows[:, -1].max() < nb
+                              and (rows[:, 1:] >= rows[:, :-1]).all()):
+            raise ValueError(f"rows must be ascending indices below {nb}")
+        # The reversed row is the descending sort of the arguments and the
+        # mirrored row that of their negation.  The canonical form is the
+        # lexically larger one: the sign of the first nonzero entry of
+        # mirror - reversed decides, and that difference is symmetric in j.
+        pick_mirror = np.zeros(len(rows), dtype=bool)
+        undecided = np.ones(len(rows), dtype=bool)
+        for j in range((n + 1) // 2):
+            d = (nb - 1 - rows[:, j]) - rows[:, n - 1 - j]
+            pick_mirror |= undecided & (d > 0)
+            undecided &= d == 0
+        canon = np.empty_like(rows)
+        for j in range(n):
+            canon[:, j] = np.where(pick_mirror, nb - 1 - rows[:, j],
+                                   rows[:, n - 1 - j])
+        cell, w, inside = self._stencil(comb)
+        # rows are ascending and the band is an interval about zero, so a
+        # row lies inside when its first and last points do
+        return self._interpolate(cell[canon], w[canon],
+                                 inside[rows[:, 0]] & inside[rows[:, -1]],
+                                 pick_mirror, undecided)
+
+    def _stencil(self, pts_hz: np.ndarray):
+        """Lattice cell, weight in the cell and in-band flag per entry."""
+        axis = self.axis_hz
+        pts = np.clip(pts_hz, axis[0], axis[-1])
+        cell = np.clip(np.searchsorted(axis, pts, side="right") - 1,
+                       0, len(axis) - 2)
+        x0 = axis[cell]
+        w = (pts - x0) / (axis[cell + 1] - x0)
+        inside = np.abs(pts_hz) <= self.band_edge_hz + self.margin_hz
+        return cell, w, inside
+
+    def _interpolate(self, cell, w, inside, conj, self_conj) -> np.ndarray:
+        """Kernel values at canonical points given as (Q, order) lattice
+        cells and weights.
+
+        Interpolates multilinearly in magnitude and unwrapped phase, returns
+        the stored value at exact lattice nodes and zero for rows not
+        ``inside`` the band, conjugates the ``conj`` rows and keeps only the
+        real part of the ``self_conj`` rows.
+        """
+        strides = len(self.axis_hz) ** np.arange(self.order - 1, -1, -1)
+        base = cell @ strides
+        mag, phase = self.mag.ravel(), self.phase.ravel()
+        # corner weights in itertools.product order, each a left-to-right
+        # product over the axes, sharing the products over the leading axes
+        factors = [(1.0 - w[:, j], w[:, j]) for j in range(self.order)]
+        heads = [np.ones(len(cell))]
+        for pair in factors[:-1]:
+            heads = [h * f for h in heads for f in pair]
+        mag_acc = np.zeros(len(cell))
+        ph_acc = np.zeros(len(cell))
+        for k, corner in enumerate(itertools.product((0, 1),
+                                                     repeat=self.order)):
+            weight = heads[k // 2] * factors[-1][corner[-1]]
+            flat = base + np.dot(corner, strides)
+            mag_acc += weight * mag[flat]
+            ph_acc += weight * phase[flat]
+        vals = mag_acc * np.exp(1j * ph_acc)
+        # exact lattice hits return the stored complex value bit-for-bit
+        on_node = np.all((w == 0.0) | (w == 1.0), axis=1)
+        if on_node.any():
+            node = base[on_node] + (w[on_node] == 1.0) @ strides
+            vals[on_node] = self.values.ravel()[node]
+        vals[~inside] = 0.0
+        np.conjugate(vals, out=vals, where=conj)
         # a self-conjugate argument multiset forces a real kernel value;
         # project interpolation roundoff back onto that constraint
-        out = np.where(self_conj, out.real + 0.0j, out)
-        return complex(out[0]) if scalar else out
+        vals[self_conj] = vals.real[self_conj] + 0.0
+        return vals
 
     @property
     def fill_fraction(self) -> float:

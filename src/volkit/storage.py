@@ -183,14 +183,29 @@ def dataset_from_dict(d: dict) -> SpectralDataset:
         (plan.n_triplets, len(plan.schedule), len(indices)),
         np.nan + 1j * np.nan, dtype=complex)
     n_trip, n_amp = phasors.shape[:2]
+    seen = np.zeros((n_trip, n_amp), dtype=bool)
+    n_values = 0
     for block in d["lsop_blocks"]:
         t, a = int(block["triplet_id"]), int(block["amp_id"])
         if not (0 <= t < n_trip and 0 <= a < n_amp):
             raise FormatError(
                 f"block (triplet {t}, amplitude {a}) is outside the plan's "
                 f"{n_trip} x {n_amp} operating points")
+        if seen[t, a]:
+            raise FormatError(f"second block for (triplet {t}, amplitude {a})")
+        seen[t, a] = True
         for key, (re, im) in block["B"].items():
             phasors[t, a, pos[key]] = complex(re, im)
+        n_values += len(block["B"])
+    # each stored value has its own entry and absent ones stay NaN, so a
+    # non-finite stored value shows as a shortfall of finite entries
+    if np.isfinite(phasors).sum() != n_values:
+        t, a, key = next(
+            (b["triplet_id"], b["amp_id"], key)
+            for b in d["lsop_blocks"] for key, v in b["B"].items()
+            if not np.isfinite(complex(*v)))
+        raise FormatError(f"non-finite phasor {key} in block "
+                          f"(triplet {t}, amplitude {a})")
     capture = CaptureInfo(**d["capture"]) if d.get("capture") else None
     return SpectralDataset(plan=plan, indices=indices, phasors=phasors,
                            capture=capture, source=d.get("source", "file"))

@@ -6,7 +6,10 @@ retained bins of ``H_n(f_b1..f_bn) * prod(c_b) * exp(j*2*pi*(sum f)*t)``
 weighted by one over the product of bin-repetition factorials (the
 multinomial collection of the underlying ordered sum with its 1/n!
 prefactor).  Accumulating per output bin keeps the result an exact
-one-dimensional spectrum, which is then evaluated on any uniform time grid.
+one-dimensional spectrum.  The time step must divide the period into a
+whole number N of steps; the spectrum is then folded modulo N and
+evaluated exactly at the sample times by one inverse FFT per order, and a
+window longer than the period repeats it.
 
 Hermitian input spectra and conjugate-symmetric kernels make every output
 spectrum Hermitian up to rounding; the imaginary residue after real
@@ -15,8 +18,6 @@ projection is checked and reported.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,24 +82,23 @@ class DiscreteSpectrum:
             raise ValueError("duplicate bins")
         order = np.argsort(self.bins)
         self.bins = self.bins[order]
-        self.coeffs = self.coeffs[order]
-        lookup = {int(b): i for i, b in enumerate(self.bins)}
-        scale = np.abs(self.coeffs).max() if len(self.coeffs) else 0.0
-        for i, (b, c) in enumerate(zip(self.bins, self.coeffs)):
-            j = lookup.get(-int(b))
-            if j is None:
+        self.coeffs = c = self.coeffs[order]
+        twin = np.searchsorted(self.bins, -self.bins).clip(max=len(c) - 1)
+        scale = np.abs(c).max() if len(c) else 0.0
+        lacks = self.bins[twin] != -self.bins
+        skewed = np.abs(np.conj(c[twin]) - c) > 1e-9 * scale
+        bad = np.nonzero(lacks | skewed)[0]
+        if len(bad):
+            b = self.bins[bad[0]]
+            if lacks[bad[0]]:
                 raise ValueError(f"bin {b} lacks its Hermitian twin")
-            if abs(np.conj(self.coeffs[j]) - c) > 1e-9 * scale:
-                raise ValueError(f"coefficients at +/-{abs(b)} are not conjugate")
+            raise ValueError(f"coefficients at +/-{abs(b)} are not conjugate")
         # enforce exact Hermitian symmetry so real projection is clean
-        for i, b in enumerate(self.bins):
-            if b > 0:
-                j = lookup[-int(b)]
-                avg = 0.5 * (self.coeffs[i] + np.conj(self.coeffs[j]))
-                self.coeffs[i] = avg
-                self.coeffs[j] = np.conj(avg)
-            elif b == 0:
-                self.coeffs[i] = self.coeffs[i].real
+        pos, dc = self.bins > 0, self.bins == 0
+        avg = 0.5 * (c[pos] + np.conj(c[twin[pos]]))
+        c[pos] = avg
+        c[twin[pos]] = np.conj(avg)
+        c[dc] = c[dc].real
 
     @property
     def freqs_hz(self) -> np.ndarray:
@@ -107,10 +107,6 @@ class DiscreteSpectrum:
     def scaled(self, alpha: float) -> "DiscreteSpectrum":
         return DiscreteSpectrum(self.period_s, self.bins.copy(),
                                 alpha * self.coeffs)
-
-    def sample(self, times) -> np.ndarray:
-        ph = np.exp(2j * np.pi * np.outer(times, self.freqs_hz))
-        return (ph @ self.coeffs).real
 
 
 @dataclass
@@ -193,62 +189,89 @@ def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
                      settings: SynthesisSettings | None = None):
     """Order-``order`` time response on a uniform grid; (Waveform, OrderInfo).
 
+    ``dt`` must divide the spectrum's period into a whole number of steps.
     Bins beyond the archive band edge contribute zero kernels and are
     skipped, which band-limits the prediction to the swept region.
     """
     settings = settings or SynthesisSettings()
     if order not in archive.grids:
         raise KeyError(f"archive has no order-{order} grid")
+    if not dt > 0:
+        raise ValueError("time step must be positive")
+    n_period = int(round(spectrum.period_s / dt))
+    if not abs(n_period * dt - spectrum.period_s) <= 1e-9 * spectrum.period_s:
+        raise ValueError("period must be a whole number of time steps")
     frozen = archive.frozen(order)
     reach = _reachable(spectrum, frozen)
     bins = spectrum.bins[reach]
     coeffs = spectrum.coeffs[reach]
-    freqs = spectrum.freqs_hz[reach]
     nb = len(bins)
 
-    combos = np.array(list(
-        itertools.combinations_with_replacement(range(nb), order)),
-        dtype=np.intp)
+    rows = _ascending_rows(nb, order)
     dropped_fraction = 0.0
-    if len(combos) > settings.max_tuples:
-        weight_mag = np.abs(coeffs)[combos].prod(axis=1)
-        order_by = np.argsort(weight_mag)[::-1]
-        kept = np.sort(order_by[: settings.max_tuples])
-        dropped_fraction = float(
-            weight_mag[order_by[settings.max_tuples:]].sum() /
-            max(weight_mag.sum(), 1e-300))
-        combos = combos[kept]
+    if len(rows) > settings.max_tuples:
+        rows, dropped_fraction = _cap_tuples(rows, np.abs(coeffs),
+                                             settings.max_tuples)
+    hvals = frozen.query_comb(spectrum.freqs_hz[reach], rows)
+    cprod = coeffs[rows].prod(axis=1)
+    contrib = hvals * cprod * _repetition_weights(rows)
 
-    if len(combos):
-        args = freqs[combos]                      # (Q, order)
-        hvals = frozen.query(args.reshape(-1, order))
-        cprod = coeffs[combos].prod(axis=1)
-        contrib = hvals * cprod * _repetition_weights(combos)
-        out_bins = bins[combos].sum(axis=1)
-    else:
-        contrib = np.zeros(0, dtype=complex)
-        out_bins = np.zeros(0, dtype=np.int64)
-
-    span = int(np.abs(spectrum.bins).max()) * order + 1
-    y_spec = np.zeros(2 * span + 1, dtype=complex)
-    np.add.at(y_spec, out_bins + span, contrib)
-
-    n = int(round(duration / dt))
-    t = dt * np.arange(n)
-    s = np.arange(-span, span + 1)
-    active = y_spec != 0
-    ph = np.exp(2j * np.pi * np.outer(t, s[active] / spectrum.period_s))
-    y_cplx = ph @ y_spec[active]
+    # fold the output spectrum modulo N: exact at the sample times
+    slot = bins[rows].sum(axis=1) % n_period
+    y_spec = (np.bincount(slot, contrib.real, n_period)
+              + 1j * np.bincount(slot, contrib.imag, n_period))
+    y_cplx = np.resize(n_period * np.fft.ifft(y_spec),
+                       int(round(duration / dt)))
     scale = np.abs(y_cplx).max() if len(y_cplx) else 0.0
     residue = float(np.abs(y_cplx.imag).max() / scale) if scale > 0 else 0.0
     if residue > settings.imag_residue_limit:
         raise SynthesisError(
             f"order-{order} imaginary residue {residue:.2e}; kernel grid and "
             "spectrum are inconsistent")
-    info = OrderInfo(order=order, n_tuples=len(combos), n_bins_used=nb,
+    info = OrderInfo(order=order, n_tuples=len(rows), n_bins_used=nb,
                      imag_residue=residue,
                      dropped_tuple_fraction=dropped_fraction)
     return Waveform(samples=y_cplx.real, dt=dt, t0=0.0), info
+
+
+def _ascending_rows(nb: int, order: int) -> np.ndarray:
+    """Every ascending ``order``-row of indices below ``nb``, in lexical
+    order: the combinations with replacement of ``range(nb)``.  The array
+    is column-major, so the per-column arithmetic on it reads contiguous
+    memory."""
+    cols = np.arange(nb, dtype=np.intp)[None, :]
+    for _ in range(order - 1):
+        # the rows with a first index of at least a form a suffix
+        start = np.searchsorted(cols[0], np.arange(nb))
+        count = cols.shape[1] - start
+        shift = np.cumsum(count) - count - start
+        tail = np.arange(count.sum()) - np.repeat(shift, count)
+        cols = np.vstack([np.repeat(np.arange(nb), count),
+                          np.take(cols, tail, axis=1)])
+    return cols.T
+
+
+def _cap_tuples(rows: np.ndarray, mag: np.ndarray, cap: int):
+    """The heaviest ascending rows, at most ``cap``, and the dropped weight
+    fraction.  The weight of a row is the product of its bins' magnitudes.
+
+    A row and its mirror (the row of the negated bins, on a symmetric comb
+    of ``len(mag)`` bins) carry conjugate terms, so they are ranked and
+    kept as one unit, by the weight of the earlier row and then by
+    position; the heaviest units are kept while their row count fits.
+    """
+    weight = mag[rows].prod(axis=1)
+    # lexically sorting the mirrored rows lists, for each row position,
+    # the position of its mirror (mirroring is an involution)
+    mirror = np.lexsort((len(mag) - 1 - rows).T)
+    lead = np.nonzero(np.arange(len(rows)) <= mirror)[0]
+    rank = lead[np.argsort(-weight[lead], kind="stable")]
+    size = np.where(mirror[rank] == rank, 1, 2)
+    take = rank[np.cumsum(size) <= cap]
+    keep = np.zeros(len(rows), dtype=bool)
+    keep[take] = keep[mirror[take]] = True
+    dropped = weight[~keep].sum() / max(weight.sum(), 1e-300)
+    return rows[keep], float(dropped)
 
 
 def _repetition_weights(combos: np.ndarray) -> np.ndarray:

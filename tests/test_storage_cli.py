@@ -124,6 +124,17 @@ def _block_field(key, value):
     return mutate
 
 
+def _duplicate_block(doc):
+    copy = json.loads(json.dumps(doc["lsop_blocks"][0]))
+    copy["B"] = {key: [9.0, 9.0] for key in copy["B"]}
+    doc["lsop_blocks"].append(copy)
+
+
+def _non_finite_phasor(doc):
+    block = doc["lsop_blocks"][2]
+    block["B"][next(iter(block["B"]))] = [float("nan"), 0.0]
+
+
 def _plan_drop_schedule(doc):
     del doc["V"]
 
@@ -158,6 +169,8 @@ MALFORMED = {
     "dataset negative triplet_id": ("dataset", _block_field("triplet_id", -1)),
     "dataset amp_id too large": ("dataset", _block_field("amp_id", 99)),
     "dataset block without B": ("dataset", _block_field("B", None)),
+    "dataset duplicate block": ("dataset", _duplicate_block),
+    "dataset non-finite phasor": ("dataset", _non_finite_phasor),
     "plan without schedule": ("plan", _plan_drop_schedule),
     "archive n_points mismatch": ("archive", _grid_points_plus_one),
     "archive coordinate off lattice": ("archive",

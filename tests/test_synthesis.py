@@ -1,6 +1,12 @@
+import itertools
+import math
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from volkit.cli import main
 from volkit.kernels import KernelArchive, KernelGrid
 from volkit.probing import Waveform
 from volkit.synthesis import (
@@ -9,9 +15,11 @@ from volkit.synthesis import (
     TrapezoidPulse,
     nrmse,
     spectrum_of,
+    _ascending_rows,
     synthesize_order,
     synthesize_total,
 )
+from volkit.storage import save_archive
 from volkit.systems import MultiplierCascade, kernel_oracle, lowpass_ladder
 
 PERIOD = 28e-9
@@ -26,29 +34,28 @@ def oracle_archive(sys=None, period=PERIOD, n_side=64, orders=(1, 2, 3)):
     sys = sys or MultiplierCascade()
     df = 1.0 / period
     units = tuple(range(1, n_side + 1))
+    # fill order 1 fully; higher orders on all sign patterns of the lattice
+    points = {
+        1: [(u * df,) for u in units],
+        2: [(u1 * df, s * u2 * df)
+            for u1 in units for u2 in units for s in (1, -1)],
+        3: [(u1 * df, s2 * u2 * df, s3 * u3 * df)
+            for u1 in units[::4] for u2 in units[::4] for u3 in units[::4]
+            for s2 in (1, -1) for s3 in (1, -1)],
+    }
     grids = {}
     for n in orders:
-        grid = KernelGrid(order=n, lattice_units=units, df_hz=df)
-        grids[n] = grid
-    # fill order 1 fully; higher orders on all sign patterns of the lattice
-    for u in units:
-        grids[1].insert((u * df,), kernel_oracle(sys, (u * df,), 1))
-    if 2 in orders:
-        for u1 in units:
-            for u2 in units:
-                for s in (1, -1):
-                    args = (u1 * df, s * u2 * df)
-                    grids[2].insert(args, kernel_oracle(sys, args, 2))
-    if 3 in orders:
-        for u1 in units[::4]:
-            for u2 in units[::4]:
-                for u3 in units[::4]:
-                    for s2 in (1, -1):
-                        for s3 in (1, -1):
-                            args = (u1 * df, s2 * u2 * df, s3 * u3 * df)
-                            grids[3].insert(args, kernel_oracle(sys, args, 3))
-    return KernelArchive(grids={n: grids[n] for n in orders},
-                         metadata={"system_id": sys.system_id})
+        grids[n] = KernelGrid(order=n, lattice_units=units, df_hz=df)
+        grids[n].insert(np.array(points[n]),
+                        [kernel_oracle(sys, args, n) for args in points[n]])
+    return KernelArchive(grids=grids, metadata={"system_id": sys.system_id})
+
+
+@pytest.fixture(scope="module")
+def archive():
+    """The default oracle archive, built once per module; no test
+    modifies it."""
+    return oracle_archive()
 
 
 class TestSpectrum:
@@ -98,6 +105,56 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="twin"):
             DiscreteSpectrum(period_s=1.0, bins=[1], coeffs=[1.0])
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_construction_matches_per_bin_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        half = int(rng.integers(0, 12))
+        k = np.arange(1, half + 1)
+        c = rng.normal(size=half) + 1j * rng.normal(size=half)
+        c[rng.random(half) < 0.2] = complex(-0.0, 0.0)
+        bins = np.concatenate([-k, k, [0]])
+        coeffs = np.concatenate([np.conj(c), c, [rng.normal() + 0j]])
+        coeffs = coeffs + 1e-12 * rng.normal(size=len(coeffs))
+        if seed % 4 == 1:
+            coeffs[rng.integers(len(coeffs))] += 1.0j
+        if seed % 4 == 2 and half:
+            bins[rng.integers(len(bins) - 1)] = 99
+        perm = rng.permutation(len(bins))
+        bins, coeffs = bins[perm], coeffs[perm]
+        try:
+            want = _hermitian_by_loop(bins, coeffs)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                DiscreteSpectrum(period_s=PERIOD, bins=bins, coeffs=coeffs)
+            return
+        got = DiscreteSpectrum(period_s=PERIOD, bins=bins, coeffs=coeffs)
+        np.testing.assert_array_equal(got.bins, want[0])
+        assert got.coeffs.tobytes() == want[1].tobytes()
+
+
+def _hermitian_by_loop(bins, coeffs):
+    """Reference: the per-bin twin check and Hermitian averaging."""
+    order = np.argsort(bins)
+    bins = np.asarray(bins, dtype=np.int64)[order]
+    coeffs = np.asarray(coeffs, dtype=complex)[order]
+    lookup = {int(b): i for i, b in enumerate(bins)}
+    scale = np.abs(coeffs).max() if len(coeffs) else 0.0
+    for b, c in zip(bins, coeffs):
+        j = lookup.get(-int(b))
+        if j is None:
+            raise ValueError(f"bin {b} lacks its Hermitian twin")
+        if abs(np.conj(coeffs[j]) - c) > 1e-9 * scale:
+            raise ValueError(f"coefficients at +/-{abs(b)} are not conjugate")
+    for i, b in enumerate(bins):
+        if b > 0:
+            j = lookup[-int(b)]
+            avg = 0.5 * (coeffs[i] + np.conj(coeffs[j]))
+            coeffs[i] = avg
+            coeffs[j] = np.conj(avg)
+        elif b == 0:
+            coeffs[i] = coeffs[i].real
+    return bins, coeffs
+
 
 class TestSynthesizeOrder:
     def test_linear_order_equals_direct_filtering(self):
@@ -136,8 +193,7 @@ class TestSynthesizeOrder:
             direct += (c * h * np.exp(2j * np.pi * b / PERIOD * t)).real
         assert nrmse(wave.samples, direct) < 2e-3
 
-    def test_order_scaling_is_exact_for_halving(self):
-        archive = oracle_archive()
+    def test_order_scaling_is_exact_for_halving(self, archive):
         spec, _ = spectrum_of(pulse(), PERIOD, max_bins_per_side=40)
         dt = PERIOD / 128
         for n in (1, 2, 3):
@@ -147,8 +203,7 @@ class TestSynthesizeOrder:
             np.testing.assert_array_equal(scaled.samples,
                                           0.5**n * base.samples)
 
-    def test_order_scaling_close_for_irrational_factor(self):
-        archive = oracle_archive()
+    def test_order_scaling_close_for_irrational_factor(self, archive):
         spec, _ = spectrum_of(pulse(), PERIOD, max_bins_per_side=40)
         dt = PERIOD / 128
         alpha = 1 / np.sqrt(2.0)
@@ -159,8 +214,7 @@ class TestSynthesizeOrder:
             err = np.abs(scaled.samples - alpha**n * base.samples).max()
             assert err <= 1e-12 * np.abs(base.samples).max()
 
-    def test_bin_order_shuffle_is_harmless(self):
-        archive = oracle_archive()
+    def test_bin_order_shuffle_is_harmless(self, archive):
         spec, _ = spectrum_of(pulse(), PERIOD, max_bins_per_side=40)
         rng = np.random.default_rng(5)
         perm = rng.permutation(len(spec.bins))
@@ -174,8 +228,7 @@ class TestSynthesizeOrder:
             err = np.abs(a.samples - b.samples).max()
             assert err <= 1e-12 * max(np.abs(a.samples).max(), 1e-300)
 
-    def test_zero_spectrum_gives_zero_response(self):
-        archive = oracle_archive()
+    def test_zero_spectrum_gives_zero_response(self, archive):
         spec = DiscreteSpectrum(period_s=PERIOD, bins=[-1, 0, 1],
                                 coeffs=[0.0, 0.0, 0.0])
         resp = synthesize_total(archive, spec, PERIOD, PERIOD / 64)
@@ -187,8 +240,7 @@ class TestSynthesizeOrder:
         with pytest.raises(KeyError):
             synthesize_order(archive, spec, 2, PERIOD, PERIOD / 64)
 
-    def test_tuple_cap_truncates_deterministically(self):
-        archive = oracle_archive()
+    def test_tuple_cap_truncates_deterministically(self, archive):
         spec, _ = spectrum_of(pulse(), PERIOD, max_bins_per_side=40)
         dt = PERIOD / 128
         full, info_full = synthesize_order(archive, spec, 3, PERIOD, dt)
@@ -202,10 +254,107 @@ class TestSynthesizeOrder:
             SynthesisSettings(max_tuples=info_full.n_tuples // 2))
         np.testing.assert_array_equal(capped.samples, again.samples)
 
+    @pytest.mark.parametrize("cap", [777, 1001, 5000, 12345])
+    def test_tuple_cap_keeps_conjugate_pairs(self, archive, cap):
+        spec, _ = spectrum_of(pulse(), PERIOD, max_bins_per_side=40)
+        _, info = synthesize_order(archive, spec, 3, PERIOD, PERIOD / 128,
+                                   SynthesisSettings(max_tuples=cap))
+        assert cap - 1 <= info.n_tuples <= cap
+        assert info.imag_residue <= 1e-10
+
+    def test_non_integral_steps_per_period_rejected(self, tmp_path, capsys):
+        archive = oracle_archive(orders=(1,))
+        spec, _ = spectrum_of(pulse(), PERIOD)
+        with pytest.raises(ValueError, match="whole number of time steps"):
+            synthesize_order(archive, spec, 1, PERIOD, PERIOD / 100.5)
+        save_archive(tmp_path / "archive.json", archive)
+        assert main(["synthesize", "--archive", str(tmp_path / "archive.json"),
+                     "--period-s", "28e-9", "--dt-s", "0.3e-9",
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _dense_reference(archive, spectrum, order, duration, dt):
+    """The direct sum over sorted bin tuples, evaluated at every sample."""
+    frozen = archive.frozen(order)
+    reach = (np.abs(spectrum.freqs_hz)
+             <= frozen.band_edge_hz + frozen.margin_hz)
+    bins, coeffs = spectrum.bins[reach], spectrum.coeffs[reach]
+    combos = np.array(list(itertools.combinations_with_replacement(
+        range(len(bins)), order))).reshape(-1, order)
+    repeats = [math.prod(map(math.factorial, Counter(row).values()))
+               for row in combos.tolist()]
+    contrib = (frozen.query(bins[combos] / spectrum.period_s)
+               * coeffs[combos].prod(axis=1) / np.array(repeats))
+    t = dt * np.arange(int(round(duration / dt)))
+    out_hz = bins[combos].sum(axis=1) / spectrum.period_s
+    return (np.exp(2j * np.pi * np.outer(t, out_hz)) @ contrib).real
+
+
+class TestTupleRows:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_rows_match_combinations_with_replacement(self, order):
+        for nb in range(13):
+            want = list(itertools.combinations_with_replacement(range(nb),
+                                                                order))
+            got = _ascending_rows(nb, order)
+            assert got.shape == (len(want), order)
+            assert list(map(tuple, got.tolist())) == want
+
+
+class TestStencilQueries:
+    """Per-bin stencils give exactly what per-argument queries give."""
+
+    @staticmethod
+    def _check(archive, spectrum):
+        for order in sorted(archive.grids):
+            frozen = archive.frozen(order)
+            reach = (np.abs(spectrum.freqs_hz)
+                     <= frozen.band_edge_hz + frozen.margin_hz)
+            comb = spectrum.freqs_hz[reach]
+            rows = _ascending_rows(len(comb), order)
+            got = frozen.query_comb(comb, rows)
+            assert got.tobytes() == frozen.query(comb[rows]).tobytes()
+
+    def test_oracle_archive(self, archive):
+        spec, _ = spectrum_of(pulse(), PERIOD, max_bins_per_side=40)
+        self._check(archive, spec)
+
+    def test_bench_archive(self, bench_archive, unit_pulse):
+        from conftest import PULSE_PERIOD
+
+        spec, _ = spectrum_of(unit_pulse, PULSE_PERIOD)
+        self._check(bench_archive, spec)
+
+    def test_rejects_asymmetric_comb_and_unsorted_rows(self, archive):
+        frozen = archive.frozen(2)
+        comb = np.array([-2.0, -1.0, 1.0, 2.0]) / PERIOD
+        with pytest.raises(ValueError, match="symmetric"):
+            frozen.query_comb(comb[:-1], [[0, 1]])
+        with pytest.raises(ValueError, match="ascending"):
+            frozen.query_comb(comb, [[1, 0]])
+        with pytest.raises(ValueError, match="ascending"):
+            frozen.query_comb(comb, [[0, 4]])
+
+
+class TestFftEvaluation:
+    @pytest.mark.parametrize("periods", [0.5, 1.0, 2.5])
+    def test_matches_dense_evaluation(self, archive, periods):
+        spec, _ = spectrum_of(pulse(), PERIOD, max_bins_per_side=12)
+        dt = PERIOD / 128
+        for order in (1, 2, 3):
+            wave, _ = synthesize_order(archive, spec, order,
+                                       periods * PERIOD, dt)
+            ref = _dense_reference(archive, spec, order, periods * PERIOD,
+                                   dt)
+            assert wave.samples.shape == ref.shape
+            scale = np.abs(ref).max()
+            assert np.abs(wave.samples - ref).max() <= 1e-12 * scale
+
 
 class TestTotals:
-    def test_orders_sum_to_total(self):
-        archive = oracle_archive()
+    def test_orders_sum_to_total(self, archive):
         spec, _ = spectrum_of(pulse(), PERIOD, max_bins_per_side=40)
         resp = synthesize_total(archive, spec, PERIOD, PERIOD / 256)
         summed = sum(w.samples for w in resp.per_order.values())
