@@ -26,6 +26,7 @@ from volkit.mixing import (
 from volkit.probing import (
     PlanInvalidError,
     ProbeSettings,
+    TransientBlowupError,
     simulate_dataset,
     transient,
 )
@@ -594,7 +595,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (CliError, FormatError, OSError, ExtractionError,
-            PlanInvalidError, ValueError) as err:
+            PlanInvalidError, TransientBlowupError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -28,6 +28,13 @@ from volkit.mixing import (
 )
 from volkit.sweeps import SweepPlan, ToneSet, validate_plan
 
+NYQUIST_HEADROOM = 0.4        # default record: top product at 0.4 of Nyquist
+SETTLE_TIME_CONSTANTS = 50.0  # default settle, in slowest time constants,
+MIN_SETTLE_S = 200e-9         # and never shorter than this
+BLOWUP_FACTOR = 1e6           # state limit over (1 + peak input magnitude)
+CHECK_INTERVAL = 2048         # steps between blow-up checks
+ROTATOR_REFRESH = 2048        # steps between exact DFT phase recomputations
+
 
 class TransientBlowupError(RuntimeError):
     """State norm exploded; the system/step combination is unstable."""
@@ -65,17 +72,17 @@ class Waveform:
 
 @dataclass(frozen=True)
 class ProbeSettings:
-    """Knobs for dataset generation; None fields are derived from the plan."""
+    """What ``volkit probe`` sets; None fields are derived from the plan.
+
+    ``settle_s``: time from rest to the record (default SETTLE_TIME_CONSTANTS
+    slowest time constants, at least MIN_SETTLE_S); ``samples_per_record``:
+    default the least power of two >= 256 that puts the top product at
+    NYQUIST_HEADROOM of Nyquist; ``include_dc``: capture the DC index too.
+    """
 
     settle_s: float | None = None
     samples_per_record: int | None = None
     include_dc: bool = True
-    nyquist_headroom: float = 0.4
-    settle_time_constants: float = 50.0
-    min_settle_s: float = 200e-9
-    blowup_factor: float = 1e6
-    check_interval: int = 4096
-    rotator_refresh: int = 2048
 
 
 @dataclass(frozen=True)
@@ -147,39 +154,52 @@ def _drive_stage_values(drive, dt: float, n_steps: int) -> np.ndarray:
     raise TypeError(f"unsupported drive type {type(drive).__name__}")
 
 
-def transient(sys, drive, duration: float, dt: float,
-              blowup_factor: float = 1e6) -> Waveform:
+def _rk4(sys, stage_u, n_steps: int, dt: float, u_peak: float):
+    """Fixed-step RK4 from rest, one run per state column.
+
+    ``stage_u(i)`` is every run's input at stage time ``i*dt/2``.  Yields
+    ``(j, x, u0)`` before step j; ``x`` is then updated in place.  Every
+    CHECK_INTERVAL steps and after the last, a state magnitude that is not
+    within BLOWUP_FACTOR * (1 + u_peak) raises TransientBlowupError.
+    """
+    limit = BLOWUP_FACTOR * (1.0 + u_peak)
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    u0 = stage_u(0)
+    x = np.zeros((sys.state_dim, len(u0)))
+    for j in range(n_steps):
+        yield j, x, u0
+        um = stage_u(2 * j + 1)
+        u1 = stage_u(2 * j + 2)
+        k1 = sys.deriv(x, u0)
+        k2 = sys.deriv(x + half * k1, um)
+        k3 = sys.deriv(x + half * k2, um)
+        k4 = sys.deriv(x + dt * k3, u1)
+        x += sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if ((j % CHECK_INTERVAL == 0 or j == n_steps - 1)
+                and not np.abs(x).max() <= limit):
+            raise TransientBlowupError(f"state magnitude {np.abs(x).max():.3g}"
+                                       f" at t={(j + 1) * dt:.3g} s")
+        u0 = u1
+
+
+def transient(sys, drive, duration: float, dt: float) -> Waveform:
     """Fixed-step RK4 simulation from rest; output sampled every dt.
 
-    ``drive`` may be a ToneSet, a Waveform on the same time step, or a
-    callable t -> u accepting arrays.  Raises TransientBlowupError if the
-    state norm passes ``blowup_factor`` times the input scale.
+    One run of the integrator ``simulate_dataset`` uses.  ``drive`` may be
+    a ToneSet, a Waveform on the same time step, or a callable t -> u
+    accepting arrays.  Raises TransientBlowupError if the state blows up.
     """
     n = int(round(duration / dt))
     u = _drive_stage_values(drive, dt, n)
-    x = np.zeros((sys.state_dim, 1))
     y = np.empty(n)
-    limit = blowup_factor * (1.0 + np.abs(u).max())
-    for j in range(n):
-        u0, um, u1 = u[2 * j], u[2 * j + 1], u[2 * j + 2]
-        y[j] = sys.output(x, np.array([u0]))[0]
-        k1 = sys.deriv(x, np.array([u0]))
-        k2 = sys.deriv(x + 0.5 * dt * k1, np.array([um]))
-        k3 = sys.deriv(x + 0.5 * dt * k2, np.array([um]))
-        k4 = sys.deriv(x + dt * k3, np.array([u1]))
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if j % 2048 == 0 and np.abs(x).max() > limit:
-            raise TransientBlowupError(
-                f"state magnitude {np.abs(x).max():.3g} at t={j * dt:.3g} s")
+    for j, x, u0 in _rk4(sys, lambda i: u[i:i + 1], n, dt, np.abs(u).max()):
+        y[j] = sys.output(x, u0)[0]
     return Waveform(samples=y, dt=dt, t0=0.0)
 
 
 # ---------------------------------------------------------------------------
 # phasor capture from a stored waveform
-
-
-def mixing_sum_units(k: FrequencyIndex, units: tuple[int, ...]) -> int:
-    return int(sum(ki * ui for ki, ui in zip(k, units)))
 
 
 def capture_phasors(
@@ -219,7 +239,7 @@ def capture_phasors(
     out: dict[FrequencyIndex, complex] = {}
     for k in enumerate_output_indices(len(freqs_hz), max_order,
                                       include_dc=include_dc):
-        s = mixing_sum_units(k, tuple(units))
+        s = sum(ki * ui for ki, ui in zip(k, units))
         b = abs(s)
         if b >= len(spec):
             raise CaptureAlignmentError(
@@ -236,9 +256,9 @@ def capture_phasors(
 # dataset generation
 
 
-def _auto_record_samples(plan: SweepPlan, headroom: float) -> int:
+def _auto_record_samples(plan: SweepPlan) -> int:
     record = 1.0 / plan.df_hz
-    need = plan.max_product_hz * record / headroom * 2.0
+    need = plan.max_product_hz * record / NYQUIST_HEADROOM * 2.0
     return 1 << max(8, math.ceil(math.log2(need)))
 
 
@@ -246,12 +266,11 @@ def resolve_settings(sys, plan: SweepPlan,
                      settings: ProbeSettings | None) -> tuple[ProbeSettings, CaptureInfo]:
     s = settings or ProbeSettings()
     if s.settle_s is None:
-        settle = max(s.settle_time_constants * sys.slowest_time_constant,
-                     s.min_settle_s)
+        settle = max(SETTLE_TIME_CONSTANTS * sys.slowest_time_constant,
+                     MIN_SETTLE_S)
         s = replace(s, settle_s=settle)
     if s.samples_per_record is None:
-        s = replace(s, samples_per_record=_auto_record_samples(
-            plan, s.nyquist_headroom))
+        s = replace(s, samples_per_record=_auto_record_samples(plan))
     record = 1.0 / plan.df_hz
     info = CaptureInfo(
         sample_rate_hz=s.samples_per_record / record,
@@ -276,7 +295,6 @@ def simulate_dataset(sys, plan: SweepPlan,
     settings, info = resolve_settings(sys, plan, settings)
 
     trips = plan.triplets()
-    axis_units = plan.axis_units
     sched = plan.schedule
     n_t, n_a, m = len(trips), len(sched), plan.m_tones
     indices = enumerate_output_indices(m, plan.max_mixing_order,
@@ -305,13 +323,9 @@ def simulate_dataset(sys, plan: SweepPlan,
     cos_table = np.cos(2.0 * np.pi * lattice[:, None] * stage_t[None, :])
 
     n_runs = n_t * n_a
-    fid = np.empty((n_runs, m), dtype=np.intp)
-    amps = np.empty((n_runs, m))
-    for t in range(n_t):
-        for a in range(n_a):
-            r = t * n_a + a
-            fid[r] = [lat_pos[u] for u in trip_units[t]]
-            amps[r] = sched[a]
+    fid = np.repeat([[lat_pos[u] for u in row] for row in trip_units], n_a,
+                    axis=0)
+    amps = np.tile(np.asarray(sched, dtype=float), (n_t, 1))
 
     # rotating DFT accumulators
     f_runs = np.repeat(bin_hz, n_a, axis=0)           # (R, K)
@@ -320,36 +334,21 @@ def simulate_dataset(sys, plan: SweepPlan,
     rot = np.exp(-2j * np.pi * f_runs * dt)
     acc = np.zeros((n_runs, n_k), dtype=complex)
 
-    x = np.zeros((sys.state_dim, n_runs))
-    limit = settings.blowup_factor * (1.0 + amps.max())
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for j in range(n_steps):
-        u0 = (amps * cos_table[fid, 2 * j]).sum(axis=1)
-        um = (amps * cos_table[fid, 2 * j + 1]).sum(axis=1)
-        u1 = (amps * cos_table[fid, 2 * j + 2]).sum(axis=1)
+    u_peak = np.abs(amps).sum(axis=1).max()
+    for j, x, u0 in _rk4(sys, lambda i: (amps * cos_table[fid, i]).sum(axis=1),
+                         n_steps, dt, u_peak):
         if j >= n_settle:
             y = sys.output(x, u0)
             acc += y[:, None] * phase
             phase *= rot
-            if (j - n_settle + 1) % settings.rotator_refresh == 0:
+            if (j - n_settle + 1) % ROTATOR_REFRESH == 0:
                 phase = np.exp(-2j * np.pi * f_runs * ((j + 1) * dt))
-        k1 = sys.deriv(x, u0)
-        k2 = sys.deriv(x + half * k1, um)
-        k3 = sys.deriv(x + half * k2, um)
-        k4 = sys.deriv(x + dt * k3, u1)
-        x += sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if j % settings.check_interval == 0 and np.abs(x).max() > limit:
-            raise TransientBlowupError(
-                f"state magnitude {np.abs(x).max():.3g} at step {j}")
 
     b = acc / n_rec
     b = b.reshape(n_t, n_a, n_k)
-    cm = np.repeat(conj_mask[:, None, :], n_a, axis=1)
-    b = np.where(cm, np.conj(b), b)
-    dc_cols = np.nonzero((ks == 0).all(axis=1))[0]
-    for c in dc_cols:
-        b[:, :, c] = b[:, :, c].real
+    b = np.where(conj_mask[:, None, :], np.conj(b), b)
+    dc = (ks == 0).all(axis=1)
+    b[:, :, dc] = b[:, :, dc].real
     return SpectralDataset(plan=plan, indices=tuple(indices), phasors=b,
                            capture=info, source="simulated")
 

@@ -13,7 +13,7 @@ Two systems ship:
   tanh limiter, filter).  All even-order kernels vanish; odd orders exist
   at every order, so truncation bias is real and measurable.
 
-Both expose the small protocol the transient engine needs: ``state_dim``,
+Both expose the small protocol the RK4 integrator needs: ``state_dim``,
 ``deriv(x, u)`` and ``output(x, u)``, vectorized over a trailing batch axis.
 """
 

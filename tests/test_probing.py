@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from volkit.probing import (
 from volkit.sweeps import SweepPlan, ToneSet, standard_sweep_plan, validate_plan
 from volkit.systems import (
     MultiplierCascade,
+    SaturatingAmplifier,
     kernel_oracle,
     lowpass_ladder,
     oracle_fn,
@@ -34,6 +37,32 @@ def small_plan(schedule=((0.05, 0.04, 0.03),), coverage="cross"):
     )
     assert validate_plan(plan, domain="ball").ok
     return plan
+
+
+class Unstable:
+    state_dim = 1
+    slowest_time_constant = 1.0
+
+    def deriv(self, x, u):
+        return 5e9 * x + u
+
+    def output(self, x, u):
+        return x[0]
+
+
+class Oscillator:
+    """Growing 1 GHz rotation; RK4 at the small plan's step overflows to NaN
+    within one check interval."""
+
+    state_dim = 2
+    slowest_time_constant = 1e-9
+    a = np.array([[2e9, 2 * np.pi * 1e9], [-2 * np.pi * 1e9, 2e9]])
+
+    def deriv(self, x, u):
+        return self.a @ x + np.array([[1.0], [0.0]]) * u
+
+    def output(self, x, u):
+        return x[0]
 
 
 class TestTransient:
@@ -68,18 +97,21 @@ class TestTransient:
         assert order >= 3.5
 
     def test_blowup_detected(self):
-        class Unstable:
-            state_dim = 1
-            slowest_time_constant = 1.0
-
-            def deriv(self, x, u):
-                return 5e9 * x + u
-
-            def output(self, x, u):
-                return x[0]
-
         with pytest.raises(TransientBlowupError):
             transient(Unstable(), lambda t: np.ones_like(t), 100e-9, 0.01e-9)
+
+    def test_blowup_checked_after_last_step(self):
+        # 1000 steps, fewer than a check interval: the state ends finite
+        # but far past the limit
+        with pytest.raises(TransientBlowupError, match="at t=1e-08 s"):
+            transient(Unstable(), lambda t: np.ones_like(t), 10e-9, 0.01e-9)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_state_is_a_blowup(self):
+        plan = small_plan()
+        tones = ToneSet(freqs_hz=plan.triplets()[0], amps_v=plan.schedule[0])
+        with pytest.raises(TransientBlowupError, match="nan"):
+            transient(Oscillator(), tones, 450e-9, 1.0 / plan.df_hz / 512)
 
     def test_waveform_drive_requires_matching_step(self):
         wave = Waveform(samples=np.zeros(16), dt=1e-9)
@@ -245,6 +277,31 @@ class TestSimulatedDataset:
         assert ds.indices[0] == (0, 0, 0)
         assert np.all(np.isfinite(ds.phasors))
         assert ds.phasors[0, 0, 0].imag == 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_state_is_a_blowup(self):
+        with pytest.raises(TransientBlowupError, match="nan"):
+            simulate_dataset(Oscillator(), small_plan())
+
+    @pytest.mark.parametrize("system", [MultiplierCascade(),
+                                        SaturatingAmplifier()],
+                             ids=["cascade", "amplifier"])
+    def test_batched_runs_match_single_transient_runs(self, system):
+        plan = small_plan(schedule=((0.05, 0.04, 0.03), (0.02, 0.03, 0.01)))
+        ds = simulate_dataset(system, plan)
+        info = ds.capture
+        dt = info.record_s / info.samples_per_record
+        settle = math.ceil(info.settle_s / dt) * dt
+        trip = plan.triplets()[0]
+        for a, amps in enumerate(plan.schedule):
+            wave = transient(system, ToneSet(freqs_hz=trip, amps_v=amps),
+                             settle + info.record_s, dt)
+            got = capture_phasors(wave, trip, plan.df_hz, 3, settle_s=settle,
+                                  record_s=info.record_s)
+            assert len(got) == len(ds.indices)
+            scale = np.abs(ds.phasors[0, a]).max()
+            for k, b in got.items():
+                assert abs(ds.phasor(0, a, k) - b) <= 1e-12 * scale
 
     def test_auto_record_length_for_standard_plan(self):
         plan = standard_sweep_plan()

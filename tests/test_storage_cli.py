@@ -300,6 +300,18 @@ class TestCli:
         assert report["n_failures"] == 1
         assert report["failures"][0]["k"] == [0, 1, -2]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unstable_validate_step_is_input_error(self, tiny_files,
+                                                   tmp_path, capsys):
+        # RK4 at 4 ns on the benchmark system grows past the blow-up limit
+        assert main(["validate", "--archive", str(tiny_files / "archive.json"),
+                     "--system", "benchmark", "--dt-s", "4e-9",
+                     "--period-s", "2e-7", "--duration-s", "1e-7",
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: state magnitude")
+        assert "Traceback" not in err
+
     def test_missing_input_is_input_error(self, tmp_path):
         assert main(["extract", "--dataset", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 3
