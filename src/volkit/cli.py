@@ -45,7 +45,6 @@ from volkit.storage import (
 )
 from volkit.sweeps import standard_sweep_plan, validate_plan
 from volkit.synthesis import (
-    SynthesisSettings,
     TrapezoidPulse,
     nrmse,
     spectrum_of,
@@ -416,12 +415,11 @@ def _symmetry_audit(archive: KernelArchive, max_points=200):
     return audit
 
 
-def _scaling_audit(archive, spectrum, duration, dt):
+def _scaling_audit(archive, spectrum, per_order, duration, dt):
     audit = {}
-    for order in sorted(archive.grids):
-        base, _ = synthesize_order(archive, spectrum, order, duration, dt)
-        half, _ = synthesize_order(archive, spectrum.scaled(0.5), order,
-                                   duration, dt)
+    half_spectrum = spectrum.scaled(0.5)
+    for order, base in sorted(per_order.items()):
+        half, _ = synthesize_order(archive, half_spectrum, order, duration, dt)
         dev = np.abs(half.samples - 0.5**order * base.samples).max()
         scale = np.abs(base.samples).max()
         audit[order] = float(dev / scale) if scale > 0 else 0.0
@@ -445,13 +443,13 @@ def cmd_validate(args) -> int:
     limit_total = float(config.get("total_nrmse_limit",
                                    0.10 if system_name == "amplifier" else 0.05))
 
+    # the reference first: a step too coarse for the system fails at once
+    reference = transient(sys_obj, pulse, duration, dt)
     kernel_table = _kernel_error_table(archive, sys_obj)
     symmetry = _symmetry_audit(archive)
     spectrum, _ = spectrum_of(pulse, period)
-    scaling = _scaling_audit(archive, spectrum, duration, dt)
-
-    reference = transient(sys_obj, pulse, duration, dt)
     resp = synthesize_total(archive, spectrum, duration, dt)
+    scaling = _scaling_audit(archive, spectrum, resp.per_order, duration, dt)
     total_err = nrmse(resp.total.samples, reference.samples)
     linear_err = nrmse(resp.per_order[1].samples, reference.samples)
 

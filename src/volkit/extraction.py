@@ -14,7 +14,7 @@ factorization per index serves every triplet (stacked right-hand sides).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from volkit.mixing import (
 )
 from volkit.probing import SpectralDataset
 from volkit.sweeps import SweepPlan
+
+STAGE1_MAX_ORDER = 1  # two_stage solves orders up to this one first
 
 
 class ExtractionError(RuntimeError):
@@ -46,7 +48,6 @@ class ExtractionSettings:
 
     truncation: int = 3
     two_stage: bool = False
-    stage1_max_order: int = 1
     column_scaling: bool = True
     residual_tol: float = 1e-8
     min_success_fraction: float = 0.95
@@ -164,7 +165,7 @@ def solve_ls(system: LSSystem,
     diag_warnings: list[str] = []
 
     orders = np.array([t.order for t in system.unknowns])
-    lo = orders <= settings.stage1_max_order
+    lo = orders <= STAGE1_MAX_ORDER
     hi = ~lo
     if settings.two_stage and lo.any() and hi.any():
         rows1 = _stage1_rows(system.row_amplitudes)

@@ -72,8 +72,8 @@ class KernelGrid:
             raise ValueError("coordinates are not sorted unique canonical rows")
         n = len(canon)
         if (self.sums.shape, self.counts.shape) != ((n,), (n,)) \
-                or (self.counts < 1).any():
-            raise ValueError("need one sum and one count >= 1 per point")
+                or (self.counts < 1).any() or not np.isfinite(self.sums).all():
+            raise ValueError("need one finite sum and one count >= 1 per point")
 
     # -- coordinate handling -------------------------------------------------
 
@@ -197,41 +197,26 @@ class FrozenKernelGrid:
         pos = np.asarray(grid.lattice_units, dtype=np.int64)
         signed = np.concatenate([-pos[::-1], pos])
         n, size = grid.order, len(signed)
+        axis_hz = signed.astype(float) * grid.df_hz
         vals = np.full((size,) * n, np.nan + 0j, dtype=complex)
-        vals[tuple(np.searchsorted(signed, grid.coords).T)] = grid._means()
-        vals = cls._symmetrize(vals, n)
+        idx, means = np.searchsorted(signed, grid.coords), grid._means()
+        perms = list(itertools.permutations(range(n)))
+        # conjugates to all sign-flip images, then means to all permutation
+        # images, so that a self-conjugate sample keeps its mean
+        for image, value in ((size - 1 - idx, np.conj(means)), (idx, means)):
+            vals[tuple(np.moveaxis(image[:, perms], -1, 0))] = value[:, None]
         known = ~np.isnan(vals)
-        vals = cls._fill_holes(vals, signed.astype(float) * grid.df_hz, n)
+        cls._fill_holes(vals, axis_hz, n)
         still = np.isnan(vals)
         if still.any():
             raise EmptyGridError(
                 f"order-{n} grid could not be completed: {still.sum()} holes "
                 "remain (lattice coverage too sparse)")
-        return cls(
-            order=n,
-            df_hz=grid.df_hz,
-            axis_hz=signed.astype(float) * grid.df_hz,
-            values=vals,
-            known_mask=known,
-            filled_mask=~known,
-        )
+        return cls(order=n, df_hz=grid.df_hz, axis_hz=axis_hz, values=vals,
+                   known_mask=known, filled_mask=~known)
 
     @staticmethod
-    def _symmetrize(vals: np.ndarray, n: int) -> np.ndarray:
-        """Propagate samples to all permutation/conjugation images."""
-        flip = (slice(None, None, -1),) * n
-        for _ in range(2):
-            for perm in itertools.permutations(range(n)):
-                if perm == tuple(range(n)):
-                    continue
-                cand = vals.transpose(perm)
-                vals = np.where(np.isnan(vals), cand, vals)
-            cand = np.conj(vals[flip])
-            vals = np.where(np.isnan(vals), cand, vals)
-        return vals
-
-    @staticmethod
-    def _fill_holes(vals: np.ndarray, axis_hz: np.ndarray, n: int) -> np.ndarray:
+    def _fill_holes(vals: np.ndarray, axis_hz: np.ndarray, n: int) -> None:
         """Iterative per-axis line interpolation of missing entries.
 
         Works in magnitude and per-line unwrapped phase so filled values
@@ -242,41 +227,43 @@ class FrozenKernelGrid:
         Anything still missing after convergence (possible only for very
         sparse coverage) falls back to extrapolating fills.
         """
-
-        def sweep(vals: np.ndarray, allow_extrapolation: bool) -> np.ndarray:
+        size = len(axis_hz)
+        pos = np.arange(size)
+        for extrapolate in (False, True):
             for _ in range(2 * n + 1):
-                missing_total = np.isnan(vals).sum()
-                if missing_total == 0:
+                missing = np.isnan(vals).sum()
+                if not missing:
                     break
                 for ax in range(n):
-                    moved = np.moveaxis(vals, ax, -1).copy()
-                    flat = moved.reshape(-1, moved.shape[-1])
-                    miss = np.isnan(flat)
-                    rows = np.nonzero(
-                        miss.any(axis=1) & ((~miss).sum(axis=1) >= 2))[0]
-                    for r in rows:
-                        line = flat[r]
-                        got = ~np.isnan(line)
-                        xk = axis_hz[got]
-                        target = ~got
-                        if not allow_extrapolation:
-                            target &= (axis_hz >= xk[0]) & (axis_hz <= xk[-1])
-                            if not target.any():
-                                continue
-                        mag_k = np.abs(line[got])
-                        ph_k = np.unwrap(np.angle(line[got]))
-                        xm = axis_hz[target]
-                        line[target] = (np.interp(xm, xk, mag_k)
-                                        * np.exp(1j * np.interp(xm, xk, ph_k)))
-                    vals = np.moveaxis(moved, -1, ax)
-                if np.isnan(vals).sum() == missing_total:
+                    lines = np.moveaxis(vals, ax, -1)  # a view of vals
+                    known = ~np.isnan(lines)
+                    # nearest known position at or before / at or after
+                    prev = np.maximum.accumulate(np.where(known, pos, -1), -1)
+                    nxt = np.minimum.accumulate(
+                        np.where(known, pos, size)[..., ::-1], -1)[..., ::-1]
+                    hole = ~known & (known.sum(-1, keepdims=True) >= 2)
+                    if not extrapolate:
+                        hole &= (prev >= 0) & (nxt < size)
+                    if not hole.any():
+                        continue
+                    # neighbours a and b; outside the known span both are the
+                    # nearest end, whose value the entry takes
+                    a = np.minimum(np.where(prev >= 0, prev, nxt), size - 1)
+                    b = np.where(nxt < size, nxt, a)
+                    # each known phase is carried over the gap after it (the
+                    # first also over the gap before it): a gap adds exactly
+                    # zero when unwrapping the known phases
+                    f = np.stack((np.abs(lines), np.unwrap(np.take_along_axis(
+                        np.angle(lines), a, -1), axis=-1)))
+                    fa, fb = (np.take_along_axis(f, i[None], -1) for i in (a, b))
+                    xa, inner = axis_hz[a], a != b
+                    span = np.where(inner, axis_hz[b] - xa, 1.0)
+                    # np.interp's arithmetic between the known neighbours
+                    mag, ph = np.where(
+                        inner, (fb - fa) / span * (axis_hz - xa) + fa, fa)
+                    lines[hole] = mag[hole] * np.exp(1j * ph[hole])
+                if np.isnan(vals).sum() == missing:
                     break
-            return vals
-
-        vals = sweep(vals, allow_extrapolation=False)
-        if np.isnan(vals).any():
-            vals = sweep(vals, allow_extrapolation=True)
-        return vals
 
     # -- queries ----------------------------------------------------------------
 

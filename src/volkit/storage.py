@@ -197,6 +197,19 @@ def dataset_from_dict(d: dict) -> SpectralDataset:
         for key, (re, im) in block["B"].items():
             phasors[t, a, pos[key]] = complex(re, im)
         n_values += len(block["B"])
+    # a block's tones and amplitudes must be its operating point's
+    blocks = d["lsop_blocks"]
+    for name, table, key in (("freqs_hz", plan.triplets(), "triplet_id"),
+                             ("V", plan.schedule, "amp_id")):
+        want = np.array(table, dtype=float)[[int(b[key]) for b in blocks]]
+        got = np.array([b[name] for b in blocks], float).reshape(want.shape)
+        bad = (got != want).any(axis=1)
+        if bad.any():
+            i = bad.argmax()
+            raise FormatError(
+                f"block (triplet {blocks[i]['triplet_id']}, amplitude "
+                f"{blocks[i]['amp_id']}): {name} {got[i].tolist()} is not "
+                f"the plan's {want[i].tolist()}")
     # each stored value has its own entry and absent ones stay NaN, so a
     # non-finite stored value shows as a shortfall of finite entries
     if np.isfinite(phasors).sum() != n_values:

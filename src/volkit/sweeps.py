@@ -21,17 +21,17 @@ DEFAULT_STARTS_HZ = (7e6, 41e6, 87e6)
 DEFAULT_STEP_HZ = 120e6
 DEFAULT_DF_HZ = 1e6
 DEFAULT_POINTS_PER_AXIS = 18
+Z0_OHM = 50.0  # reference impedance of the dBm power levels
 
 
-def dbm_to_volts(p_dbm: float, z0_ohm: float = 50.0) -> float:
-    """Peak voltage of a sine dissipating ``p_dbm`` into ``z0_ohm``."""
-    return math.sqrt(2.0 * z0_ohm * 10.0 ** ((p_dbm - 30.0) / 10.0))
+def dbm_to_volts(p_dbm: float) -> float:
+    """Peak voltage of a sine dissipating ``p_dbm`` into ``Z0_OHM``."""
+    return math.sqrt(2.0 * Z0_OHM * 10.0 ** ((p_dbm - 30.0) / 10.0))
 
 
 def amplitude_schedule(
     levels_dbm: tuple[float, ...],
     m_tones: int = 3,
-    z0_ohm: float = 50.0,
     n_extra: int = 4,
     seed: int = 1234,
 ) -> list[tuple[float, ...]]:
@@ -43,7 +43,7 @@ def amplitude_schedule(
     """
     if not levels_dbm:
         raise ValueError("need at least one power level")
-    volts = sorted(dbm_to_volts(p, z0_ohm) for p in levels_dbm)
+    volts = sorted(dbm_to_volts(p) for p in levels_dbm)
     rows = [tuple(v) for v in itertools.product(volts, repeat=m_tones)]
     if n_extra > 0 and len(volts) > 1:
         rng = np.random.default_rng(seed)
@@ -232,7 +232,6 @@ def standard_sweep_plan(
     n_extra: int = 4,
     seed: int = 1234,
     amp_limit_v: float | None = None,
-    z0_ohm: float = 50.0,
     plan_id: str | None = None,
 ) -> SweepPlan:
     """The stock three-tone plan: staggered 120 MHz combs from 7/41/87 MHz.
@@ -245,7 +244,7 @@ def standard_sweep_plan(
         for start in DEFAULT_STARTS_HZ
     )
     schedule = amplitude_schedule(
-        levels_dbm, m_tones=3, z0_ohm=z0_ohm, n_extra=n_extra, seed=seed)
+        levels_dbm, m_tones=3, n_extra=n_extra, seed=seed)
     if amp_limit_v is not None:
         worst = max(max(row) for row in schedule)
         if worst >= amp_limit_v:

@@ -25,6 +25,8 @@ import numpy as np
 from volkit.kernels import KernelArchive
 from volkit.probing import Waveform
 
+IMAG_RESIDUE_LIMIT = 1e-6  # largest imaginary residue of an order / its peak
+
 
 class SynthesisError(RuntimeError):
     pass
@@ -161,7 +163,6 @@ def spectrum_of(source, period_s: float, bin_cap: float = 1e-4,
 @dataclass(frozen=True)
 class SynthesisSettings:
     max_tuples: int = 5_000_000
-    imag_residue_limit: float = 1e-6
 
 
 @dataclass
@@ -224,7 +225,7 @@ def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
                        int(round(duration / dt)))
     scale = np.abs(y_cplx).max() if len(y_cplx) else 0.0
     residue = float(np.abs(y_cplx.imag).max() / scale) if scale > 0 else 0.0
-    if residue > settings.imag_residue_limit:
+    if residue > IMAG_RESIDUE_LIMIT:
         raise SynthesisError(
             f"order-{order} imaginary residue {residue:.2e}; kernel grid and "
             "spectrum are inconsistent")

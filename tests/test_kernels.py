@@ -5,6 +5,7 @@ import pytest
 
 from volkit.kernels import (
     EmptyGridError,
+    FrozenKernelGrid,
     KernelArchive,
     KernelGrid,
     OffLatticeError,
@@ -176,6 +177,21 @@ class TestBulkInsert:
                        counts=counts)
 
 
+def cross_coverage_grid():
+    """Order-2 oracle samples on cross-comb pairs and the diagonal."""
+    sys = MultiplierCascade()
+    units = lattice_units(6)
+    grid = KernelGrid(order=2, lattice_units=units, df_hz=1e6)
+    combs = {u: (u - 7) % 120 for u in units}
+    for u1, u2 in itertools.product(units, repeat=2):
+        if combs[u1] == combs[u2] and u1 != u2:
+            continue  # same-comb off-diagonal pairs are never co-swept
+        for s in (1, -1):
+            args = (u1 * 1e6, s * u2 * 1e6)
+            grid.insert(args, kernel_oracle(sys, args, 2))
+    return grid
+
+
 class TestFrozenInterpolation:
     def test_lattice_points_reproduced_bit_identical(self):
         grid = filled_h1_grid()
@@ -228,20 +244,11 @@ class TestFrozenInterpolation:
         assert frozen.query((-q[0], -q[1])) == complex(np.conj(v))
 
     def test_hole_filling_from_cross_axis_coverage(self):
-        # Insert only cross-comb pairs (plus the diagonal), the coverage a
-        # cross-product sweep produces, and check filled cells stay close
-        # to the separable oracle.
+        # Only cross-comb pairs (plus the diagonal), the coverage a
+        # cross-product sweep produces; filled cells stay close to the
+        # separable oracle.
         sys = MultiplierCascade()
-        units = lattice_units(6)
-        grid = KernelGrid(order=2, lattice_units=units, df_hz=1e6)
-        combs = {u: (u - 7) % 120 for u in units}
-        for u1, u2 in itertools.product(units, repeat=2):
-            if combs[u1] == combs[u2] and u1 != u2:
-                continue  # same-comb off-diagonal pairs are never co-swept
-            for s in (1, -1):
-                args = (u1 * 1e6, s * u2 * 1e6)
-                grid.insert(args, kernel_oracle(sys, args, 2))
-        frozen = grid.freeze()
+        frozen = cross_coverage_grid().freeze()
         assert frozen.fill_fraction > 0
         scale = np.abs(frozen.values[frozen.known_mask]).max()
         idx = np.argwhere(frozen.filled_mask)
@@ -266,6 +273,133 @@ class TestFrozenInterpolation:
             assert grid.n_points == 0
             with pytest.raises(EmptyGridError):
                 grid.freeze()
+
+
+def reference_symmetrize(vals, n):
+    """The two-pass permutation/conjugation closure freezing used to run."""
+    flip = (slice(None, None, -1),) * n
+    for _ in range(2):
+        for perm in itertools.permutations(range(n)):
+            if perm == tuple(range(n)):
+                continue
+            cand = vals.transpose(perm)
+            vals = np.where(np.isnan(vals), cand, vals)
+        cand = np.conj(vals[flip])
+        vals = np.where(np.isnan(vals), cand, vals)
+    return vals
+
+
+def reference_fill_holes(vals, axis_hz, n, passes):
+    """The line-by-line hole filling freezing used to run; appends
+    "extrapolate" to ``passes`` when it reaches the extrapolating sweep."""
+
+    def sweep(vals, allow_extrapolation):
+        for _ in range(2 * n + 1):
+            missing_total = np.isnan(vals).sum()
+            if missing_total == 0:
+                break
+            for ax in range(n):
+                moved = np.moveaxis(vals, ax, -1).copy()
+                flat = moved.reshape(-1, moved.shape[-1])
+                miss = np.isnan(flat)
+                rows = np.nonzero(
+                    miss.any(axis=1) & ((~miss).sum(axis=1) >= 2))[0]
+                for r in rows:
+                    line = flat[r]
+                    got = ~np.isnan(line)
+                    xk = axis_hz[got]
+                    target = ~got
+                    if not allow_extrapolation:
+                        target &= (axis_hz >= xk[0]) & (axis_hz <= xk[-1])
+                        if not target.any():
+                            continue
+                    mag_k = np.abs(line[got])
+                    ph_k = np.unwrap(np.angle(line[got]))
+                    xm = axis_hz[target]
+                    line[target] = (np.interp(xm, xk, mag_k)
+                                    * np.exp(1j * np.interp(xm, xk, ph_k)))
+                vals = np.moveaxis(moved, -1, ax)
+            if np.isnan(vals).sum() == missing_total:
+                break
+        return vals
+
+    vals = sweep(vals, allow_extrapolation=False)
+    if np.isnan(vals).any():
+        passes.append("extrapolate")
+        vals = sweep(vals, allow_extrapolation=True)
+    return vals
+
+
+def reference_freeze(grid, passes):
+    pos = np.asarray(grid.lattice_units, dtype=np.int64)
+    signed = np.concatenate([-pos[::-1], pos])
+    n, size = grid.order, len(signed)
+    axis_hz = signed.astype(float) * grid.df_hz
+    vals = np.full((size,) * n, np.nan + 0j, dtype=complex)
+    vals[tuple(np.searchsorted(signed, grid.coords).T)] = grid._means()
+    vals = reference_symmetrize(vals, n)
+    known = ~np.isnan(vals)
+    vals = reference_fill_holes(vals, axis_hz, n, passes)
+    if np.isnan(vals).any():
+        raise EmptyGridError("holes remain")
+    return FrozenKernelGrid(n, grid.df_hz, axis_hz, vals, known, ~known)
+
+
+def random_sparse_grid(seed):
+    """A sparse grid of order 1-3 on a few random lattice points, with
+    random, real, and signed-zero imaginary values."""
+    rng = np.random.default_rng(seed)
+    order = 1 + seed % 3
+    units = np.sort(rng.choice(np.arange(5, 300), rng.integers(2, 7),
+                               replace=False))
+    signed = np.concatenate([-units, units])
+    n_points = int(rng.integers(
+        1, 2 + len(signed) ** order // rng.integers(2, 12)))
+    args = rng.choice(signed, (n_points, order))
+    z = rng.normal(size=n_points) + 1j * rng.normal(size=n_points)
+    kind = rng.integers(0, 4, n_points)
+    z = np.where(kind == 1, z.real + 0j, z)
+    z[kind == 2] = complex(-1.5, -0.0)
+    z[kind == 3] = complex(0.7, -0.0)
+    grid = KernelGrid(order=order, lattice_units=tuple(units), df_hz=1e6)
+    grid.insert(args * 1e6, z)
+    return grid
+
+
+class TestFreezeMatchesReference:
+    """Whole-array freezing gives the line-by-line freeze's grids bit for
+    bit."""
+
+    ATTRS = ("values", "known_mask", "filled_mask", "mag", "phase")
+
+    def assert_same_freeze(self, grid):
+        passes = []
+        try:
+            want = reference_freeze(grid, passes)
+        except EmptyGridError:
+            with pytest.raises(EmptyGridError):
+                grid.freeze()
+            return "empty"
+        got = grid.freeze()
+        for attr in self.ATTRS:
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+        return "extrapolated" if passes else "interpolated"
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_extracted_benchmark_grids(self, bench_archive, order):
+        self.assert_same_freeze(bench_archive.grid(order))
+
+    def test_cross_coverage_grid(self):
+        self.assert_same_freeze(cross_coverage_grid())
+
+    def test_random_sparse_grids(self):
+        outcomes = [self.assert_same_freeze(random_sparse_grid(seed))
+                    for seed in range(48)]
+        assert {"empty", "extrapolated", "interpolated"} <= set(outcomes)
+        orders = {random_sparse_grid(seed).order
+                  for seed, o in enumerate(outcomes) if o == "extrapolated"}
+        assert orders == {1, 2, 3}
 
 
 class TestArchive:

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import volkit.cli
+import volkit.synthesis
 from volkit.cli import main
 from volkit.kernels import KernelArchive, KernelGrid
 from volkit.probing import analytic_dataset
@@ -22,6 +24,7 @@ from volkit.storage import (
     write_json,
 )
 from volkit.sweeps import SweepPlan, standard_sweep_plan
+from volkit.synthesis import synthesize_order
 from volkit.systems import MultiplierCascade, oracle_fn
 from volkit.extraction import extract
 
@@ -147,6 +150,13 @@ def _grid_field(key, fn):
     return mutate
 
 
+def _non_finite_sum(doc):
+    grid = doc["grids"]["2"]
+    sums = decode_array(grid["sums_b64"], "<c16").copy()
+    sums[0] = complex(np.inf, 0.0)
+    grid["sums_b64"] = encode_array(sums, "<c16")
+
+
 def _grid_points_plus_one(doc):
     doc["grids"]["3"]["n_points"] += 1
 
@@ -171,6 +181,9 @@ MALFORMED = {
     "dataset block without B": ("dataset", _block_field("B", None)),
     "dataset duplicate block": ("dataset", _duplicate_block),
     "dataset non-finite phasor": ("dataset", _non_finite_phasor),
+    "dataset block freqs_hz off the plan": (
+        "dataset", _block_field("freqs_hz", [1e9, 2e9, 3e9])),
+    "dataset block V off the plan": ("dataset", _block_field("V", [9, 9, 9])),
     "plan without schedule": ("plan", _plan_drop_schedule),
     "archive n_points mismatch": ("archive", _grid_points_plus_one),
     "archive coordinate off lattice": ("archive",
@@ -179,6 +192,7 @@ MALFORMED = {
                                 _grid_field("counts_b64", _zero_count)),
     "archive truncated counts": ("archive",
                                  _grid_field("counts_b64", lambda a: a[:-1])),
+    "archive non-finite sum": ("archive", _non_finite_sum),
 }
 
 
@@ -221,6 +235,21 @@ class TestMalformedFiles:
         load_plan(tiny_files / "plan.json")
         load_dataset(tiny_files / "dataset.json")
         load_archive(tiny_files / "archive.json")
+
+
+@pytest.fixture
+def synth_calls(monkeypatch):
+    """The order of every synthesize_order call, direct or through
+    synthesize_total."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return synthesize_order(*args, **kwargs)
+
+    monkeypatch.setattr(volkit.cli, "synthesize_order", counted)
+    monkeypatch.setattr(volkit.synthesis, "synthesize_order", counted)
+    return calls
 
 
 class TestCli:
@@ -302,8 +331,10 @@ class TestCli:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unstable_validate_step_is_input_error(self, tiny_files,
-                                                   tmp_path, capsys):
-        # RK4 at 4 ns on the benchmark system grows past the blow-up limit
+                                                   tmp_path, capsys,
+                                                   synth_calls):
+        # RK4 at 4 ns on the benchmark system grows past the blow-up limit,
+        # which the reference run finds before any synthesis
         assert main(["validate", "--archive", str(tiny_files / "archive.json"),
                      "--system", "benchmark", "--dt-s", "4e-9",
                      "--period-s", "2e-7", "--duration-s", "1e-7",
@@ -311,6 +342,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: state magnitude")
         assert "Traceback" not in err
+        assert synth_calls == []
+
+    def test_validate_synthesizes_each_order_twice(self, tiny_files,
+                                                   tmp_path, synth_calls):
+        # the full-scale responses come from the one synthesize_total call
+        assert main(["validate", "--archive", str(tiny_files / "archive.json"),
+                     "--system", "benchmark", "--total-nrmse-limit", "1.0",
+                     "--out", str(tmp_path)]) == 0
+        assert sorted(synth_calls) == [1, 1, 2, 2, 3, 3]
 
     def test_missing_input_is_input_error(self, tmp_path):
         assert main(["extract", "--dataset", str(tmp_path / "nope.json"),

@@ -15,14 +15,14 @@ from volkit.sweeps import (
 
 class TestDbmConversion:
     def test_10_dbm_is_one_volt_peak(self):
-        assert dbm_to_volts(10.0, 50.0) == pytest.approx(1.0)
+        assert dbm_to_volts(10.0) == pytest.approx(1.0)
 
     def test_5_dbm(self):
         # sqrt(2 * 50 * 10**(-2.5)) computed independently
-        assert dbm_to_volts(5.0, 50.0) == pytest.approx(0.5623413251903491)
+        assert dbm_to_volts(5.0) == pytest.approx(0.5623413251903491)
 
     def test_minus_20_dbm(self):
-        assert dbm_to_volts(-20.0, 50.0) == pytest.approx(np.sqrt(2 * 50 * 1e-5))
+        assert dbm_to_volts(-20.0) == pytest.approx(np.sqrt(2 * 50 * 1e-5))
 
 
 class TestAmplitudeSchedule:
