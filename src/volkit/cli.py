@@ -228,14 +228,13 @@ def cmd_plan(args) -> int:
 
 def cmd_probe(args) -> int:
     config = _merge(_load_config(args.config), args,
-                    ["plan", "system", "settle_s", "samples_per_record"])
+                    ["plan", "system", "samples_per_record"])
     if "plan" not in config:
         raise CliError("probe needs --plan <plan.json>")
     plan = load_plan(config["plan"])
     sys_obj = make_system(config.get("system", "benchmark"),
                           config.get("system_params"))
     settings = ProbeSettings(
-        settle_s=config.get("settle_s"),
         samples_per_record=(int(config["samples_per_record"])
                             if config.get("samples_per_record") else None),
         include_dc=bool(config.get("include_dc", True)),
@@ -310,13 +309,16 @@ def cmd_extract(args) -> int:
 # synthesize
 
 
-def _pulse_from_config(config: dict) -> TrapezoidPulse:
+def _pulse_from_config(config: dict, sys_obj=None) -> TrapezoidPulse:
+    """The configured pulse; ``v0`` defaults to the system's saturation
+    limit when it has one, else 1 V."""
     p = config.get("pulse", {})
     if isinstance(p, str):
         v0, tr, tw, tf = (float(x) for x in p.split(","))
         p = {"v0": v0, "t_rise": tr, "t_width": tw, "t_fall": tf}
+    limit = getattr(sys_obj, "saturation_limit_v", None)
     return TrapezoidPulse(
-        v0=float(p.get("v0", 1.0)),
+        v0=float(p.get("v0", 1.0 if limit is None else limit)),
         t_rise=float(p.get("t_rise", 1e-9)),
         t_width=float(p.get("t_width", 5e-9)),
         t_fall=float(p.get("t_fall", 1e-9)),
@@ -435,7 +437,7 @@ def cmd_validate(args) -> int:
     archive = load_archive(config["archive"])
     system_name = config.get("system", "benchmark")
     sys_obj = make_system(system_name, config.get("system_params"))
-    pulse = _pulse_from_config(config)
+    pulse = _pulse_from_config(config, sys_obj)
     period = float(config.get("period_s", 4.0 * pulse.support))
     duration = float(config.get("duration_s",
                                 pulse.support + 20e-9))
@@ -509,8 +511,16 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error (exit 3), not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="volkit",
         description="Volterra kernel extraction from multi-tone spectra")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -547,7 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", default=None)
     p.add_argument("--system", default=None,
                    choices=("benchmark", "benchmark-linear", "amplifier"))
-    p.add_argument("--settle-s", dest="settle_s", type=float, default=None)
     p.add_argument("--samples-per-record", dest="samples_per_record",
                    type=int, default=None)
     p.set_defaults(fn=cmd_probe)

@@ -1,10 +1,10 @@
-"""Transient probing of reference systems and spectral dataset assembly.
+"""Probing of reference systems, transient simulation and dataset assembly.
 
-The probe drives a system with one tone set per (triplet, amplitude) pair,
-integrates to steady state with fixed-step RK4, and reads the output phasor
-at every retained mixing product.  Records are exactly one resolution
-period (1/df) long and every product sits on an exact DFT bin, so capture
-is leakage-free by construction.
+The probe reads, per (triplet, amplitude) pair, the output phasor at every
+retained mixing product of the system's periodic steady state.  A record
+is one resolution period (1/df), so every tone and product sits on a DFT
+bin: no settle, no time stepping, no leakage.  ``transient`` integrates any
+drive from rest with fixed-step RK4, the independent time-domain reference.
 
 Phasor convention: ``B`` is the positive-frequency coefficient of the
 two-sided expansion, i.e. the real signal component at f > 0 is
@@ -29,11 +29,9 @@ from volkit.mixing import (
 from volkit.sweeps import SweepPlan, ToneSet, validate_plan
 
 NYQUIST_HEADROOM = 0.4        # default record: top product at 0.4 of Nyquist
-SETTLE_TIME_CONSTANTS = 50.0  # default settle, in slowest time constants,
-MIN_SETTLE_S = 200e-9         # and never shorter than this
 BLOWUP_FACTOR = 1e6           # state limit over (1 + peak input magnitude)
 CHECK_INTERVAL = 2048         # steps between blow-up checks
-ROTATOR_REFRESH = 2048        # steps between exact DFT phase recomputations
+RUN_CHUNK = 16                # probe runs whose records are held at once
 
 
 class TransientBlowupError(RuntimeError):
@@ -74,19 +72,20 @@ class Waveform:
 class ProbeSettings:
     """What ``volkit probe`` sets; None fields are derived from the plan.
 
-    ``settle_s``: time from rest to the record (default SETTLE_TIME_CONSTANTS
-    slowest time constants, at least MIN_SETTLE_S); ``samples_per_record``:
-    default the least power of two >= 256 that puts the top product at
-    NYQUIST_HEADROOM of Nyquist; ``include_dc``: capture the DC index too.
+    ``samples_per_record``: default the least power of two >= 256 that puts
+    the top product at NYQUIST_HEADROOM of Nyquist; ``include_dc``: capture
+    the DC index too.
     """
 
-    settle_s: float | None = None
     samples_per_record: int | None = None
     include_dc: bool = True
 
 
 @dataclass(frozen=True)
 class CaptureInfo:
+    """How a dataset was captured.  ``settle_s`` is the time from rest to
+    the record; the steady-state probe writes 0.0, older files 2e-7."""
+
     sample_rate_hz: float
     record_s: float
     settle_s: float
@@ -154,47 +153,36 @@ def _drive_stage_values(drive, dt: float, n_steps: int) -> np.ndarray:
     raise TypeError(f"unsupported drive type {type(drive).__name__}")
 
 
-def _rk4(sys, stage_u, n_steps: int, dt: float, u_peak: float):
-    """Fixed-step RK4 from rest, one run per state column.
+def transient(sys, drive, duration: float, dt: float) -> Waveform:
+    """Fixed-step RK4 simulation from rest; output sampled every dt.
 
-    ``stage_u(i)`` is every run's input at stage time ``i*dt/2``.  Yields
-    ``(j, x, u0)`` before step j; ``x`` is then updated in place.  Every
-    CHECK_INTERVAL steps and after the last, a state magnitude that is not
-    within BLOWUP_FACTOR * (1 + u_peak) raises TransientBlowupError.
+    ``drive`` may be a ToneSet, a Waveform on the same time step, or a
+    callable t -> u accepting arrays.  Every CHECK_INTERVAL steps and after
+    the last, a state magnitude that is not within BLOWUP_FACTOR * (1 + peak
+    input magnitude) raises TransientBlowupError.
     """
-    limit = BLOWUP_FACTOR * (1.0 + u_peak)
+    n = int(round(duration / dt))
+    u = _drive_stage_values(drive, dt, n)
+    limit = BLOWUP_FACTOR * (1.0 + np.abs(u).max())
     half = 0.5 * dt
     sixth = dt / 6.0
-    u0 = stage_u(0)
-    x = np.zeros((sys.state_dim, len(u0)))
-    for j in range(n_steps):
-        yield j, x, u0
-        um = stage_u(2 * j + 1)
-        u1 = stage_u(2 * j + 2)
+    x = np.zeros((sys.state_dim, 1))
+    y = np.empty(n)
+    u0 = u[0:1]
+    for j in range(n):
+        um = u[2 * j + 1:2 * j + 2]
+        u1 = u[2 * j + 2:2 * j + 3]
+        y[j] = sys.output(x, u0)[0]
         k1 = sys.deriv(x, u0)
         k2 = sys.deriv(x + half * k1, um)
         k3 = sys.deriv(x + half * k2, um)
         k4 = sys.deriv(x + dt * k3, u1)
         x += sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if ((j % CHECK_INTERVAL == 0 or j == n_steps - 1)
+        if ((j % CHECK_INTERVAL == 0 or j == n - 1)
                 and not np.abs(x).max() <= limit):
             raise TransientBlowupError(f"state magnitude {np.abs(x).max():.3g}"
                                        f" at t={(j + 1) * dt:.3g} s")
         u0 = u1
-
-
-def transient(sys, drive, duration: float, dt: float) -> Waveform:
-    """Fixed-step RK4 simulation from rest; output sampled every dt.
-
-    One run of the integrator ``simulate_dataset`` uses.  ``drive`` may be
-    a ToneSet, a Waveform on the same time step, or a callable t -> u
-    accepting arrays.  Raises TransientBlowupError if the state blows up.
-    """
-    n = int(round(duration / dt))
-    u = _drive_stage_values(drive, dt, n)
-    y = np.empty(n)
-    for j, x, u0 in _rk4(sys, lambda i: u[i:i + 1], n, dt, np.abs(u).max()):
-        y[j] = sys.output(x, u0)[0]
     return Waveform(samples=y, dt=dt, t0=0.0)
 
 
@@ -262,20 +250,16 @@ def _auto_record_samples(plan: SweepPlan) -> int:
     return 1 << max(8, math.ceil(math.log2(need)))
 
 
-def resolve_settings(sys, plan: SweepPlan,
-                     settings: ProbeSettings | None) -> tuple[ProbeSettings, CaptureInfo]:
+def resolve_settings(plan: SweepPlan, settings: ProbeSettings | None
+                     ) -> tuple[ProbeSettings, CaptureInfo]:
     s = settings or ProbeSettings()
-    if s.settle_s is None:
-        settle = max(SETTLE_TIME_CONSTANTS * sys.slowest_time_constant,
-                     MIN_SETTLE_S)
-        s = replace(s, settle_s=settle)
     if s.samples_per_record is None:
         s = replace(s, samples_per_record=_auto_record_samples(plan))
     record = 1.0 / plan.df_hz
     info = CaptureInfo(
         sample_rate_hz=s.samples_per_record / record,
         record_s=record,
-        settle_s=s.settle_s,
+        settle_s=0.0,
         samples_per_record=s.samples_per_record,
     )
     return s, info
@@ -285,68 +269,57 @@ def simulate_dataset(sys, plan: SweepPlan,
                      settings: ProbeSettings | None = None) -> SpectralDataset:
     """Probe every (triplet, amplitude vector) pair of the plan.
 
-    All runs integrate in one vectorized batch; output phasors accumulate
-    on the fly against per-run rotating exponentials, so no full records
-    are stored.  Deterministic for fixed settings.
+    Each run's drive is its tone lines in the rfft bins of one record; the
+    system's ``periodic_steady_state`` maps RUN_CHUNK runs at a time to
+    output spectra, from which the product bins are gathered.  Exact up to
+    rounding (and, for a static nonlinearity, harmonics folded from above
+    Nyquist); deterministic for fixed settings.
     """
+    if not hasattr(sys, "periodic_steady_state"):
+        raise TypeError(f"{type(sys).__name__} has no periodic_steady_state;"
+                        " only block-structured systems can be probed")
     report = validate_plan(plan, domain="ball")
     if not report.ok:
         raise PlanInvalidError(str(report))
-    settings, info = resolve_settings(sys, plan, settings)
+    settings, info = resolve_settings(plan, settings)
 
     trips = plan.triplets()
     sched = plan.schedule
-    n_t, n_a, m = len(trips), len(sched), plan.m_tones
-    indices = enumerate_output_indices(m, plan.max_mixing_order,
+    n_t, n_a = len(trips), len(sched)
+    indices = enumerate_output_indices(plan.m_tones, plan.max_mixing_order,
                                        include_dc=settings.include_dc)
-    n_k = len(indices)
     n_rec = settings.samples_per_record
     dt = info.record_s / n_rec
-    n_settle = int(math.ceil(settings.settle_s / dt))
-    n_steps = n_settle + n_rec
 
     # signed mixing sums per triplet, in df units
     trip_units = np.array(
         [[int(round(f / plan.df_hz)) for f in t] for t in trips], dtype=np.int64)
     ks = np.array(indices, dtype=np.int64)            # (K, M)
     sums = trip_units @ ks.T                          # (T, K)
-    conj_mask = sums < 0
-    bin_hz = np.abs(sums) * plan.df_hz                # (T, K)
-    if bin_hz.max() >= 0.5 * info.sample_rate_hz:
+    if np.abs(sums).max() * plan.df_hz >= 0.5 * info.sample_rate_hz:
         raise CaptureAlignmentError("mixing products reach Nyquist; "
                                     "increase samples_per_record")
 
-    # per-run drive tables: unique tone frequencies -> cos rows
-    lattice = plan.lattice_hz()
-    lat_pos = {int(round(f / plan.df_hz)): i for i, f in enumerate(lattice)}
-    stage_t = 0.5 * dt * np.arange(2 * n_steps + 1)
-    cos_table = np.cos(2.0 * np.pi * lattice[:, None] * stage_t[None, :])
-
-    n_runs = n_t * n_a
-    fid = np.repeat([[lat_pos[u] for u in row] for row in trip_units], n_a,
-                    axis=0)
+    # one row per run: tone bins and amplitudes in, product bins out
+    tone_bins = np.repeat(trip_units, n_a, axis=0)    # (R, M)
     amps = np.tile(np.asarray(sched, dtype=float), (n_t, 1))
+    product_bins = np.repeat(np.abs(sums), n_a, axis=0)  # (R, K)
+    chunks = [slice(s, s + RUN_CHUNK) for s in range(0, len(amps), RUN_CHUNK)]
 
-    # rotating DFT accumulators
-    f_runs = np.repeat(bin_hz, n_a, axis=0)           # (R, K)
-    t_rec0 = n_settle * dt
-    phase = np.exp(-2j * np.pi * f_runs * t_rec0)
-    rot = np.exp(-2j * np.pi * f_runs * dt)
-    acc = np.zeros((n_runs, n_k), dtype=complex)
+    def drive_spectra():
+        for rows in chunks:
+            u = np.zeros((len(amps[rows]), n_rec // 2 + 1), dtype=complex)
+            np.put_along_axis(u, tone_bins[rows], 0.5 * n_rec * amps[rows],
+                              axis=1)
+            yield u
 
-    u_peak = np.abs(amps).sum(axis=1).max()
-    for j, x, u0 in _rk4(sys, lambda i: (amps * cos_table[fid, i]).sum(axis=1),
-                         n_steps, dt, u_peak):
-        if j >= n_settle:
-            y = sys.output(x, u0)
-            acc += y[:, None] * phase
-            phase *= rot
-            if (j - n_settle + 1) % ROTATOR_REFRESH == 0:
-                phase = np.exp(-2j * np.pi * f_runs * ((j + 1) * dt))
+    b = np.empty(product_bins.shape, dtype=complex)
+    outputs = sys.periodic_steady_state(drive_spectra(), n_rec, dt)
+    for rows, y in zip(chunks, outputs):
+        b[rows] = np.take_along_axis(y, product_bins[rows], axis=1) / n_rec
 
-    b = acc / n_rec
-    b = b.reshape(n_t, n_a, n_k)
-    b = np.where(conj_mask[:, None, :], np.conj(b), b)
+    b = b.reshape(n_t, n_a, len(indices))
+    b = np.where((sums < 0)[:, None, :], np.conj(b), b)
     dc = (ks == 0).all(axis=1)
     b[:, :, dc] = b[:, :, dc].real
     return SpectralDataset(plan=plan, indices=tuple(indices), phasors=b,

@@ -13,8 +13,12 @@ Two systems ship:
   tanh limiter, filter).  All even-order kernels vanish; odd orders exist
   at every order, so truncation bias is real and measurable.
 
-Both expose the small protocol the RK4 integrator needs: ``state_dim``,
-``deriv(x, u)`` and ``output(x, u)``, vectorized over a trailing batch axis.
+Both expose ``state_dim``, ``deriv(x, u)`` and ``output(x, u)``, vectorized
+over a trailing batch axis, for ``transient``'s RK4 integrator.  Being LTI
+blocks around a static nonlinearity, both also give their exact periodic
+steady state for the probe: ``periodic_steady_state(spectra, n, dt)`` maps
+chunks of input rfft bins to output bins, each block multiplying by its
+transfer and the static part acting on the irfft samples.
 """
 
 from __future__ import annotations
@@ -68,10 +72,6 @@ class LinearBlock:
     def order(self) -> int:
         return self.a.shape[0]
 
-    @property
-    def slowest_time_constant(self) -> float:
-        return float(1.0 / np.abs(np.linalg.eigvals(self.a).real).min())
-
     def transfer(self, omega_rad) -> np.ndarray:
         """Frequency response ``c (jwI - A)^-1 b + d`` at rad/s points."""
         w = np.atleast_1d(np.asarray(omega_rad, dtype=float))
@@ -83,9 +83,6 @@ class LinearBlock:
 
     def transfer_hz(self, f_hz) -> np.ndarray:
         return self.transfer(2.0 * np.pi * np.asarray(f_hz, dtype=float))
-
-    def deriv(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.a @ x + self.b[:, None] * u
 
     def output(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return self.c @ x + self.d * u
@@ -149,10 +146,6 @@ class MultiplierCascade:
     def state_dim(self) -> int:
         return sum(blk.order for blk in self.blocks)
 
-    @property
-    def slowest_time_constant(self) -> float:
-        return max(blk.slowest_time_constant for blk in self.blocks)
-
     def deriv(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         out = self._a_full @ x
         out += self._b_full * u
@@ -161,7 +154,18 @@ class MultiplierCascade:
     def output(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         abc = self._c_rows @ x
         abc += self._d_col * u
-        a, b, c = abc
+        return self._combine(*abc)
+
+    def periodic_steady_state(self, spectra, n: int, dt: float):
+        """Yield output rfft bins per chunk of (runs, n//2+1) input bins."""
+        f = np.fft.rfftfreq(n, dt)
+        hs = [blk.transfer_hz(f) for blk in self.blocks]
+        for u in spectra:
+            yield np.fft.rfft(self._combine(
+                *(np.fft.irfft(u * h, n) for h in hs)))
+
+    def _combine(self, a, b, c):
+        """``a + a*b + a*b*c`` of the block outputs, per include_orders."""
         y = np.zeros_like(a)
         if 1 in self.include_orders:
             y = y + a
@@ -199,11 +203,6 @@ class SaturatingAmplifier:
     def state_dim(self) -> int:
         return self.in_block.order + self.out_block.order
 
-    @property
-    def slowest_time_constant(self) -> float:
-        return max(self.in_block.slowest_time_constant,
-                   self.out_block.slowest_time_constant)
-
     def _limiter(self, v: np.ndarray) -> np.ndarray:
         return self.vsat * np.tanh(self.gain * v / self.vsat)
 
@@ -220,6 +219,19 @@ class SaturatingAmplifier:
         n1 = self.in_block.order
         v = self.in_block.output(x[:n1], u)
         return self.out_block.output(x[n1:], self._limiter(v))
+
+    def periodic_steady_state(self, spectra, n: int, dt: float):
+        """Yield output rfft bins per chunk of (runs, n//2+1) input bins.
+
+        Limiter harmonics above Nyquist fold back; below vsat they are
+        negligible (doubling n moves a phasor by under 1e-15 of its run).
+        """
+        f = np.fft.rfftfreq(n, dt)
+        h_in = self.in_block.transfer_hz(f)
+        h_out = self.out_block.transfer_hz(f)
+        for u in spectra:
+            v = np.fft.irfft(u * h_in, n)
+            yield np.fft.rfft(self._limiter(v)) * h_out
 
     def series_coefficient(self, order: int) -> float:
         """Taylor coefficient a_n of the limiter, w = sum a_n v^n."""

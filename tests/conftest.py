@@ -1,5 +1,5 @@
-"""Session fixtures: probed datasets and extracted archives are expensive
-(tens of seconds each), so every test shares one copy."""
+"""Session fixtures: probed datasets, extracted archives and transient
+references take up to a few seconds each, so every test shares one copy."""
 
 import numpy as np
 import pytest

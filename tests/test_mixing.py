@@ -260,13 +260,17 @@ def test_exactly_one_of_pair_is_canonical(k):
     st.data(),
 )
 def test_multiplicity_is_positive_and_exact(m, data):
+    # k is the net signed count of n drawn tones: exactly the indices with
+    # |k|_1 <= n and the parity of n, with no draw discarded
     n = data.draw(st.integers(min_value=1, max_value=4))
-    k = data.draw(
-        st.lists(st.integers(min_value=-n, max_value=n), min_size=m, max_size=m)
-        .map(tuple)
-        .filter(lambda k: sum(abs(v) for v in k) <= n
-                and (sum(abs(v) for v in k) - n) % 2 == 0)
-    )
+    tones = data.draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=m - 1),
+                  st.sampled_from((1, -1))),
+        min_size=n, max_size=n))
+    k = [0] * m
+    for tone, sign in tones:
+        k[tone] += sign
+    k = tuple(k)
     for term in terms_at_index(k, n):
         mult = term_multiplicity(term)
         assert mult >= 1

@@ -9,7 +9,7 @@ import volkit.cli
 import volkit.synthesis
 from volkit.cli import main
 from volkit.kernels import KernelArchive, KernelGrid
-from volkit.probing import analytic_dataset
+from volkit.probing import CaptureInfo, analytic_dataset
 from volkit.storage import (
     FormatError,
     decode_array,
@@ -52,6 +52,14 @@ class TestRoundTrips:
         assert back.indices == ds.indices
         np.testing.assert_array_equal(back.phasors, ds.phasors)
         assert back.plan == plan
+
+    def test_dataset_with_settle_time_loads(self, tmp_path):
+        # files from the time-stepping probe recorded a 200 ns settle
+        ds = analytic_dataset(oracle_fn(MultiplierCascade()), tiny_plan(), 3)
+        ds.capture = CaptureInfo(sample_rate_hz=8.192e9, record_s=1e-6,
+                                 settle_s=2e-7, samples_per_record=8192)
+        save_dataset(tmp_path / "ds.json", ds)
+        assert load_dataset(tmp_path / "ds.json").capture == ds.capture
 
     def test_archive_round_trip_exact(self, tmp_path):
         plan = tiny_plan()
@@ -293,6 +301,29 @@ class TestCli:
         assert report["checks"]["h1_vs_oracle"]["ok"]
         assert report["time_domain"]["linear_only_nrmse"] > \
             report["time_domain"]["total_nrmse"]
+
+    def test_usage_error_is_input_error(self, tmp_path, capsys):
+        # exit 2 means "validation thresholds failed"; a bad flag is input
+        with pytest.raises(SystemExit) as exc:
+            main(["probe", "--settle-s", "1e-7",
+                  "--plan", str(tmp_path / "plan.json")])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert "error: unrecognized arguments: --settle-s" in err
+
+    def test_default_validate_passes_on_amplifier(self, tmp_path):
+        # the default pulse peaks at the amplifier's saturation limit
+        out = str(tmp_path)
+        assert main(["plan", "--points-per-axis", "3", "--levels=-30,-20",
+                     "--amp-limit-v", "0.07", "--out", out]) == 0
+        assert main(["probe", "--plan", f"{out}/plan.json",
+                     "--system", "amplifier", "--out", out]) == 0
+        assert main(["extract", "--dataset", f"{out}/dataset.json",
+                     "--out", out]) == 0
+        assert main(["validate", "--archive", f"{out}/archive.json",
+                     "--system", "amplifier", "--out", out]) == 0
+        report = read_json(tmp_path / "validation_report.json")
+        assert report["time_domain"]["total_nrmse"] <= 0.10
 
     def test_probe_rejects_colliding_plan(self, tmp_path):
         plan = SweepPlan(
