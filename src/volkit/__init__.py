@@ -15,9 +15,6 @@ from volkit.extraction import (
 from volkit.kernels import KernelArchive, KernelGrid
 from volkit.mixing import (
     MixTerm,
-    canonicalize_index,
-    canonicalize_kernel_args,
-    count_terms,
     enumerate_kernels_for_order,
     enumerate_output_indices,
     term_multiplicity,
@@ -73,10 +70,7 @@ __all__ = [
     "Waveform",
     "amplitude_schedule",
     "analytic_dataset",
-    "canonicalize_index",
-    "canonicalize_kernel_args",
     "capture_phasors",
-    "count_terms",
     "dbm_to_volts",
     "enumerate_kernels_for_order",
     "enumerate_output_indices",

@@ -4,7 +4,8 @@ Every command takes its options from an optional --config JSON file,
 overridden by explicit flags; the effective semantic config is hashed into
 every output file so a run is reproducible from the artifacts alone.
 
-Exit codes: 0 success, 2 validation thresholds failed, 3 input error.
+Exit codes: 0 success, 2 validation thresholds failed, 3 input error
+(including an archive too sparse to freeze or synthesize from).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from volkit.extraction import ExtractionError, ExtractionSettings, extract
-from volkit.kernels import KernelArchive
+from volkit.kernels import EmptyGridError, KernelArchive
 from volkit.mixing import (
     enumerate_kernels_for_order,
     enumerate_output_indices,
@@ -45,6 +46,7 @@ from volkit.storage import (
 )
 from volkit.sweeps import standard_sweep_plan, validate_plan
 from volkit.synthesis import (
+    SynthesisError,
     TrapezoidPulse,
     nrmse,
     spectrum_of,
@@ -196,7 +198,7 @@ def cmd_enumerate(args) -> int:
 def cmd_plan(args) -> int:
     config = _merge(_load_config(args.config), args,
                     ["points_per_axis", "coverage", "seed", "n_extra",
-                     "amp_limit_v", "validate_domain"])
+                     "amp_limit_v"])
     if args.levels is not None:
         config["levels_dbm"] = [float(x) for x in args.levels.split(",")]
     levels = tuple(config.get("levels_dbm", (5.0, 10.0)))
@@ -208,9 +210,8 @@ def cmd_plan(args) -> int:
         seed=int(config.get("seed", 1234)),
         amp_limit_v=config.get("amp_limit_v"),
     )
-    domain = config.get("validate_domain",
-                        "cube" if plan.coverage == "aligned" else "ball")
-    report = validate_plan(plan, domain=domain)
+    report = validate_plan(
+        plan, domain="cube" if plan.coverage == "aligned" else "ball")
     print(report)
     if not report.ok:
         return EXIT_INPUT
@@ -403,17 +404,12 @@ def _symmetry_audit(archive: KernelArchive, max_points=200):
         if len(points) > max_points:
             sel = rng.choice(len(points), size=max_points, replace=False)
             points = [points[i] for i in sorted(sel)]
-        perm_ok = True
-        conj_ok = True
-        for args, val in points:
-            perm = tuple(rng.permutation(args))
-            if grid.query_exact(perm) != val:
-                perm_ok = False
-            flipped = grid.query_exact(tuple(-a for a in args))
-            if flipped != complex(np.conj(val)):
-                conj_ok = False
-        audit[order] = {"permutation_exact": perm_ok,
-                        "conjugate_exact": conj_ok}
+        args = np.array([a for a, _ in points]).reshape(-1, order)
+        vals = np.array([v for _, v in points], dtype=complex)
+        perm = grid.query_exact(rng.permuted(args, axis=1))
+        flipped = grid.query_exact(-args)
+        audit[order] = {"permutation_exact": bool((perm == vals).all()),
+                        "conjugate_exact": bool((flipped == vals.conj()).all())}
     return audit
 
 
@@ -455,16 +451,13 @@ def cmd_validate(args) -> int:
     total_err = nrmse(resp.total.samples, reference.samples)
     linear_err = nrmse(resp.per_order[1].samples, reference.samples)
 
+    symmetric = all(v["permutation_exact"] and v["conjugate_exact"]
+                    for v in symmetry.values())
     checks = {
         "total_nrmse": {
             "value": total_err, "limit": limit_total,
             "ok": total_err <= limit_total},
-        "symmetry_exact": {
-            "value": all(v["permutation_exact"] and v["conjugate_exact"]
-                         for v in symmetry.values()),
-            "limit": True,
-            "ok": all(v["permutation_exact"] and v["conjugate_exact"]
-                      for v in symmetry.values())},
+        "symmetry_exact": {"value": symmetric, "limit": True, "ok": symmetric},
         "scaling_machine_precision": {
             "value": max(scaling.values()), "limit": 1e-12,
             "ok": max(scaling.values()) <= 1e-12},
@@ -528,8 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--seed", dest="seed", type=int, default=None,
-                       help="seed for schedule jitter")
 
     p = sub.add_parser("enumerate", help="mixing products and kernel tables")
     common(p)
@@ -544,12 +535,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points-per-axis", dest="points_per_axis", type=int,
                    default=None)
     p.add_argument("--levels", help="comma-separated dBm levels")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for schedule jitter")
     p.add_argument("--coverage", choices=("aligned", "cross"), default=None)
     p.add_argument("--n-extra", dest="n_extra", type=int, default=None)
     p.add_argument("--amp-limit-v", dest="amp_limit_v", type=float,
                    default=None)
-    p.add_argument("--validate-domain", dest="validate_domain",
-                   choices=("cube", "ball"), default=None)
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("probe", help="simulate the plan into a dataset")
@@ -596,13 +587,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_levels(argv: list[str]) -> list[str]:
+    """``--levels -30,-20`` as ``--levels=-30,-20``: argparse takes a value
+    that starts with a minus sign for an option flag."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--levels":
+            out[-1] = f"--levels={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_levels(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
-    except (CliError, FormatError, OSError, ExtractionError,
-            PlanInvalidError, TransientBlowupError, ValueError) as err:
+    except (CliError, FormatError, OSError, ExtractionError, EmptyGridError,
+            PlanInvalidError, SynthesisError, TransientBlowupError,
+            ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -29,6 +29,7 @@ from volkit.probing import SpectralDataset
 from volkit.sweeps import SweepPlan
 
 STAGE1_MAX_ORDER = 1  # two_stage solves orders up to this one first
+RESIDUAL_TOL = 1e-8   # relative residual above which a solve is flagged
 
 
 class ExtractionError(RuntimeError):
@@ -48,8 +49,6 @@ class ExtractionSettings:
 
     truncation: int = 3
     two_stage: bool = False
-    column_scaling: bool = True
-    residual_tol: float = 1e-8
     min_success_fraction: float = 0.95
     include_dc: bool = True
 
@@ -68,10 +67,6 @@ class LSSystem:
     rhs: np.ndarray               # (n_rows,) or (n_rows, n_sets) complex
     unknowns: list[MixTerm]
     row_amplitudes: tuple[tuple[float, ...], ...]
-
-    @property
-    def n_unknowns(self) -> int:
-        return len(self.unknowns)
 
 
 @dataclass
@@ -131,14 +126,12 @@ def build_ls_system(dataset: SpectralDataset, triplet_ids,
     )
 
 
-def _lstsq_scaled(a: np.ndarray, b: np.ndarray, scale_columns: bool):
-    """Minimum-norm least squares via SVD, optionally on unit-norm columns."""
+def _lstsq_scaled(a: np.ndarray, b: np.ndarray):
+    """Minimum-norm least squares via SVD on unit-norm columns."""
     scales = np.linalg.norm(a, axis=0)
     scales[scales == 0.0] = 1.0
-    a_s = a / scales if scale_columns else a
-    x, _, rank, sv = np.linalg.lstsq(a_s, b, rcond=None)
-    if scale_columns:
-        x = (x.T / scales).T
+    x, _, rank, sv = np.linalg.lstsq(a / scales, b, rcond=None)
+    x = (x.T / scales).T
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     return x, int(rank), cond
 
@@ -173,17 +166,15 @@ def solve_ls(system: LSSystem,
             rows1 = np.argsort([max(r) for r in system.row_amplitudes])[
                 : max(lo.sum(), 1)]
         x_lo, rank1, cond1 = _lstsq_scaled(
-            a[np.ix_(rows1, np.nonzero(lo)[0])], b[rows1],
-            settings.column_scaling)
+            a[np.ix_(rows1, np.nonzero(lo)[0])], b[rows1])
         b_hi = b - a[:, lo] @ x_lo
-        x_hi, rank2, cond = _lstsq_scaled(
-            a[:, hi], b_hi, settings.column_scaling)
+        x_hi, rank2, cond = _lstsq_scaled(a[:, hi], b_hi)
         rank = int(rank1 + rank2)
         x = np.zeros((n_unk, b.shape[1]), dtype=complex)
         x[lo] = x_lo
         x[hi] = x_hi
     else:
-        x, rank, cond = _lstsq_scaled(a, b, settings.column_scaling)
+        x, rank, cond = _lstsq_scaled(a, b)
         if rank < n_unk:
             raise ExtractionError(
                 f"index {system.index}: rank {rank} < {n_unk} unknowns "
@@ -191,7 +182,7 @@ def solve_ls(system: LSSystem,
 
     resid = np.linalg.norm(b - a @ x, axis=0)
     rhs_norm = np.linalg.norm(b, axis=0)
-    bad = resid > settings.residual_tol * np.maximum(rhs_norm, 1e-300)
+    bad = resid > RESIDUAL_TOL * np.maximum(rhs_norm, 1e-300)
     if bad.any():
         diag_warnings.append(
             f"index {system.index}: residual above tolerance for "

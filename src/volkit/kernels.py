@@ -60,13 +60,14 @@ class KernelGrid:
         self.lattice_units = tuple(sorted(set(int(u) for u in self.lattice_units)))
         if any(u <= 0 for u in self.lattice_units):
             raise ValueError("lattice frequencies must be positive")
-        self._lattice = np.asarray(self.lattice_units, dtype=np.int64)
+        lattice = np.asarray(self.lattice_units, dtype=np.int64)
+        self._signed = np.concatenate([-lattice[::-1], lattice])
         if self.coords is None:
             self.coords, self.sums, self.counts = np.zeros((0, self.order)), [], []
         self.coords = np.array(self.coords, dtype=np.int64)
         self.sums = np.array(self.sums, dtype=complex)
         self.counts = np.array(self.counts, dtype=np.int64)
-        canon = _lexically_canonical_rows(
+        canon = canonical_rows(
             self._to_units(self.coords * self.df_hz))[0]
         if not np.array_equal(np.unique(canon, axis=0), self.coords):
             raise ValueError("coordinates are not sorted unique canonical rows")
@@ -86,7 +87,7 @@ class KernelGrid:
         u = args / self.df_hz
         off_df = ~(np.abs(u - np.rint(u)) <= 1e-6)
         units = np.where(off_df, 0, np.rint(u)).astype(np.int64)
-        bad = off_df | ~np.isin(np.abs(units), self._lattice)
+        bad = off_df | ~np.isin(units, self._signed)
         if bad.any():
             row, axis = (int(i) for i in np.argwhere(bad)[0])
             f = float(args[row, axis])
@@ -99,7 +100,7 @@ class KernelGrid:
         """Add one argument tuple and value, or (Q, order) arguments and Q
         values.  Each point adds to the sum at its canonical coordinates,
         conjugated when the canonical form is the sign flip."""
-        canon, conj, _ = _lexically_canonical_rows(self._to_units(args_hz))
+        canon, conj, _ = canonical_rows(self._to_units(args_hz))
         values = np.asarray(value, dtype=complex).reshape(-1)
         if len(values) != len(canon):
             raise ValueError(f"{len(canon)} argument rows, {len(values)} values")
@@ -119,20 +120,31 @@ class KernelGrid:
         np.add.at(self.sums, inverse, vals[later])
         np.add.at(self.counts, inverse, cnts[later])
 
-    def _means(self) -> np.ndarray:
-        """Averaged values.  Each component is divided by its count, which
-        rounds as Python's complex / int does; numpy's complex division
-        would multiply by a rounded reciprocal instead."""
-        parts = self.sums.view(float).reshape(-1, 2) / self.counts[:, None]
+    def _means(self, rows=slice(None)) -> np.ndarray:
+        """Averaged values of all points or of ``rows``.  Each component is
+        divided by its count, which rounds as Python's complex / int does;
+        numpy's complex division would multiply by a rounded reciprocal."""
+        parts = (self.sums[rows].view(float).reshape(-1, 2)
+                 / self.counts[rows, None])
         return parts.view(complex).reshape(-1)
 
-    def query_exact(self, args_hz) -> complex | None:
-        canon, conj, _ = _lexically_canonical_rows(self._to_units(args_hz))
-        hit = np.nonzero((self.coords == canon[0]).all(axis=1))[0]
-        if not len(hit):
-            return None
-        v = complex(self._means()[hit[0]])
-        return v.conjugate() if conj[0] else v
+    def query_exact(self, args_hz):
+        """Stored averaged values at one argument tuple or (Q, order) rows,
+        conjugated where the canonical form is the sign flip.  An absent
+        tuple gives None, an absent row of an array NaN."""
+        canon, conj, _ = canonical_rows(self._to_units(args_hz))
+        # one key per row over the signed lattice: sorted coords, sorted keys
+        dims = (len(self._signed),) * self.order
+        keys, want = (
+            np.ravel_multi_index(np.searchsorted(self._signed, c).T, dims)
+            for c in (self.coords, canon))
+        at, hit = np.searchsorted(keys, want), np.isin(want, keys)
+        out = np.full(len(want), complex(np.nan, np.nan))
+        out[hit] = self._means(at[hit])
+        np.conjugate(out, out=out, where=conj)
+        if np.ndim(args_hz) == 1:
+            return complex(out[0]) if hit[0] else None
+        return out
 
     @property
     def n_points(self) -> int:
@@ -149,10 +161,12 @@ class KernelGrid:
         return FrozenKernelGrid._build(self)
 
 
-def _lexically_canonical_rows(
+def canonical_rows(
     args: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized canonical form per row.
+    """Canonical form of each row of signed kernel arguments: the
+    descending sort of whichever of the row and its negation is lexically
+    larger.  Grids, queries and the closed-form oracles all go through it.
 
     Returns (canonical rows, conjugate flags, self-conjugate flags); a row
     is self-conjugate when its argument multiset equals its own negation,
@@ -174,13 +188,12 @@ def _lexically_canonical_rows(
 class FrozenKernelGrid:
     """Dense symmetric tensor over the signed lattice, plus interpolation."""
 
-    def __init__(self, order, df_hz, axis_hz, values, known_mask, filled_mask):
+    def __init__(self, order, df_hz, axis_hz, values, known_mask):
         self.order = order
         self.df_hz = df_hz
         self.axis_hz = axis_hz
         self.values = values
         self.known_mask = known_mask
-        self.filled_mask = filled_mask
         self.mag = np.abs(values)
         ph = np.angle(values)
         for ax in range(order):
@@ -194,8 +207,7 @@ class FrozenKernelGrid:
 
     @classmethod
     def _build(cls, grid: KernelGrid) -> "FrozenKernelGrid":
-        pos = np.asarray(grid.lattice_units, dtype=np.int64)
-        signed = np.concatenate([-pos[::-1], pos])
+        signed = grid._signed
         n, size = grid.order, len(signed)
         axis_hz = signed.astype(float) * grid.df_hz
         vals = np.full((size,) * n, np.nan + 0j, dtype=complex)
@@ -213,7 +225,7 @@ class FrozenKernelGrid:
                 f"order-{n} grid could not be completed: {still.sum()} holes "
                 "remain (lattice coverage too sparse)")
         return cls(order=n, df_hz=grid.df_hz, axis_hz=axis_hz, values=vals,
-                   known_mask=known, filled_mask=~known)
+                   known_mask=known)
 
     @staticmethod
     def _fill_holes(vals: np.ndarray, axis_hz: np.ndarray, n: int) -> None:
@@ -277,7 +289,7 @@ class FrozenKernelGrid:
         scalar = np.ndim(args_hz) == 1
         if arr.shape[1] != self.order:
             raise ValueError(f"queries must have {self.order} columns")
-        canon, conj, self_conj = _lexically_canonical_rows(arr)
+        canon, conj, self_conj = canonical_rows(arr)
         cell, w, inside = self._stencil(canon)
         out = self._interpolate(cell, w, inside.all(axis=1), conj, self_conj)
         return complex(out[0]) if scalar else out
@@ -375,7 +387,7 @@ class FrozenKernelGrid:
 
     @property
     def fill_fraction(self) -> float:
-        return float(self.filled_mask.mean())
+        return float((~self.known_mask).mean())
 
 
 @dataclass

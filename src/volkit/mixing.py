@@ -1,11 +1,13 @@
-"""Enumeration and canonicalization of multi-tone mixing products.
+"""Enumeration of multi-tone mixing products.
 
 An output frequency of an M-tone excitation is named by an integer vector
 ``k = (k1, ..., kM)`` meaning ``k1*w1 + ... + kM*wM``.  A symmetric kernel
 term landing on that frequency is described by a :class:`MixTerm`: the pair
 ``(k, r)`` where ``r`` counts, per tone, how many conjugate (plus/minus)
 argument pairs the kernel carries on top of the net mixing vector.  The
-kernel order is ``n = sum(|km|) + 2*sum(rm)``.
+kernel order is ``n = sum(|km|) + 2*sum(rm)``.  Index vectors are
+canonical when their first nonzero entry is positive; kernel argument
+tuples are canonicalized by :func:`volkit.kernels.canonical_rows`.
 
 All functions here are pure and operate on plain tuples of ints, so they
 are safe for concurrent use and cheap to hash.
@@ -28,19 +30,6 @@ def is_canonical(k: FrequencyIndex) -> bool:
         if v < 0:
             return False
     return True
-
-
-def canonicalize_index(k: FrequencyIndex) -> tuple[FrequencyIndex, bool]:
-    """Map an index vector to its canonical representative.
-
-    Returns ``(canonical, conjugate)`` where ``conjugate`` is True iff the
-    vector was replaced by its negation.  Phasors attached to a negated
-    index must be conjugated.
-    """
-    k = tuple(int(v) for v in k)
-    if is_canonical(k):
-        return k, False
-    return tuple(-v for v in k), True
 
 
 def enumerate_output_indices(
@@ -172,59 +161,6 @@ def enumerate_kernels_for_order(
         if terms:
             table[k] = terms
     return table
-
-
-def count_terms(m_tones: int, order: int) -> int:
-    """Number of raw kernel summands at ``order`` before collection: (2M)^n."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return (2 * m_tones) ** order
-
-
-def canonicalize_kernel_args(
-    args: tuple[int, ...], m_tones: int
-) -> tuple[tuple[int, ...], bool]:
-    """Canonicalize a tuple of signed tone ids under permutation and conjugation.
-
-    The result is in layout order (tone 1 positives, tone 1 negatives, tone 2
-    positives, ...) for the canonical mixing vector; the flag is True iff all
-    signs were flipped, meaning the kernel value must be conjugated.
-    """
-    if not args:
-        raise ValueError("empty argument tuple")
-    if any(t == 0 or abs(t) > m_tones for t in args):
-        raise ValueError("tone ids must be signed integers in 1..m_tones")
-    net = [0] * m_tones
-    pairs = [0] * m_tones
-    pos = [0] * m_tones
-    for t in args:
-        if t > 0:
-            pos[t - 1] += 1
-    for m in range(m_tones):
-        total = sum(1 for t in args if abs(t) == m + 1)
-        net[m] = 2 * pos[m] - total
-        pairs[m] = min(pos[m], total - pos[m])
-    k, conj = canonicalize_index(tuple(net))
-    term = MixTerm(k=k, r=tuple(pairs))
-    return term.argument_tones(), conj
-
-
-def canonicalize_frequency_args(
-    args: tuple[float, ...]
-) -> tuple[tuple[float, ...], bool]:
-    """Canonicalize a tuple of signed frequencies (any units).
-
-    Symmetric kernels are invariant under argument permutation and map to
-    their conjugate under global sign flip, so each value class has one
-    representative: the descending sort of whichever of ``args``/``-args``
-    is lexicographically larger.  Routing every evaluation through the
-    representative makes symmetry bitwise exact.
-    """
-    fwd = tuple(sorted(args, reverse=True))
-    rev = tuple(sorted((-a for a in args), reverse=True))
-    if fwd >= rev:
-        return fwd, False
-    return rev, True
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from volkit.mixing import canonicalize_frequency_args
+from volkit.kernels import canonical_rows
 
 TANH_SERIES = {1: 1.0, 3: -1.0 / 3.0, 5: 2.0 / 15.0, 7: -17.0 / 315.0,
                9: 62.0 / 2835.0}
@@ -119,7 +119,6 @@ class MultiplierCascade:
 
     blocks: tuple[LinearBlock, LinearBlock, LinearBlock] = field(
         default_factory=lambda: (lowpass_ladder(),) * 3)
-    z_f: float = 50.0
     include_orders: tuple[int, ...] = (1, 2, 3)
     system_id: str = "multiplier-cascade"
 
@@ -249,16 +248,18 @@ def kernel_oracle(sys, freqs_hz, order: int) -> complex:
     a 1/n! prefactor, so a static ``y = u^n`` term has the constant kernel
     ``n!``.
     """
-    freqs_hz = tuple(float(f) for f in freqs_hz)
-    if len(freqs_hz) != order:
+    args = np.asarray(freqs_hz, dtype=float).reshape(1, -1)
+    if args.shape[1] != order:
         raise ValueError("argument count must equal the kernel order")
     # evaluate on the canonical representative so permutation symmetry and
     # conjugate symmetry hold bitwise, not just to rounding
-    canon, conj = canonicalize_frequency_args(freqs_hz)
-    if canon != freqs_hz:
-        val = kernel_oracle(sys, canon, order)
-        return complex(np.conj(val)) if conj else val
-    w = 2.0 * np.pi * np.asarray(freqs_hz)
+    canon, conj, _ = canonical_rows(args)
+    val = _closed_form_kernel(sys, 2.0 * np.pi * canon[0], order)
+    return complex(np.conj(val)) if conj[0] else val
+
+
+def _closed_form_kernel(sys, w: np.ndarray, order: int) -> complex:
+    """The oracle's kernel at canonical rad/s arguments ``w``."""
     if isinstance(sys, MultiplierCascade):
         if order > 3:
             return 0.0 + 0.0j

@@ -132,15 +132,6 @@ class TestSolve:
         with pytest.raises(ExtractionError, match="rank"):
             solve_ls(build_ls_system(ds, 0, (0, 0, 1)))
 
-    def test_column_scaling_is_pure_reparameterization(self):
-        plan = make_plan()
-        ds = analytic_dataset(oracle_fn(MultiplierCascade()), plan, truncation=3)
-        system = build_ls_system(ds, 0, (0, 0, 1))
-        on, _ = solve_ls(system, ExtractionSettings(column_scaling=True))
-        off, _ = solve_ls(system, ExtractionSettings(column_scaling=False))
-        for term in system.unknowns:
-            assert abs(on[term] - off[term]) <= 1e-10 * abs(off[term])
-
     def test_condition_improves_with_level_spread(self):
         plan_narrow = make_plan(
             schedule=tuple(amplitude_schedule((9.0, 10.0), n_extra=0)))
@@ -242,10 +233,10 @@ class TestTwoStage:
 
         single, _ = solve_ls(
             build_ls_system(ds, 0, (0, 0, 1)),
-            ExtractionSettings(two_stage=False, residual_tol=np.inf))
+            ExtractionSettings(two_stage=False))
         staged, _ = solve_ls(
             build_ls_system(ds, 0, (0, 0, 1)),
-            ExtractionSettings(two_stage=True, residual_tol=np.inf))
+            ExtractionSettings(two_stage=True))
         h1 = [t for t in unknowns_at_index((0, 0, 1), 3) if t.order == 1][0]
         err_single = abs(single[h1] - truth)
         err_staged = abs(staged[h1] - truth)

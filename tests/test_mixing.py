@@ -1,18 +1,18 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volkit.kernels import KernelGrid, OffLatticeError, canonical_rows
 from volkit.mixing import (
     MixTerm,
-    canonicalize_index,
-    canonicalize_kernel_args,
-    count_terms,
     enumerate_kernels_for_order,
     enumerate_output_indices,
     input_coefficient,
+    is_canonical,
     term_multiplicity,
     terms_at_index,
     terms_up_to_order,
@@ -109,36 +109,49 @@ class TestKernelTables:
         assert all(len(table[k]) == 1 for k in quads)
 
 
+def canonical(args):
+    """canonical_rows of one argument tuple: (row, conjugate, self-conjugate)."""
+    canon, conj, self_conj = canonical_rows(np.array([args], dtype=float))
+    return tuple(canon[0].tolist()), bool(conj[0]), bool(self_conj[0])
+
+
 class TestCanonicalization:
     def test_sign_flip_on_trailing_tone(self):
-        assert canonicalize_index((0, 0, -1)) == ((0, 0, 1), True)
+        assert not is_canonical((0, 0, -1))
+        assert is_canonical((0, 0, 1))
 
     def test_already_canonical_mixed_signs(self):
-        assert canonicalize_index((1, -2, 0)) == ((1, -2, 0), False)
+        assert is_canonical((1, -2, 0))
 
     def test_flip_restores_mixed_signs(self):
-        assert canonicalize_index((-1, 2, 0)) == ((1, -2, 0), True)
+        assert not is_canonical((-1, 2, 0))
 
     def test_zero_vector_is_canonical(self):
-        assert canonicalize_index((0, 0, 0)) == ((0, 0, 0), False)
+        assert is_canonical((0, 0, 0))
 
     def test_kernel_args_permutation_collapse(self):
         # (w2, -w2, w1) is the same kernel as (w1, w2, -w2)
-        assert canonicalize_kernel_args((2, -2, 1), 3) == ((1, 2, -2), False)
+        assert canonical((41, -41, 7)) == canonical((7, 41, -41)) \
+            == ((41, 7, -41), False, False)
 
     def test_kernel_args_identity_first_order(self):
-        assert canonicalize_kernel_args((1,), 3) == ((1,), False)
+        assert canonical((7,)) == ((7,), False, False)
 
     def test_kernel_args_conjugate_flip(self):
-        assert canonicalize_kernel_args((-1, -2, 3), 3) == ((1, 2, -3), True)
+        assert canonical((-87, 7, 41)) == ((87, -7, -41), True, False)
+        assert canonical((7, -7, 41)) == ((41, 7, -7), False, False)
+        assert canonical((41, -7, 7, -41)) == ((41, 7, -7, -41), False, True)
 
     def test_kernel_args_rejects_bad_tones(self):
-        with pytest.raises(ValueError):
-            canonicalize_kernel_args((0, 1), 2)
-        with pytest.raises(ValueError):
-            canonicalize_kernel_args((4,), 3)
-        with pytest.raises(ValueError):
-            canonicalize_kernel_args((), 3)
+        # arguments reach canonical_rows through the grid, which takes only
+        # signed sweep frequencies, one per kernel order
+        grid = KernelGrid(order=2, lattice_units=(7, 41), df_hz=1e6)
+        with pytest.raises(OffLatticeError):
+            grid.query_exact((0.0, 7e6))
+        with pytest.raises(OffLatticeError):
+            grid.query_exact((87e6, 7e6))
+        with pytest.raises(ValueError, match="expected 2"):
+            grid.query_exact((7e6,))
 
 
 class TestMultiplicity:
@@ -162,10 +175,6 @@ class TestMultiplicity:
 
 
 class TestCountTerms:
-    @pytest.mark.parametrize("m,n,expected", [(3, 3, 216), (3, 2, 36), (3, 1, 6), (1, 1, 2)])
-    def test_values(self, m, n, expected):
-        assert count_terms(m, n) == expected
-
     @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3)])
     def test_multiplicities_account_for_all_summands(self, m, n):
         # Summing collected-term multiplicities over every index in the order-n
@@ -176,7 +185,7 @@ class TestCountTerms:
                 continue
             for term in terms_at_index(k, n):
                 total += term_multiplicity(term)
-        assert total == count_terms(m, n)
+        assert total == (2 * m) ** n
 
 
 class TestInputCoefficient:
@@ -227,31 +236,40 @@ class TestTermsUpToOrder:
 # ---------------------------------------------------------------------------
 # Randomized properties
 
-index_vectors = st.lists(
-    st.integers(min_value=-3, max_value=3), min_size=1, max_size=4
-).map(tuple).filter(lambda k: sum(abs(v) for v in k) <= 3)
+def signed_sum(m, draws):
+    """Index vector of m tones: the net count of the signed tone draws."""
+    k = [0] * m
+    for tone, sign in draws:
+        k[tone] += sign
+    return tuple(k)
+
+
+# every vector of 1-4 tones with |k|_1 <= 3, as a sum of up to 3 signed
+# tones (tone ids are drawn modulo the tone count)
+index_vectors = st.tuples(
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                       st.sampled_from((1, -1))), max_size=3),
+).map(lambda m_draws: signed_sum(
+    m_draws[0], [(t % m_draws[0], s) for t, s in m_draws[1]]))
 
 
 @settings(max_examples=1000, derandomize=True, deadline=None)
 @given(index_vectors)
 def test_canonicalize_idempotent(k):
-    canon, _ = canonicalize_index(k)
-    again, flag = canonicalize_index(canon)
-    assert again == canon
-    assert flag is False
+    # the representative of the +/- pair of k is canonical
+    rep = k if is_canonical(k) else tuple(-v for v in k)
+    assert is_canonical(rep)
 
 
 @settings(max_examples=1000, derandomize=True, deadline=None)
 @given(index_vectors)
 def test_exactly_one_of_pair_is_canonical(k):
-    canon, flag = canonicalize_index(k)
     neg = tuple(-v for v in k)
-    canon_neg, flag_neg = canonicalize_index(neg)
-    assert canon == canon_neg
     if any(v != 0 for v in k):
-        assert flag != flag_neg
+        assert is_canonical(k) != is_canonical(neg)
     else:
-        assert flag is False and flag_neg is False
+        assert is_canonical(k) and is_canonical(neg)
 
 
 @settings(max_examples=1000, derandomize=True, deadline=None)
@@ -267,11 +285,7 @@ def test_multiplicity_is_positive_and_exact(m, data):
         st.tuples(st.integers(min_value=0, max_value=m - 1),
                   st.sampled_from((1, -1))),
         min_size=n, max_size=n))
-    k = [0] * m
-    for tone, sign in tones:
-        k[tone] += sign
-    k = tuple(k)
-    for term in terms_at_index(k, n):
+    for term in terms_at_index(signed_sum(m, tones), n):
         mult = term_multiplicity(term)
         assert mult >= 1
         assert mult == len(set(itertools.permutations(term.argument_tones())))
@@ -279,20 +293,22 @@ def test_multiplicity_is_positive_and_exact(m, data):
 
 
 @settings(max_examples=1000, derandomize=True, deadline=None)
-@given(st.lists(
-    st.integers(min_value=-3, max_value=3).filter(lambda t: t != 0),
-    min_size=1, max_size=5).map(tuple))
+@given(st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                min_size=1, max_size=5).map(tuple))
 def test_kernel_args_canonicalization_properties(args):
-    canon, flag = canonicalize_kernel_args(args, 3)
-    # canonical form is invariant under permutation of the inputs
-    for perm in itertools.islice(itertools.permutations(args), 6):
-        assert canonicalize_kernel_args(tuple(perm), 3) == (canon, flag)
-    # conjugating the input flips the flag and lands on the same form
+    perms = list(itertools.islice(itertools.permutations(args), 6))
     neg = tuple(-t for t in args)
-    canon2, flag2 = canonicalize_kernel_args(neg, 3)
-    assert canon2 == canon
-    if any(sum(1 for t in args if t == m) != sum(1 for t in args if t == -m)
-           for m in (1, 2, 3)):
-        assert flag2 != flag
+    canon, conj, self_conj = canonical_rows(np.array([*perms, neg], float))
+    # canonical form is invariant under permutation of the inputs
+    assert (canon == canon[0]).all()
+    assert (conj[:-1] == conj[0]).all() and (self_conj == self_conj[0]).all()
+    # conjugating the input lands on the same form and flips the flag,
+    # unless the argument multiset is its own negation
+    assert self_conj[0] == (sorted(args) == sorted(neg))
+    if self_conj[0]:
+        assert not conj.any()
+    else:
+        assert conj[-1] != conj[0]
     # canonicalizing the canonical form is a fixed point
-    assert canonicalize_kernel_args(canon, 3) == (canon, False)
+    again, conj2, _ = canonical_rows(canon[:1])
+    assert (again == canon[:1]).all() and not conj2[0]

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,9 @@ import volkit
 
 MODULES = sorted(p for p in Path(volkit.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+REPO = Path(volkit.__file__).resolve().parents[2]
+CORPUS = sorted(p for part in ("src", "tests", "scripts", "perfbench")
+                for p in (REPO / part).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +40,83 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def public_definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each public top-level function and class, and of
+    each public method, property and field of a public class."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                or node.name.startswith("_"):
+            continue
+        out.append((node.lineno, node.name))
+        for item in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(item, ast.FunctionDef):
+                name = item.name
+            elif isinstance(item, ast.AnnAssign) \
+                    and isinstance(item.target, ast.Name):
+                name = item.target.id
+            else:
+                continue
+            if not name.startswith("_"):
+                out.append((item.lineno, name))
+    return out
+
+
+def mentioned_names(sources) -> set[str]:
+    """Names the sources use: Name and Attribute nodes, call keywords,
+    import names and identifier strings.  A class-level field declaration
+    is a definition, not a use."""
+    names = set()
+    for source in sources:
+        tree = ast.parse(source)
+        fields = {id(item.target) for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef)
+                  for item in node.body if isinstance(item, ast.AnnAssign)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and id(node) not in fields:
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                names.add(node.arg)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str) and node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def dead_names(source: str, used: set[str]) -> list[str]:
+    """Public names ``source`` defines that ``used`` does not contain."""
+    return [f"line {line}: {name}"
+            for line, name in public_definitions(source) if name not in used]
+
+
+@functools.cache
+def corpus_names() -> frozenset[str]:
+    return frozenset(mentioned_names(p.read_text() for p in CORPUS))
+
+
+def test_checker_finds_dead_names():
+    source = (
+        "class Box:\n"
+        "    size: int\n"
+        "    spare: int = 0\n"
+        "    def grow(self):\n"
+        "        return Box(size=self.size + 1)\n"
+        "    def shrink(self):\n"
+        "        return self.grow()\n"
+        "    def _hidden(self):\n"
+        "        return getattr(self, 'shrink')\n"
+        "def orphan():\n"
+        "    pass\n")
+    assert dead_names(source, mentioned_names([source])) == [
+        "line 3: spare", "line 10: orphan"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_names(path):
+    assert dead_names(path.read_text(), corpus_names()) == []

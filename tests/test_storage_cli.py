@@ -23,7 +23,7 @@ from volkit.storage import (
     save_plan,
     write_json,
 )
-from volkit.sweeps import SweepPlan, standard_sweep_plan
+from volkit.sweeps import SweepPlan, dbm_to_volts, standard_sweep_plan
 from volkit.synthesis import synthesize_order
 from volkit.systems import MultiplierCascade, oracle_fn
 from volkit.extraction import extract
@@ -239,6 +239,26 @@ class TestMalformedFiles:
             {"plan": load_plan, "dataset": load_dataset,
              "archive": load_archive}[kind](path)
 
+    @pytest.mark.parametrize("command", ["synthesize", "validate"])
+    def test_unfreezable_archive_exit_code_3(self, command, tiny_files,
+                                             tmp_path, capsys):
+        # a well-formed archive whose order-3 grid holds no samples loads,
+        # but cannot be frozen for synthesis
+        doc = read_json(tiny_files / "archive.json")
+        grid = doc["grids"]["3"]
+        grid["n_points"] = 0
+        for key, dtype in (("coords_b64", "<i8"), ("sums_b64", "<c16"),
+                           ("counts_b64", "<i8")):
+            grid[key] = encode_array(np.zeros(0, dtype), dtype)
+        path = tmp_path / "archive.json"
+        write_json(path, doc)
+        assert load_archive(path).grid(3).n_points == 0
+        assert main([command, "--archive", str(path),
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: order-3 grid has no samples")
+        assert "Traceback" not in err
+
     def test_unmodified_files_load(self, tiny_files):
         load_plan(tiny_files / "plan.json")
         load_dataset(tiny_files / "dataset.json")
@@ -310,6 +330,22 @@ class TestCli:
         assert exc.value.code == 3
         err = capsys.readouterr().err
         assert "error: unrecognized arguments: --settle-s" in err
+
+    def test_negative_levels_in_either_spelling(self, tmp_path):
+        # argparse alone takes "-30,-20" for an option flag
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["plan", "--points-per-axis", "2", "--levels", "-30,-20",
+                     "--out", str(a)]) == 0
+        assert main(["plan", "--points-per-axis", "2", "--levels=-30,-20",
+                     "--out", str(b)]) == 0
+        assert (a / "plan.json").read_bytes() == (b / "plan.json").read_bytes()
+        assert load_plan(a / "plan.json").max_amplitude_v == dbm_to_volts(-20)
+
+    def test_seed_is_a_plan_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--seed", "7", "--dataset", "x.json"])
+        assert exc.value.code == 3
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
     def test_default_validate_passes_on_amplifier(self, tmp_path):
         # the default pulse peaks at the amplifier's saturation limit
