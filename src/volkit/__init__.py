@@ -8,8 +8,8 @@ arbitrary periodic inputs.
 
 from volkit.extraction import (
     ExtractionSettings,
+    analytic_dataset,
     extract,
-    solve_ls,
     unknowns_at_index,
 )
 from volkit.kernels import KernelArchive, KernelGrid
@@ -23,7 +23,6 @@ from volkit.probing import (
     ProbeSettings,
     SpectralDataset,
     Waveform,
-    analytic_dataset,
     capture_phasors,
     simulate_dataset,
     transient,
@@ -33,7 +32,6 @@ from volkit.sweeps import (
     ToneSet,
     amplitude_schedule,
     dbm_to_volts,
-    reduced_sweep_plan,
     standard_sweep_plan,
     validate_plan,
 )
@@ -78,9 +76,7 @@ __all__ = [
     "kernel_oracle",
     "lowpass_ladder",
     "nrmse",
-    "reduced_sweep_plan",
     "simulate_dataset",
-    "solve_ls",
     "spectrum_of",
     "standard_sweep_plan",
     "synthesize_order",

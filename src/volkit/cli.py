@@ -266,16 +266,13 @@ def cmd_probe(args) -> int:
 
 def cmd_extract(args) -> int:
     config = _merge(_load_config(args.config), args,
-                    ["dataset", "truncation", "two_stage",
-                     "min_success_fraction"])
+                    ["dataset", "truncation", "min_success_fraction"])
     if "dataset" not in config:
         raise CliError("extract needs --dataset <dataset.json>")
     ds = load_dataset(config["dataset"])
     settings = ExtractionSettings(
         truncation=int(config.get("truncation", 3)),
-        two_stage=bool(config.get("two_stage", False)),
         min_success_fraction=float(config.get("min_success_fraction", 0.95)),
-        include_dc=bool(config.get("include_dc", True)),
     )
     archive, report = extract(ds, settings=settings)
     out = _outdir(args)
@@ -556,8 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--dataset", default=None)
     p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--two-stage", dest="two_stage", action="store_true",
-                   default=None)
     p.add_argument("--min-success-fraction", dest="min_success_fraction",
                    type=float, default=None)
     p.set_defaults(fn=cmd_extract)

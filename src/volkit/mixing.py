@@ -86,13 +86,6 @@ class MixTerm:
             args.extend([-s * m] * rm)
         return tuple(args)
 
-    def argument_frequencies(self, freqs: tuple[float, ...]) -> tuple[float, ...]:
-        """Kernel arguments as signed frequencies for per-tone values ``freqs``."""
-        return tuple(
-            (freqs[abs(t) - 1] if t > 0 else -freqs[abs(t) - 1])
-            for t in self.argument_tones()
-        )
-
 
 def term_multiplicity(term: MixTerm) -> int:
     """Number of identical symmetric-kernel summands the term collects.

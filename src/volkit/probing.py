@@ -20,12 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from volkit.mixing import (
-    FrequencyIndex,
-    enumerate_output_indices,
-    input_coefficient,
-    terms_up_to_order,
-)
+from volkit.mixing import FrequencyIndex, enumerate_output_indices
 from volkit.sweeps import SweepPlan, ToneSet, validate_plan
 
 NYQUIST_HEADROOM = 0.4        # default record: top product at 0.4 of Nyquist
@@ -116,6 +111,10 @@ class SpectralDataset:
             raise ValueError(
                 f"phasor array shape {self.phasors.shape} != {expected}")
         self._index_pos = {k: i for i, k in enumerate(self.indices)}
+        if len(self._index_pos) != len(self.indices):
+            repeated = next(k for i, k in enumerate(self.indices)
+                            if self._index_pos[k] != i)
+            raise ValueError(f"index {repeated} appears more than once")
 
     def phasor(self, triplet_id: int, amp_id: int, k: FrequencyIndex) -> complex:
         return complex(self.phasors[triplet_id, amp_id, self._index_pos[tuple(k)]])
@@ -325,31 +324,3 @@ def simulate_dataset(sys, plan: SweepPlan,
     return SpectralDataset(plan=plan, indices=tuple(indices), phasors=b,
                            capture=info, source="simulated")
 
-
-def analytic_dataset(kernel_fn, plan: SweepPlan, truncation: int,
-                     include_dc: bool = True) -> SpectralDataset:
-    """Exact dataset from closed-form kernels; no time stepping, no noise.
-
-    ``kernel_fn(freqs_hz, order) -> complex`` supplies kernels up to
-    ``truncation``; each phasor is the coefficient-weighted sum of every
-    contributing term at its index.
-    """
-    indices = enumerate_output_indices(plan.m_tones, plan.max_mixing_order,
-                                       include_dc=include_dc)
-    trips = plan.triplets()
-    sched = plan.schedule
-    phasors = np.zeros((len(trips), len(sched), len(indices)), dtype=complex)
-    terms_per_index = {k: terms_up_to_order(k, truncation) for k in indices}
-    for ti, trip in enumerate(trips):
-        for ki, k in enumerate(indices):
-            terms = terms_per_index[k]
-            if not terms:
-                continue
-            gvals = [kernel_fn(t.argument_frequencies(trip), t.order)
-                     for t in terms]
-            for ai, amps in enumerate(sched):
-                phasors[ti, ai, ki] = sum(
-                    input_coefficient(t, amps) * g
-                    for t, g in zip(terms, gvals))
-    return SpectralDataset(plan=plan, indices=tuple(indices), phasors=phasors,
-                           capture=None, source="analytic")

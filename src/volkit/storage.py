@@ -259,6 +259,10 @@ def archive_to_dict(archive: KernelArchive) -> dict:
 @_schema
 def archive_from_dict(d: dict) -> KernelArchive:
     df = float(d["df_hz"])
+    if not (np.isfinite(df) and df > 0):
+        raise FormatError(f"df_hz must be finite and positive, not {df}")
+    if not d["grids"]:
+        raise FormatError("archive holds no grids")
     grids = {}
     for order_s, g in d["grids"].items():
         order, n = int(order_s), int(g["n_points"])

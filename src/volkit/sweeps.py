@@ -101,6 +101,11 @@ class SweepPlan:
     plan_id: str = "sweep"
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.df_hz) and self.df_hz > 0):
+            raise ValueError(
+                f"df_hz must be finite and positive, not {self.df_hz}")
+        if not self.schedule:
+            raise ValueError("schedule needs at least one amplitude vector")
         if self.coverage not in ("aligned", "cross"):
             raise ValueError("coverage must be 'aligned' or 'cross'")
         if self.coverage == "aligned":
@@ -262,8 +267,3 @@ def standard_sweep_plan(
         plan_id=plan_id,
     )
 
-
-def reduced_sweep_plan(**kwargs) -> SweepPlan:
-    """Six points per axis: same starts and step, band to 687 MHz. CI scale."""
-    kwargs.setdefault("points_per_axis", 6)
-    return standard_sweep_plan(**kwargs)

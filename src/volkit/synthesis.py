@@ -40,14 +40,13 @@ class TrapezoidPulse:
     t_rise: float = 1e-9
     t_width: float = 5e-9
     t_fall: float = 1e-9
-    t_delay: float = 0.0
 
     @property
     def support(self) -> float:
-        return self.t_delay + self.t_rise + self.t_width + self.t_fall
+        return self.t_rise + self.t_width + self.t_fall
 
     def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float) - self.t_delay
+        t = np.asarray(t, dtype=float)
         up = np.clip(t / self.t_rise, 0.0, 1.0)
         down = np.clip((t - self.t_rise - self.t_width) / self.t_fall, 0.0, 1.0)
         return self.v0 * (up - down)
@@ -58,7 +57,7 @@ class TrapezoidPulse:
             raise ValueError("closed form requires equal rise and fall times")
         f = np.asarray(f, dtype=float)
         span = self.t_width + self.t_rise
-        centre = self.t_delay + 0.5 * (self.t_rise + self.t_width + self.t_fall)
+        centre = 0.5 * (self.t_rise + self.t_width + self.t_fall)
         mag = self.v0 * span * np.sinc(f * span) * np.sinc(f * self.t_rise)
         return mag * np.exp(-2j * np.pi * f * centre)
 

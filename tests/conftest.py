@@ -6,7 +6,7 @@ import pytest
 
 from volkit.extraction import extract
 from volkit.probing import simulate_dataset, transient
-from volkit.sweeps import reduced_sweep_plan
+from volkit.sweeps import standard_sweep_plan
 from volkit.synthesis import TrapezoidPulse
 from volkit.systems import MultiplierCascade, SaturatingAmplifier
 
@@ -27,13 +27,13 @@ def amp_system():
 
 @pytest.fixture(scope="session")
 def bench_plan():
-    return reduced_sweep_plan(plan_id="bench-ci")
+    return standard_sweep_plan(points_per_axis=6, plan_id="bench-ci")
 
 
 @pytest.fixture(scope="session")
 def amp_plan():
-    return reduced_sweep_plan(levels_dbm=(-30.0, -20.0), amp_limit_v=0.07,
-                              plan_id="amp-ci")
+    return standard_sweep_plan(points_per_axis=6, levels_dbm=(-30.0, -20.0),
+                               amp_limit_v=0.07, plan_id="amp-ci")
 
 
 @pytest.fixture(scope="session")

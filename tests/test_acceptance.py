@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from volkit.extraction import extract
+from volkit.extraction import analytic_dataset, extract
 from volkit.kernels import KernelGrid
 from volkit.mixing import (
     enumerate_kernels_for_order,
@@ -20,7 +20,7 @@ from volkit.mixing import (
     term_multiplicity,
     terms_at_index,
 )
-from volkit.probing import analytic_dataset, simulate_dataset
+from volkit.probing import simulate_dataset
 from volkit.sweeps import (
     SweepPlan,
     standard_sweep_plan,

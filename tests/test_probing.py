@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from volkit.extraction import analytic_dataset
 from volkit.mixing import MixTerm, input_coefficient
 from volkit.probing import (
     CaptureAlignmentError,
@@ -8,7 +9,6 @@ from volkit.probing import (
     ProbeSettings,
     TransientBlowupError,
     Waveform,
-    analytic_dataset,
     capture_phasors,
     simulate_dataset,
     transient,

@@ -9,7 +9,7 @@ import volkit.cli
 import volkit.synthesis
 from volkit.cli import main
 from volkit.kernels import KernelArchive, KernelGrid
-from volkit.probing import CaptureInfo, analytic_dataset
+from volkit.probing import CaptureInfo
 from volkit.storage import (
     FormatError,
     decode_array,
@@ -26,7 +26,7 @@ from volkit.storage import (
 from volkit.sweeps import SweepPlan, dbm_to_volts, standard_sweep_plan
 from volkit.synthesis import synthesize_order
 from volkit.systems import MultiplierCascade, oracle_fn
-from volkit.extraction import extract
+from volkit.extraction import analytic_dataset, extract
 
 GOLDEN = Path(__file__).parent / "golden" / "enumeration_3_3.json"
 
@@ -150,6 +150,18 @@ def _plan_drop_schedule(doc):
     del doc["V"]
 
 
+def _set(*path, value):
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return mutate
+
+
+def _repeat_index(doc):
+    doc["k"].append(doc["k"][1])
+
+
 def _grid_field(key, fn):
     def mutate(doc):
         grid = doc["grids"]["2"]
@@ -192,7 +204,12 @@ MALFORMED = {
     "dataset block freqs_hz off the plan": (
         "dataset", _block_field("freqs_hz", [1e9, 2e9, 3e9])),
     "dataset block V off the plan": ("dataset", _block_field("V", [9, 9, 9])),
+    "dataset plan with zero df_hz": ("dataset", _set("plan", "df_hz", value=0.0)),
+    "dataset repeated index": ("dataset", _repeat_index),
     "plan without schedule": ("plan", _plan_drop_schedule),
+    "plan with empty schedule": ("plan", _set("V", value=[])),
+    "plan with zero df_hz": ("plan", _set("df_hz", value=0.0)),
+    "plan with infinite df_hz": ("plan", _set("df_hz", value=float("inf"))),
     "archive n_points mismatch": ("archive", _grid_points_plus_one),
     "archive coordinate off lattice": ("archive",
                                        _grid_field("coords_b64", _off_lattice)),
@@ -201,6 +218,8 @@ MALFORMED = {
     "archive truncated counts": ("archive",
                                  _grid_field("counts_b64", lambda a: a[:-1])),
     "archive non-finite sum": ("archive", _non_finite_sum),
+    "archive negative df_hz": ("archive", _set("df_hz", value=-1e6)),
+    "archive without grids": ("archive", _set("grids", value={})),
 }
 
 
@@ -258,6 +277,13 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: order-3 grid has no samples")
         assert "Traceback" not in err
+
+    def test_truncation_below_one_is_input_error(self, tiny_files, tmp_path,
+                                                 capsys):
+        assert main(["extract", "--dataset", str(tiny_files / "dataset.json"),
+                     "--truncation", "0", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncation") and "Traceback" not in err
 
     def test_unmodified_files_load(self, tiny_files):
         load_plan(tiny_files / "plan.json")

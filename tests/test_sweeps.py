@@ -7,7 +7,6 @@ from volkit.sweeps import (
     ToneSet,
     amplitude_schedule,
     dbm_to_volts,
-    reduced_sweep_plan,
     standard_sweep_plan,
     validate_plan,
 )
@@ -106,7 +105,8 @@ class TestValidatePlan:
         assert report.n_triplets_checked == 18
 
     def test_cross_plan_passes_recorded_product_domain(self):
-        report = validate_plan(reduced_sweep_plan(), domain="ball")
+        report = validate_plan(standard_sweep_plan(points_per_axis=6),
+                               domain="ball")
         assert report.ok
 
     def test_harmonic_overlap_detected(self):
