@@ -110,6 +110,11 @@ class SpectralDataset:
         if self.phasors.shape != expected:
             raise ValueError(
                 f"phasor array shape {self.phasors.shape} != {expected}")
+        wrong = next((k for k in self.indices
+                      if len(k) != self.plan.m_tones), None)
+        if wrong is not None:
+            raise ValueError(f"index {list(wrong)} has {len(wrong)} entries "
+                             f"for the plan's {self.plan.m_tones} tones")
         self._index_pos = {k: i for i, k in enumerate(self.indices)}
         if len(self._index_pos) != len(self.indices):
             repeated = next(k for i, k in enumerate(self.indices)

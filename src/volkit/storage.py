@@ -1,13 +1,17 @@
 """File formats: versioned JSON for plans, datasets, archives, and reports.
 
-Datasets use one block per large-signal operating point with phasors keyed
-by the index vector string and stored as [re, im] pairs, so externally
-measured multi-tone spectra can be hand-written or exported into the same
-schema and fed to the extractor.  Kernel archives store each grid's
-coordinate, sum and count arrays as base64 little-endian int64, complex128
-(as interleaved float64) and int64.  Every file embeds the format version
-and a config hash; readers reject unknown major versions, and a file that
-does not match its schema raises FormatError.
+A dataset stores its (triplets x amplitudes x indices) phasor tensor in one
+of two layouts.  ``save_dataset`` writes the array layout: the tensor as one
+base64 little-endian complex128 string, ``phasors_b64``.  The per-block
+layout, ``lsop_blocks``, holds one block per large-signal operating point
+with phasors keyed by the index vector string and stored as [re, im] pairs,
+so externally measured multi-tone spectra can be hand-written or exported
+into it and fed to the extractor.  Both layouts load through one check, and
+NaN (an absent key in a block) marks a missing entry.  Kernel archives
+store each grid's coordinate, sum and count arrays as base64 little-endian
+int64, complex128 (as interleaved float64) and int64.  Every file embeds
+the format version and a config hash; readers reject unknown major
+versions, and a file that does not match its schema raises FormatError.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from volkit.probing import CaptureInfo, SpectralDataset, Waveform
 from volkit.sweeps import SweepPlan
 
 FORMAT_VERSION = "1.0"
+_MISSING = complex(np.nan, np.nan)  # a dataset entry with no value
 
 
 class FormatError(ValueError):
@@ -95,8 +100,8 @@ def _schema(from_dict):
             return from_dict(d)
         except FormatError:
             raise
-        except (AttributeError, IndexError, KeyError, TypeError,
-                ValueError) as err:
+        except (AttributeError, IndexError, KeyError, OverflowError,
+                TypeError, ValueError) as err:
             raise FormatError(
                 f"malformed {kind}: {type(err).__name__}: {err}") from err
     return checked
@@ -147,45 +152,14 @@ def _index_key(k) -> str:
     return "[" + ",".join(str(int(v)) for v in k) + "]"
 
 
-def dataset_to_dict(ds: SpectralDataset) -> dict:
-    blocks = []
-    trips = ds.plan.triplets()
-    for t in range(ds.phasors.shape[0]):
-        for a in range(ds.phasors.shape[1]):
-            entry = {
-                "triplet_id": t,
-                "amp_id": a,
-                "freqs_hz": list(trips[t]),
-                "V": list(ds.plan.schedule[a]),
-                "B": {
-                    _index_key(k): [ds.phasors[t, a, i].real,
-                                    ds.phasors[t, a, i].imag]
-                    for i, k in enumerate(ds.indices)
-                    if np.isfinite(ds.phasors[t, a, i])
-                },
-            }
-            blocks.append(entry)
-    return {
-        "plan": plan_to_dict(ds.plan),
-        "k": [list(k) for k in ds.indices],
-        "source": ds.source,
-        "capture": asdict(ds.capture) if ds.capture else None,
-        "lsop_blocks": blocks,
-    }
-
-
-@_schema
-def dataset_from_dict(d: dict) -> SpectralDataset:
-    plan = plan_from_dict(d["plan"])
-    indices = tuple(tuple(int(v) for v in k) for k in d["k"])
+def _phasors_from_blocks(blocks, plan: SweepPlan, indices,
+                         shape: tuple[int, int, int]) -> np.ndarray:
+    """The phasor tensor of the per-block layout; absent keys stay NaN."""
     pos = {_index_key(k): i for i, k in enumerate(indices)}
-    phasors = np.full(
-        (plan.n_triplets, len(plan.schedule), len(indices)),
-        np.nan + 1j * np.nan, dtype=complex)
-    n_trip, n_amp = phasors.shape[:2]
+    phasors = np.full(shape, _MISSING)
+    n_trip, n_amp = shape[:2]
     seen = np.zeros((n_trip, n_amp), dtype=bool)
-    n_values = 0
-    for block in d["lsop_blocks"]:
+    for block in blocks:
         t, a = int(block["triplet_id"]), int(block["amp_id"])
         if not (0 <= t < n_trip and 0 <= a < n_amp):
             raise FormatError(
@@ -196,9 +170,7 @@ def dataset_from_dict(d: dict) -> SpectralDataset:
         seen[t, a] = True
         for key, (re, im) in block["B"].items():
             phasors[t, a, pos[key]] = complex(re, im)
-        n_values += len(block["B"])
     # a block's tones and amplitudes must be its operating point's
-    blocks = d["lsop_blocks"]
     for name, table, key in (("freqs_hz", plan.triplets(), "triplet_id"),
                              ("V", plan.schedule, "amp_id")):
         want = np.array(table, dtype=float)[[int(b[key]) for b in blocks]]
@@ -210,15 +182,34 @@ def dataset_from_dict(d: dict) -> SpectralDataset:
                 f"block (triplet {blocks[i]['triplet_id']}, amplitude "
                 f"{blocks[i]['amp_id']}): {name} {got[i].tolist()} is not "
                 f"the plan's {want[i].tolist()}")
-    # each stored value has its own entry and absent ones stay NaN, so a
-    # non-finite stored value shows as a shortfall of finite entries
-    if np.isfinite(phasors).sum() != n_values:
-        t, a, key = next(
-            (b["triplet_id"], b["amp_id"], key)
-            for b in d["lsop_blocks"] for key, v in b["B"].items()
-            if not np.isfinite(complex(*v)))
-        raise FormatError(f"non-finite phasor {key} in block "
-                          f"(triplet {t}, amplitude {a})")
+    return phasors
+
+
+@_schema
+def dataset_from_dict(d: dict) -> SpectralDataset:
+    if ("phasors_b64" in d) == ("lsop_blocks" in d):
+        raise FormatError("a dataset holds exactly one of phasors_b64 and "
+                          "lsop_blocks")
+    plan = plan_from_dict(d["plan"])
+    indices = tuple(tuple(int(v) for v in k) for k in d["k"])
+    shape = (plan.n_triplets, len(plan.schedule), len(indices))
+    if "lsop_blocks" in d:
+        phasors = _phasors_from_blocks(d["lsop_blocks"], plan, indices, shape)
+    else:
+        phasors = decode_array(d["phasors_b64"], "<c16")
+        if phasors.size != np.prod(shape):
+            raise FormatError(f"phasors_b64 holds {phasors.size} values, not "
+                              f"the {' x '.join(map(str, shape))} of the plan "
+                              "and k")
+        # a writable array of the dataset's own, not a view of the text
+        phasors = phasors.reshape(shape).copy()
+    # an entry is a value or missing: both parts finite, or both NaN
+    bad = ~(np.isfinite(phasors)
+            | (np.isnan(phasors.real) & np.isnan(phasors.imag)))
+    if bad.any():
+        t, a, i = np.argwhere(bad)[0]
+        raise FormatError(f"non-finite phasor {_index_key(indices[i])} in "
+                          f"block (triplet {t}, amplitude {a})")
     capture = CaptureInfo(**d["capture"]) if d.get("capture") else None
     return SpectralDataset(plan=plan, indices=indices, phasors=phasors,
                            capture=capture, source=d.get("source", "file"))
@@ -226,7 +217,18 @@ def dataset_from_dict(d: dict) -> SpectralDataset:
 
 def save_dataset(path: str, ds: SpectralDataset,
                  cfg_hash: str | None = None) -> None:
-    write_json(path, _envelope("dataset", dataset_to_dict(ds), cfg_hash))
+    """Write ``ds`` in the array layout; every entry that is not finite is
+    written as the one ``_MISSING`` value, so equal datasets give equal
+    bytes."""
+    payload = {
+        "plan": plan_to_dict(ds.plan),
+        "k": [list(k) for k in ds.indices],
+        "source": ds.source,
+        "capture": asdict(ds.capture) if ds.capture else None,
+        "phasors_b64": encode_array(
+            np.where(np.isfinite(ds.phasors), ds.phasors, _MISSING), "<c16"),
+    }
+    write_json(path, _envelope("dataset", payload, cfg_hash))
 
 
 def load_dataset(path: str) -> SpectralDataset:

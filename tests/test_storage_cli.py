@@ -1,15 +1,20 @@
+import base64
 import json
 import os
+import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import volkit.cli
 import volkit.synthesis
 from volkit.cli import main
 from volkit.kernels import KernelArchive, KernelGrid
-from volkit.probing import CaptureInfo
+from volkit.probing import CaptureInfo, SpectralDataset
 from volkit.storage import (
     FormatError,
     decode_array,
@@ -17,6 +22,7 @@ from volkit.storage import (
     load_archive,
     load_dataset,
     load_plan,
+    plan_to_dict,
     read_json,
     save_archive,
     save_dataset,
@@ -25,7 +31,7 @@ from volkit.storage import (
 )
 from volkit.sweeps import SweepPlan, dbm_to_volts, standard_sweep_plan
 from volkit.synthesis import synthesize_order
-from volkit.systems import MultiplierCascade, oracle_fn
+from volkit.systems import MultiplierCascade, kernel_oracle, oracle_fn
 from volkit.extraction import analytic_dataset, extract
 
 GOLDEN = Path(__file__).parent / "golden" / "enumeration_3_3.json"
@@ -33,6 +39,47 @@ GOLDEN = Path(__file__).parent / "golden" / "enumeration_3_3.json"
 
 def tiny_plan():
     return standard_sweep_plan(points_per_axis=2, plan_id="tiny")
+
+
+def _index_key(k) -> str:
+    return "[" + ",".join(str(int(v)) for v in k) + "]"
+
+
+def dataset_to_dict(ds):
+    """Reference writer of the per-block layout: one block per operating
+    point, finite phasors keyed by index vector as [re, im] pairs."""
+    blocks = []
+    trips = ds.plan.triplets()
+    for t in range(ds.phasors.shape[0]):
+        for a in range(ds.phasors.shape[1]):
+            entry = {
+                "triplet_id": t,
+                "amp_id": a,
+                "freqs_hz": list(trips[t]),
+                "V": list(ds.plan.schedule[a]),
+                "B": {
+                    _index_key(k): [ds.phasors[t, a, i].real,
+                                    ds.phasors[t, a, i].imag]
+                    for i, k in enumerate(ds.indices)
+                    if np.isfinite(ds.phasors[t, a, i])
+                },
+            }
+            blocks.append(entry)
+    return {
+        "plan": plan_to_dict(ds.plan),
+        "k": [list(k) for k in ds.indices],
+        "source": ds.source,
+        "capture": asdict(ds.capture) if ds.capture else None,
+        "lsop_blocks": blocks,
+    }
+
+
+def save_blocks(path, ds):
+    """``save_dataset``'s envelope around the per-block layout."""
+    save_dataset(path, ds)
+    doc = read_json(path)
+    del doc["phasors_b64"]
+    write_json(path, {**doc, **dataset_to_dict(ds)})
 
 
 class TestRoundTrips:
@@ -52,6 +99,19 @@ class TestRoundTrips:
         assert back.indices == ds.indices
         np.testing.assert_array_equal(back.phasors, ds.phasors)
         assert back.plan == plan
+        assert back.phasors.flags.writeable and back.phasors.flags.owndata
+
+    def test_missing_entries_write_one_nan_pattern(self, tmp_path):
+        ds = analytic_dataset(oracle_fn(MultiplierCascade()), tiny_plan(), 3)
+        files = []
+        for bad in (complex(np.nan, np.nan), complex(np.inf, 0.0),
+                    -complex(np.nan, np.nan), complex(1.0, np.nan)):
+            ds.phasors[1, 2, 3] = bad
+            files.append(tmp_path / f"ds{len(files)}.json")
+            save_dataset(files[-1], ds)
+        assert len({f.read_bytes() for f in files}) == 1
+        missing = np.isnan(load_dataset(files[0]).phasors)
+        assert missing.sum() == 1 and missing[1, 2, 3]
 
     def test_dataset_with_settle_time_loads(self, tmp_path):
         # files from the time-stepping probe recorded a 200 ns settle
@@ -88,7 +148,7 @@ class TestRoundTrips:
         plan = tiny_plan()
         ds = analytic_dataset(oracle_fn(MultiplierCascade()), plan, 3)
         path = tmp_path / "ds.json"
-        save_dataset(path, ds)
+        save_blocks(path, ds)
         doc = read_json(path)
         removed = doc["lsop_blocks"][5]["B"].pop("[0,1,-2]")
         write_json(path, doc)
@@ -162,6 +222,27 @@ def _repeat_index(doc):
     doc["k"].append(doc["k"][1])
 
 
+def _two_tone_index(doc):
+    doc["k"].append([1, 0])
+    for block in doc["lsop_blocks"]:
+        block["B"]["[1,0]"] = [1.0, 0.0]
+
+
+def _phasor_bytes(fn):
+    def mutate(doc):
+        raw = base64.b64decode(doc["phasors_b64"])
+        doc["phasors_b64"] = base64.b64encode(fn(raw)).decode()
+    return mutate
+
+
+def _phasor_entry(value, at=37):
+    def mutate(doc):
+        phasors = decode_array(doc["phasors_b64"], "<c16").copy()
+        phasors[at] = value
+        doc["phasors_b64"] = encode_array(phasors, "<c16")
+    return mutate
+
+
 def _grid_field(key, fn):
     def mutate(doc):
         grid = doc["grids"]["2"]
@@ -191,21 +272,37 @@ def _zero_count(arr):
     return arr
 
 
+# kind "dataset" is the array layout save_dataset writes, kind "blocks" the
+# per-block layout of the reference writer
 MALFORMED = {
     "dataset without plan": ("dataset", _drop_plan),
-    "dataset unknown index key": ("dataset", _unknown_index_key),
-    "dataset triplet_id too large": ("dataset",
+    "dataset unknown index key": ("blocks", _unknown_index_key),
+    "dataset triplet_id too large": ("blocks",
                                      _block_field("triplet_id", 10**6)),
-    "dataset negative triplet_id": ("dataset", _block_field("triplet_id", -1)),
-    "dataset amp_id too large": ("dataset", _block_field("amp_id", 99)),
-    "dataset block without B": ("dataset", _block_field("B", None)),
-    "dataset duplicate block": ("dataset", _duplicate_block),
-    "dataset non-finite phasor": ("dataset", _non_finite_phasor),
+    "dataset negative triplet_id": ("blocks", _block_field("triplet_id", -1)),
+    "dataset amp_id too large": ("blocks", _block_field("amp_id", 99)),
+    "dataset block without B": ("blocks", _block_field("B", None)),
+    "dataset duplicate block": ("blocks", _duplicate_block),
+    "dataset non-finite phasor": ("blocks", _non_finite_phasor),
     "dataset block freqs_hz off the plan": (
-        "dataset", _block_field("freqs_hz", [1e9, 2e9, 3e9])),
-    "dataset block V off the plan": ("dataset", _block_field("V", [9, 9, 9])),
+        "blocks", _block_field("freqs_hz", [1e9, 2e9, 3e9])),
+    "dataset block V off the plan": ("blocks", _block_field("V", [9, 9, 9])),
     "dataset plan with zero df_hz": ("dataset", _set("plan", "df_hz", value=0.0)),
-    "dataset repeated index": ("dataset", _repeat_index),
+    "dataset repeated index": ("blocks", _repeat_index),
+    "dataset index of wrong length": ("blocks", _two_tone_index),
+    "dataset array index of wrong length": ("dataset",
+                                            _set("k", 5, value=[1, 0])),
+    "dataset invalid base64": ("dataset",
+                               _set("phasors_b64", value="not base64!")),
+    "dataset phasor bytes not whole values": ("dataset",
+                                              _phasor_bytes(lambda b: b[:-8])),
+    "dataset phasor count off the plan": ("dataset",
+                                          _phasor_bytes(lambda b: b[:-16])),
+    "dataset infinite phasor": ("dataset",
+                                _phasor_entry(complex(np.inf, 0.0))),
+    "dataset half-NaN phasor": ("dataset",
+                                _phasor_entry(complex(np.nan, 1.0))),
+    "dataset with both layouts": ("dataset", _set("lsop_blocks", value=[])),
     "plan without schedule": ("plan", _plan_drop_schedule),
     "plan with empty schedule": ("plan", _set("V", value=[])),
     "plan with zero df_hz": ("plan", _set("df_hz", value=0.0)),
@@ -230,6 +327,7 @@ def tiny_files(tmp_path_factory):
     ds = analytic_dataset(oracle_fn(MultiplierCascade()), plan, 3)
     save_plan(out / "plan.json", plan)
     save_dataset(out / "dataset.json", ds)
+    save_blocks(out / "blocks.json", ds)
     save_archive(out / "archive.json", extract(ds, plan)[0])
     return out
 
@@ -240,6 +338,7 @@ class TestMalformedFiles:
     COMMANDS = {
         "plan": ["probe", "--plan"],
         "dataset": ["extract", "--dataset"],
+        "blocks": ["extract", "--dataset"],
         "archive": ["synthesize", "--archive"],
     }
 
@@ -256,7 +355,7 @@ class TestMalformedFiles:
         assert err.startswith("error: ") and "Traceback" not in err
         with pytest.raises(FormatError):
             {"plan": load_plan, "dataset": load_dataset,
-             "archive": load_archive}[kind](path)
+             "blocks": load_dataset, "archive": load_archive}[kind](path)
 
     @pytest.mark.parametrize("command", ["synthesize", "validate"])
     def test_unfreezable_archive_exit_code_3(self, command, tiny_files,
@@ -288,7 +387,30 @@ class TestMalformedFiles:
     def test_unmodified_files_load(self, tiny_files):
         load_plan(tiny_files / "plan.json")
         load_dataset(tiny_files / "dataset.json")
+        load_dataset(tiny_files / "blocks.json")
         load_archive(tiny_files / "archive.json")
+
+    @pytest.mark.parametrize("kind", ["dataset", "blocks"])
+    def test_non_finite_message_names_entry(self, kind, tiny_files, tmp_path):
+        ds = load_dataset(tiny_files / "dataset.json")
+        key = _index_key(ds.indices[3])
+        doc = read_json(tiny_files / f"{kind}.json")
+        if kind == "dataset":
+            at = np.ravel_multi_index((1, 2, 3), ds.phasors.shape)
+            _phasor_entry(complex(0.5, np.inf), at)(doc)
+        else:
+            doc["lsop_blocks"][1 * 12 + 2]["B"][key] = [0.5, float("inf")]
+        write_json(tmp_path / "ds.json", doc)
+        with pytest.raises(FormatError, match=re.escape(
+                f"non-finite phasor {key} in block (triplet 1, amplitude 2)")):
+            load_dataset(tmp_path / "ds.json")
+
+    def test_index_arity_checked_in_memory(self):
+        ds = analytic_dataset(oracle_fn(MultiplierCascade()), tiny_plan(), 3)
+        indices = ds.indices[:-1] + ((1, 0),)
+        with pytest.raises(ValueError, match=r"index \[1, 0\] has 2 entries "
+                                             r"for the plan's 3 tones"):
+            SpectralDataset(plan=ds.plan, indices=indices, phasors=ds.phasors)
 
 
 @pytest.fixture
@@ -412,7 +534,7 @@ class TestCli:
         out = str(tmp_path)
         plan = tiny_plan()
         ds = analytic_dataset(oracle_fn(MultiplierCascade()), plan, 3)
-        save_dataset(tmp_path / "ds.json", ds)
+        save_blocks(tmp_path / "ds.json", ds)
         doc = read_json(tmp_path / "ds.json")
         doc["lsop_blocks"][0]["B"].pop("[0,1,-2]")
         write_json(tmp_path / "ds.json", doc)
@@ -478,3 +600,137 @@ class TestCli:
                          "--out", str(out)]) == 0
         for name in ("plan.json", "dataset.json", "archive.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def _exact_cascade_dataset(points, seed):
+    """The closed-form cascade dataset ``perfbench/child.py gen-dataset``
+    builds."""
+    system = MultiplierCascade()
+    plan = standard_sweep_plan(points_per_axis=points, seed=seed,
+                               plan_id=f"perfbench-{points}pt-s{seed}")
+    memo = {}
+
+    def kernel(freqs_hz, order):
+        key = (tuple(freqs_hz), order)
+        if key not in memo:
+            memo[key] = kernel_oracle(system, freqs_hz, order)
+        return memo[key]
+
+    return analytic_dataset(kernel, plan, truncation=3)
+
+
+class TestDatasetLayouts:
+    """The array layout save_dataset writes and the per-block layout load
+    to the same dataset."""
+
+    def test_layouts_agree_at_scale(self, tmp_path):
+        ds = _exact_cascade_dataset(8, 7)
+        ds.phasors[100, 5, ds.index_position((1, 1, -1))] = np.nan
+        save_dataset(tmp_path / "array.json", ds)
+        save_blocks(tmp_path / "blocks.json", ds)
+        array = load_dataset(tmp_path / "array.json")
+        blocks = load_dataset(tmp_path / "blocks.json")
+        assert array.phasors.tobytes() == blocks.phasors.tobytes()
+        assert array.phasors.shape == (512, 12, 32)
+        assert (array.plan, array.indices, array.capture) == \
+            (blocks.plan, blocks.indices, blocks.capture)
+        outputs = []
+        for name in ("array", "blocks"):
+            out = tmp_path / f"out-{name}"
+            assert main(["extract", "--dataset",
+                         str(tmp_path / f"{name}.json"),
+                         "--out", str(out)]) == 0
+            outputs.append([(out / f).read_bytes() for f in
+                            ("archive.json", "extraction_report.json")])
+        assert outputs[0] == outputs[1]
+        assert read_json(tmp_path / "out-array" /
+                         "extraction_report.json")["n_failures"] == 1
+
+    def test_cli_extract_same_from_either_layout(self, tmp_path):
+        out = str(tmp_path)
+        assert main(["plan", "--points-per-axis", "3", "--seed", "7",
+                     "--out", out]) == 0
+        assert main(["probe", "--plan", f"{out}/plan.json",
+                     "--system", "benchmark", "--out", out]) == 0
+        assert "phasors_b64" in read_json(tmp_path / "dataset.json")
+        ds = load_dataset(tmp_path / "dataset.json")
+        save_blocks(tmp_path / "blocks.json", ds)
+        outputs = []
+        for name in ("dataset", "blocks"):
+            sub = tmp_path / f"out-{name}"
+            assert main(["extract", "--dataset", f"{out}/{name}.json",
+                         "--out", str(sub)]) == 0
+            outputs.append([(sub / f).read_bytes() for f in
+                            ("archive.json", "extraction_report.json")])
+        assert outputs[0] == outputs[1]
+
+
+B64_CHARS = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+             "= !")
+RETYPED = (None, 0, -1, 2.5, float("nan"), float("inf"), "x", [], {}, True)
+
+
+def _mutate(data, doc):
+    """Apply one drawn mutation to a dataset document in either layout;
+    every draw is valid for the document by construction."""
+    draw = data.draw
+
+    def pick(n):
+        return draw(st.integers(min_value=0, max_value=n - 1))
+
+    blocks = doc.get("lsop_blocks")
+    block = blocks[pick(len(blocks))] if blocks else None
+    kind = draw(st.sampled_from(["key", "phasor", "id"] if blocks
+                                else ["key", "truncate", "flip", "entry"]))
+    if kind == "key":
+        owner = draw(st.sampled_from(
+            [o for o in (doc, doc["plan"], block) if o is not None]))
+        key = draw(st.sampled_from(sorted(owner)))
+        if draw(st.booleans()):
+            del owner[key]
+        else:
+            owner[key] = draw(st.sampled_from(RETYPED))
+    elif kind == "truncate":
+        blob = doc["phasors_b64"]
+        doc["phasors_b64"] = blob[:pick(len(blob))]
+    elif kind == "flip":
+        blob, at = doc["phasors_b64"], pick(len(doc["phasors_b64"]))
+        doc["phasors_b64"] = (blob[:at] + draw(st.sampled_from(B64_CHARS))
+                              + blob[at + 1:])
+    elif kind == "id":
+        block[draw(st.sampled_from(["triplet_id", "amp_id"]))] = draw(
+            st.integers(min_value=-2, max_value=20))
+    else:
+        value = complex(draw(st.floats()), draw(st.floats()))
+        if kind == "entry":
+            n = len(decode_array(doc["phasors_b64"], "<c16"))
+            _phasor_entry(value, pick(n))(doc)
+        else:
+            key = draw(st.sampled_from(sorted(block["B"])))
+            block["B"][key] = [value.real, value.imag]
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("mutate")
+    ds = analytic_dataset(oracle_fn(MultiplierCascade()), tiny_plan(), 3)
+    save_dataset(out / "dataset.json", ds)
+    save_blocks(out / "blocks.json", ds)
+    return out
+
+
+@pytest.mark.parametrize("layout", ["dataset", "blocks"])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_dataset_loads_or_raises_format_error(layout, mutation_dir,
+                                                      data):
+    doc = json.loads((mutation_dir / f"{layout}.json").read_text())
+    _mutate(data, doc)
+    path = mutation_dir / "mutated.json"
+    path.write_text(json.dumps(doc))
+    try:
+        values = load_dataset(path).phasors
+    except FormatError:
+        return
+    assert (np.isfinite(values)
+            | (np.isnan(values.real) & np.isnan(values.imag))).all()
