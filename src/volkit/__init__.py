@@ -7,7 +7,6 @@ arbitrary periodic inputs.
 """
 
 from volkit.extraction import (
-    ExtractionSettings,
     analytic_dataset,
     extract,
     unknowns_at_index,
@@ -20,7 +19,6 @@ from volkit.mixing import (
     term_multiplicity,
 )
 from volkit.probing import (
-    ProbeSettings,
     SpectralDataset,
     Waveform,
     capture_phasors,
@@ -53,13 +51,11 @@ from volkit.systems import (
 
 __all__ = [
     "DiscreteSpectrum",
-    "ExtractionSettings",
     "KernelArchive",
     "KernelGrid",
     "LinearBlock",
     "MixTerm",
     "MultiplierCascade",
-    "ProbeSettings",
     "SaturatingAmplifier",
     "SpectralDataset",
     "SweepPlan",

@@ -1,8 +1,12 @@
 """Command-line pipeline: enumerate, plan, probe, extract, synthesize, validate.
 
-Every command takes its options from an optional --config JSON file,
-overridden by explicit flags; the effective semantic config is hashed into
-every output file so a run is reproducible from the artifacts alone.
+Every option flag defaults to None, and a command passes the library only
+the options that were set, so each default lives in the one function that
+uses it.  ``--config FILE`` holds a JSON object of the command's own flags,
+``{"points-per-axis": 3, "levels": "-30,-20"}``, read as if given ahead of
+the command line, so explicit flags override it.  Every option that was
+set, except ``--out``, ``--config`` and the input file, is hashed into the
+output files, so a run is reproducible from the artifacts alone.
 
 Exit codes: 0 success, 2 validation thresholds failed, 3 input error
 (including an archive too sparse to freeze or synthesize from).
@@ -17,7 +21,7 @@ import sys
 
 import numpy as np
 
-from volkit.extraction import ExtractionError, ExtractionSettings, extract
+from volkit.extraction import ExtractionError, extract
 from volkit.kernels import EmptyGridError, KernelArchive
 from volkit.mixing import (
     enumerate_kernels_for_order,
@@ -26,7 +30,6 @@ from volkit.mixing import (
 )
 from volkit.probing import (
     PlanInvalidError,
-    ProbeSettings,
     TransientBlowupError,
     simulate_dataset,
     transient,
@@ -68,38 +71,23 @@ class CliError(Exception):
     pass
 
 
-def make_system(name: str, params: dict | None = None):
-    params = params or {}
+def make_system(name: str):
     if name == "benchmark":
         return MultiplierCascade()
     if name == "benchmark-linear":
         return MultiplierCascade(include_orders=(1,))
     if name == "amplifier":
-        return SaturatingAmplifier(
-            vsat=float(params.get("vsat", 0.07)),
-            gain=float(params.get("gain", 0.25)),
-        )
+        return SaturatingAmplifier()
     raise CliError(f"unknown system {name!r}; expected benchmark, "
                    "benchmark-linear, or amplifier")
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise CliError(f"cannot read config {path}: {err}")
-
-
-def _merge(config: dict, args: argparse.Namespace, keys: list[str]) -> dict:
-    out = dict(config)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    return out
+def _options(args: argparse.Namespace, source: str | None = None) -> dict:
+    """The options that were set, by name, except ``--out``, ``--config``
+    and the input file ``source``: what a command hashes."""
+    return {key: value for key, value in vars(args).items()
+            if value is not None
+            and key not in ("command", "fn", "config", "out", source)}
 
 
 def _outdir(args) -> str:
@@ -167,14 +155,11 @@ def enumeration_tables(m_tones: int, max_order: int,
 
 
 def cmd_enumerate(args) -> int:
-    config = _merge(_load_config(args.config), args,
-                    ["tones", "max_order", "include_dc"])
-    m = int(config.get("tones", 3))
-    m0 = int(config.get("max_order", 3))
+    m = 3 if args.tones is None else args.tones
+    m0 = 3 if args.max_order is None else args.max_order
     if m < 1 or m0 < 1:
         raise CliError("tones and max-order must be >= 1")
-    include_dc = bool(config.get("include_dc", False))
-    doc = enumeration_tables(m, m0, include_dc)
+    doc = enumeration_tables(m, m0, bool(args.include_dc))
     out = _outdir(args)
     path = os.path.join(out, f"enumeration_{m}_{m0}.json")
     write_json(path, doc)
@@ -196,20 +181,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    config = _merge(_load_config(args.config), args,
-                    ["points_per_axis", "coverage", "seed", "n_extra",
-                     "amp_limit_v"])
-    if args.levels is not None:
-        config["levels_dbm"] = [float(x) for x in args.levels.split(",")]
-    levels = tuple(config.get("levels_dbm", (5.0, 10.0)))
-    plan = standard_sweep_plan(
-        points_per_axis=int(config.get("points_per_axis", 18)),
-        levels_dbm=levels,
-        coverage=config.get("coverage", "cross"),
-        n_extra=int(config.get("n_extra", 4)),
-        seed=int(config.get("seed", 1234)),
-        amp_limit_v=config.get("amp_limit_v"),
-    )
+    options = _options(args)
+    plan = standard_sweep_plan(**options)
     report = validate_plan(
         plan, domain="cube" if plan.coverage == "aligned" else "ball")
     print(report)
@@ -217,7 +190,7 @@ def cmd_plan(args) -> int:
         return EXIT_INPUT
     out = _outdir(args)
     path = os.path.join(out, "plan.json")
-    save_plan(path, plan, config_hash(config))
+    save_plan(path, plan, config_hash(options))
     print(f"wrote {path}: {plan.n_triplets} triplets x "
           f"{len(plan.schedule)} amplitude vectors")
     return EXIT_OK
@@ -228,33 +201,24 @@ def cmd_plan(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    config = _merge(_load_config(args.config), args,
-                    ["plan", "system", "samples_per_record"])
-    if "plan" not in config:
+    if args.plan is None:
         raise CliError("probe needs --plan <plan.json>")
-    plan = load_plan(config["plan"])
-    sys_obj = make_system(config.get("system", "benchmark"),
-                          config.get("system_params"))
-    settings = ProbeSettings(
-        samples_per_record=(int(config["samples_per_record"])
-                            if config.get("samples_per_record") else None),
-        include_dc=bool(config.get("include_dc", True)),
-    )
+    plan = load_plan(args.plan)
+    sys_obj = make_system("benchmark" if args.system is None else args.system)
     limit = getattr(sys_obj, "saturation_limit_v", None)
     if limit is not None and plan.max_amplitude_v >= limit:
         raise CliError(
             f"schedule peak {plan.max_amplitude_v:.4g} V exceeds the "
             f"system's saturation limit {limit:.4g} V")
     try:
-        ds = simulate_dataset(sys_obj, plan, settings)
+        ds = simulate_dataset(sys_obj, plan, args.samples_per_record)
     except PlanInvalidError as err:
         print(f"plan failed mixing-product validation:\n{err}",
               file=sys.stderr)
         return EXIT_INPUT
     out = _outdir(args)
     path = os.path.join(out, "dataset.json")
-    save_dataset(path, ds, config_hash({k: v for k, v in config.items()
-                                        if k != "plan"}))
+    save_dataset(path, ds, config_hash(_options(args, "plan")))
     print(f"wrote {path}: {ds.n_runs} operating points, "
           f"{len(ds.indices)} indices each")
     return EXIT_OK
@@ -265,19 +229,14 @@ def cmd_probe(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    config = _merge(_load_config(args.config), args,
-                    ["dataset", "truncation", "min_success_fraction"])
-    if "dataset" not in config:
+    if args.dataset is None:
         raise CliError("extract needs --dataset <dataset.json>")
-    ds = load_dataset(config["dataset"])
-    settings = ExtractionSettings(
-        truncation=int(config.get("truncation", 3)),
-        min_success_fraction=float(config.get("min_success_fraction", 0.95)),
-    )
-    archive, report = extract(ds, settings=settings)
+    ds = load_dataset(args.dataset)
+    options = _options(args, "dataset")
+    archive, report = extract(ds, **options)
     out = _outdir(args)
     path = os.path.join(out, "archive.json")
-    cfg = config_hash({k: v for k, v in config.items() if k != "dataset"})
+    cfg = config_hash(options)
     save_archive(path, archive, cfg)
     report_doc = {
         "success_fraction": report.success_fraction,
@@ -307,39 +266,28 @@ def cmd_extract(args) -> int:
 # synthesize
 
 
-def _pulse_from_config(config: dict, sys_obj=None) -> TrapezoidPulse:
-    """The configured pulse; ``v0`` defaults to the system's saturation
-    limit when it has one, else 1 V."""
-    p = config.get("pulse", {})
-    if isinstance(p, str):
-        v0, tr, tw, tf = (float(x) for x in p.split(","))
-        p = {"v0": v0, "t_rise": tr, "t_width": tw, "t_fall": tf}
+def _pulse(spec: str | None, sys_obj=None) -> TrapezoidPulse:
+    """The pulse ``v0,t_rise,t_width,t_fall`` of ``--pulse``; unset, the
+    default pulse, peaking at the system's saturation limit if it has one."""
+    if spec is not None:
+        v0, t_rise, t_width, t_fall = (float(x) for x in spec.split(","))
+        return TrapezoidPulse(v0, t_rise, t_width, t_fall)
     limit = getattr(sys_obj, "saturation_limit_v", None)
-    return TrapezoidPulse(
-        v0=float(p.get("v0", 1.0 if limit is None else limit)),
-        t_rise=float(p.get("t_rise", 1e-9)),
-        t_width=float(p.get("t_width", 5e-9)),
-        t_fall=float(p.get("t_fall", 1e-9)),
-    )
+    return TrapezoidPulse() if limit is None else TrapezoidPulse(v0=limit)
 
 
 def cmd_synthesize(args) -> int:
-    config = _merge(_load_config(args.config), args,
-                    ["archive", "period_s", "duration_s", "dt_s", "pulse"])
-    if "archive" not in config:
+    if args.archive is None:
         raise CliError("synthesize needs --archive <archive.json>")
-    archive = load_archive(config["archive"])
-    pulse = _pulse_from_config(config)
-    period = float(config.get("period_s", 4.0 * pulse.support))
-    duration = float(config.get("duration_s", period))
-    dt = float(config.get("dt_s", period / 4096))
-    spectrum, spec_info = spectrum_of(
-        pulse, period,
-        bin_cap=float(config.get("bin_cap", 1e-4)),
-        max_bins_per_side=int(config.get("max_bins_per_side", 200)))
+    archive = load_archive(args.archive)
+    pulse = _pulse(args.pulse)
+    period = 4.0 * pulse.support if args.period_s is None else args.period_s
+    duration = period if args.duration_s is None else args.duration_s
+    dt = period / 4096 if args.dt_s is None else args.dt_s
+    spectrum, spec_info = spectrum_of(pulse, period)
     resp = synthesize_total(archive, spectrum, duration, dt)
     out = _outdir(args)
-    cfg = config_hash({k: v for k, v in config.items() if k != "archive"})
+    cfg = config_hash(_options(args, "archive"))
     wave_path = os.path.join(out, "waveform.csv")
     save_waveform_csv(wave_path, resp.total, resp.per_order)
     report = {
@@ -368,14 +316,21 @@ def cmd_synthesize(args) -> int:
 # validate
 
 
+def _sample_points(grid, rng, max_points: int) -> list:
+    """The grid's (args, value) pairs; above ``max_points`` of them, a
+    draw of ``max_points`` without replacement, kept in grid order."""
+    points = list(grid.items())
+    if len(points) > max_points:
+        sel = rng.choice(len(points), size=max_points, replace=False)
+        points = [points[i] for i in sorted(sel)]
+    return points
+
+
 def _kernel_error_table(archive: KernelArchive, sys_obj, max_points=400):
     rng = np.random.default_rng(0)
     table = {}
     for order, grid in archive.grids.items():
-        points = list(grid.items())
-        if len(points) > max_points:
-            sel = rng.choice(len(points), size=max_points, replace=False)
-            points = [points[i] for i in sorted(sel)]
+        points = _sample_points(grid, rng, max_points)
         rel = []
         absolute = []
         for args, val in points:
@@ -397,10 +352,7 @@ def _symmetry_audit(archive: KernelArchive, max_points=200):
     rng = np.random.default_rng(1)
     audit = {}
     for order, grid in archive.grids.items():
-        points = list(grid.items())
-        if len(points) > max_points:
-            sel = rng.choice(len(points), size=max_points, replace=False)
-            points = [points[i] for i in sorted(sel)]
+        points = _sample_points(grid, rng, max_points)
         args = np.array([a for a, _ in points]).reshape(-1, order)
         vals = np.array([v for _, v in points], dtype=complex)
         perm = grid.query_exact(rng.permuted(args, axis=1))
@@ -422,21 +374,19 @@ def _scaling_audit(archive, spectrum, per_order, duration, dt):
 
 
 def cmd_validate(args) -> int:
-    config = _merge(_load_config(args.config), args,
-                    ["archive", "system", "period_s", "duration_s", "dt_s",
-                     "pulse", "total_nrmse_limit"])
-    if "archive" not in config:
+    if args.archive is None:
         raise CliError("validate needs --archive <archive.json>")
-    archive = load_archive(config["archive"])
-    system_name = config.get("system", "benchmark")
-    sys_obj = make_system(system_name, config.get("system_params"))
-    pulse = _pulse_from_config(config, sys_obj)
-    period = float(config.get("period_s", 4.0 * pulse.support))
-    duration = float(config.get("duration_s",
-                                pulse.support + 20e-9))
-    dt = float(config.get("dt_s", 5e-12))
-    limit_total = float(config.get("total_nrmse_limit",
-                                   0.10 if system_name == "amplifier" else 0.05))
+    archive = load_archive(args.archive)
+    system_name = "benchmark" if args.system is None else args.system
+    sys_obj = make_system(system_name)
+    pulse = _pulse(args.pulse, sys_obj)
+    period = 4.0 * pulse.support if args.period_s is None else args.period_s
+    duration = (pulse.support + 20e-9 if args.duration_s is None
+                else args.duration_s)
+    dt = 5e-12 if args.dt_s is None else args.dt_s
+    limit_total = args.total_nrmse_limit
+    if limit_total is None:
+        limit_total = 0.10 if system_name == "amplifier" else 0.05
 
     # the reference first: a step too coarse for the system fails at once
     reference = transient(sys_obj, pulse, duration, dt)
@@ -487,7 +437,8 @@ def cmd_validate(args) -> int:
     }
     out = _outdir(args)
     save_report(os.path.join(out, "validation_report.json"),
-                "validation-report", report, config_hash(config))
+                "validation-report", report,
+                config_hash(_options(args, "archive")))
     print(f"time-domain NRMSE: total {total_err:.4f}, "
           f"linear-only {linear_err:.4f}")
     for name, c in checks.items():
@@ -502,7 +453,12 @@ def cmd_validate(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as an input error (exit 3), not argparse's 2."""
+    """Reports a usage error as an input error (exit 3), not argparse's 2.
+    Long flags are spelled out in full, so a config key is a flag name or
+    an error."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -516,70 +472,97 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--config",
+                       help="JSON object of this command's flags")
         p.add_argument("--out", help="output directory (default .)")
 
     p = sub.add_parser("enumerate", help="mixing products and kernel tables")
     common(p)
-    p.add_argument("--tones", type=int, default=None)
-    p.add_argument("--max-order", dest="max_order", type=int, default=None)
+    p.add_argument("--tones", type=int)
+    p.add_argument("--max-order", dest="max_order", type=int)
     p.add_argument("--include-dc", dest="include_dc", action="store_true",
                    default=None)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("plan", help="build and validate a sweep plan")
     common(p)
-    p.add_argument("--points-per-axis", dest="points_per_axis", type=int,
-                   default=None)
-    p.add_argument("--levels", help="comma-separated dBm levels")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for schedule jitter")
-    p.add_argument("--coverage", choices=("aligned", "cross"), default=None)
-    p.add_argument("--n-extra", dest="n_extra", type=int, default=None)
-    p.add_argument("--amp-limit-v", dest="amp_limit_v", type=float,
-                   default=None)
+    p.add_argument("--points-per-axis", dest="points_per_axis", type=int)
+    p.add_argument("--levels", dest="levels_dbm", type=_float_list,
+                   metavar="LEVELS", help="comma-separated dBm levels")
+    p.add_argument("--seed", type=int, help="seed for schedule jitter")
+    p.add_argument("--coverage", choices=("aligned", "cross"))
+    p.add_argument("--n-extra", dest="n_extra", type=int)
+    p.add_argument("--amp-limit-v", dest="amp_limit_v", type=float)
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("probe", help="simulate the plan into a dataset")
     common(p)
-    p.add_argument("--plan", default=None)
-    p.add_argument("--system", default=None,
+    p.add_argument("--plan")
+    p.add_argument("--system",
                    choices=("benchmark", "benchmark-linear", "amplifier"))
     p.add_argument("--samples-per-record", dest="samples_per_record",
-                   type=int, default=None)
+                   type=int)
     p.set_defaults(fn=cmd_probe)
 
     p = sub.add_parser("extract", help="separate kernels from a dataset")
     common(p)
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--truncation", type=int, default=None)
+    p.add_argument("--dataset")
+    p.add_argument("--truncation", type=int)
     p.add_argument("--min-success-fraction", dest="min_success_fraction",
-                   type=float, default=None)
+                   type=float)
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("synthesize", help="pulse response from an archive")
     common(p)
-    p.add_argument("--archive", default=None)
-    p.add_argument("--pulse", default=None,
-                   help="v0,t_rise,t_width,t_fall (seconds)")
-    p.add_argument("--period-s", dest="period_s", type=float, default=None)
-    p.add_argument("--duration-s", dest="duration_s", type=float, default=None)
-    p.add_argument("--dt-s", dest="dt_s", type=float, default=None)
+    p.add_argument("--archive")
+    p.add_argument("--pulse", help="v0,t_rise,t_width,t_fall (seconds)")
+    p.add_argument("--period-s", dest="period_s", type=float)
+    p.add_argument("--duration-s", dest="duration_s", type=float)
+    p.add_argument("--dt-s", dest="dt_s", type=float)
     p.set_defaults(fn=cmd_synthesize)
 
     p = sub.add_parser("validate", help="audit an archive against its system")
     common(p)
-    p.add_argument("--archive", default=None)
-    p.add_argument("--system", default=None,
+    p.add_argument("--archive")
+    p.add_argument("--system",
                    choices=("benchmark", "benchmark-linear", "amplifier"))
-    p.add_argument("--pulse", default=None)
-    p.add_argument("--period-s", dest="period_s", type=float, default=None)
-    p.add_argument("--duration-s", dest="duration_s", type=float, default=None)
-    p.add_argument("--dt-s", dest="dt_s", type=float, default=None)
+    p.add_argument("--pulse")
+    p.add_argument("--period-s", dest="period_s", type=float)
+    p.add_argument("--duration-s", dest="duration_s", type=float)
+    p.add_argument("--dt-s", dest="dt_s", type=float)
     p.add_argument("--total-nrmse-limit", dest="total_nrmse_limit",
-                   type=float, default=None)
+                   type=float)
     p.set_defaults(fn=cmd_validate)
     return parser
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
+def _config_flags(path: str) -> list[str]:
+    """The flags a --config file spells.  Each key is a flag name without
+    the leading ``--`` (``_`` or ``-`` between words); a string or number is
+    the flag's value, as on the command line, and ``true`` sets a switch."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise CliError(f"cannot read config {path}: {err}")
+    if not isinstance(doc, dict):
+        raise CliError(f"config {path} is not a JSON object of flags")
+    flags = []
+    for key, value in doc.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif isinstance(value, (str, int, float)) \
+                and not isinstance(value, bool):
+            flags.append(f"{flag}={value}")
+        else:
+            raise CliError(f"config {path}: {key!r} is {json.dumps(value)}; "
+                           "a flag value is a string, a number or true")
+    return flags
 
 
 def _join_levels(argv: list[str]) -> list[str]:
@@ -596,9 +579,13 @@ def _join_levels(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(
-        _join_levels(sys.argv[1:] if argv is None else list(argv)))
+    argv = _join_levels(sys.argv[1:] if argv is None else list(argv))
+    args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            # argv[0] is the command: the top-level parser has no options
+            args = parser.parse_args(
+                argv[:1] + _config_flags(args.config) + argv[1:])
         return args.fn(args)
     except (CliError, FormatError, OSError, ExtractionError, EmptyGridError,
             PlanInvalidError, SynthesisError, TransientBlowupError,

@@ -35,16 +35,6 @@ class ExtractionError(RuntimeError):
     """Too few kernel points could be resolved."""
 
 
-@dataclass(frozen=True)
-class ExtractionSettings:
-    """Extraction knobs: the highest kernel order solved for, and the
-    resolved fraction of (triplet, index) systems below which ``extract``
-    raises."""
-
-    truncation: int = 3
-    min_success_fraction: float = 0.95
-
-
 def unknowns_at_index(k: FrequencyIndex, truncation: int) -> list[MixTerm]:
     """Kernel terms feeding index ``k`` up to the truncation order."""
     return terms_up_to_order(tuple(k), truncation)
@@ -73,16 +63,17 @@ def _lstsq_scaled(a: np.ndarray, b: np.ndarray):
     return x, int(rank), cond
 
 
-def analytic_dataset(kernel_fn, plan: SweepPlan, truncation: int,
-                     include_dc: bool = True) -> SpectralDataset:
+def analytic_dataset(kernel_fn, plan: SweepPlan,
+                     truncation: int) -> SpectralDataset:
     """Exact dataset from closed-form kernels; no time stepping, no noise.
 
     ``kernel_fn(freqs_hz, order) -> complex`` supplies kernels up to
     ``truncation``; each phasor is the coefficient-weighted sum of every
-    contributing term at its index, added in term order.
+    contributing term at its index, added in term order.  The indices are
+    the probe's, DC included.
     """
     indices = enumerate_output_indices(plan.m_tones, plan.max_mixing_order,
-                                       include_dc=include_dc)
+                                       include_dc=True)
     trips = np.array(plan.triplets(), dtype=float)
     phasors = np.zeros((len(trips), len(plan.schedule), len(indices)),
                        dtype=complex)
@@ -115,31 +106,31 @@ class ExtractionReport:
 
 
 def extract(dataset: SpectralDataset, plan: SweepPlan | None = None,
-            settings: ExtractionSettings | None = None):
+            truncation: int = 3, min_success_fraction: float = 0.95):
     """Turn a dataset into a kernel archive; returns (archive, report).
 
-    ``plan``, when given, must equal ``dataset.plan``.  Indices are solved
-    independently, so one bad index degrades coverage instead of aborting;
-    the report lists every failure.  Raises ExtractionError only if the
-    resolved fraction falls below ``settings.min_success_fraction``.
+    ``plan``, when given, must equal ``dataset.plan``.  Kernels of orders
+    1..``truncation`` are solved for.  Indices are solved independently, so
+    one bad index degrades coverage instead of aborting; the report lists
+    every failure.  Raises ExtractionError only if the resolved fraction of
+    (triplet, index) systems falls below ``min_success_fraction``.
     """
-    settings = settings or ExtractionSettings()
     if plan is not None and plan != dataset.plan:
         raise ValueError("plan differs from the dataset's own plan")
     plan = dataset.plan
-    if not 1 <= settings.truncation <= plan.max_mixing_order:
+    if not 1 <= truncation <= plan.max_mixing_order:
         raise ValueError(
-            f"truncation order {settings.truncation} is outside 1.."
+            f"truncation order {truncation} is outside 1.."
             f"{plan.max_mixing_order}, the plan's mixing order")
     widest = max(
-        len(unknowns_at_index(k, settings.truncation)) for k in dataset.indices)
+        len(unknowns_at_index(k, truncation)) for k in dataset.indices)
     if len(plan.schedule) < widest:
         raise ValueError(
             f"schedule has {len(plan.schedule)} amplitude vectors but the "
             f"widest index system has {widest} unknowns; add rows or levels")
     lattice = tuple(int(round(f / plan.df_hz)) for f in plan.lattice_hz())
     grids = {n: KernelGrid(order=n, lattice_units=lattice, df_hz=plan.df_hz)
-             for n in range(1, settings.truncation + 1)}
+             for n in range(1, truncation + 1)}
     trips = np.array(plan.triplets(), dtype=float)
     report = ExtractionReport(n_indices=len(dataset.indices),
                               n_triplets=len(trips))
@@ -147,7 +138,7 @@ def extract(dataset: SpectralDataset, plan: SweepPlan | None = None,
     samples = {n: ([], []) for n in grids}
 
     for k in dataset.indices:
-        unknowns = unknowns_at_index(k, settings.truncation)
+        unknowns = unknowns_at_index(k, truncation)
         if not unknowns:
             continue
         block = dataset.phasors[:, :, dataset.index_position(k)]
@@ -186,14 +177,14 @@ def extract(dataset: SpectralDataset, plan: SweepPlan | None = None,
         if args:
             grids[n].insert(np.concatenate(args), np.concatenate(vals))
         report.points_per_order[n] = grids[n].n_points
-    if report.success_fraction < settings.min_success_fraction:
+    if report.success_fraction < min_success_fraction:
         raise ExtractionError(
             f"only {report.success_fraction:.1%} of (triplet, index) systems "
             f"resolved; {len(report.failures)} failures")
     meta = {
         "plan_id": plan.plan_id,
         "source": dataset.source,
-        "truncation": settings.truncation,
+        "truncation": truncation,
         "n_triplets": len(trips),
     }
     return KernelArchive(grids=grids, metadata=meta), report

@@ -16,7 +16,7 @@ their canonical index.  The DC phasor is the record mean (real).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,19 +61,6 @@ class Waveform:
     @property
     def duration(self) -> float:
         return self.dt * len(self.samples)
-
-
-@dataclass(frozen=True)
-class ProbeSettings:
-    """What ``volkit probe`` sets; None fields are derived from the plan.
-
-    ``samples_per_record``: default the least power of two >= 256 that puts
-    the top product at NYQUIST_HEADROOM of Nyquist; ``include_dc``: capture
-    the DC index too.
-    """
-
-    samples_per_record: int | None = None
-    include_dc: bool = True
 
 
 @dataclass(frozen=True)
@@ -248,36 +235,36 @@ def capture_phasors(
 # dataset generation
 
 
-def _auto_record_samples(plan: SweepPlan) -> int:
+def _capture_info(plan: SweepPlan, samples_per_record: int | None
+                  ) -> CaptureInfo:
+    """The one-period record of ``plan``; ``samples_per_record`` defaults to
+    the least power of two >= 256 that puts the top product at
+    NYQUIST_HEADROOM of Nyquist."""
     record = 1.0 / plan.df_hz
-    need = plan.max_product_hz * record / NYQUIST_HEADROOM * 2.0
-    return 1 << max(8, math.ceil(math.log2(need)))
-
-
-def resolve_settings(plan: SweepPlan, settings: ProbeSettings | None
-                     ) -> tuple[ProbeSettings, CaptureInfo]:
-    s = settings or ProbeSettings()
-    if s.samples_per_record is None:
-        s = replace(s, samples_per_record=_auto_record_samples(plan))
-    record = 1.0 / plan.df_hz
-    info = CaptureInfo(
-        sample_rate_hz=s.samples_per_record / record,
+    if samples_per_record is None:
+        need = plan.max_product_hz * record / NYQUIST_HEADROOM * 2.0
+        samples_per_record = 1 << max(8, math.ceil(math.log2(need)))
+    if samples_per_record < 1:
+        raise ValueError(f"samples_per_record must be >= 1, not "
+                         f"{samples_per_record}")
+    return CaptureInfo(
+        sample_rate_hz=samples_per_record / record,
         record_s=record,
         settle_s=0.0,
-        samples_per_record=s.samples_per_record,
+        samples_per_record=samples_per_record,
     )
-    return s, info
 
 
 def simulate_dataset(sys, plan: SweepPlan,
-                     settings: ProbeSettings | None = None) -> SpectralDataset:
+                     samples_per_record: int | None = None) -> SpectralDataset:
     """Probe every (triplet, amplitude vector) pair of the plan.
 
     Each run's drive is its tone lines in the rfft bins of one record; the
     system's ``periodic_steady_state`` maps RUN_CHUNK runs at a time to
     output spectra, from which the product bins are gathered.  Exact up to
     rounding (and, for a static nonlinearity, harmonics folded from above
-    Nyquist); deterministic for fixed settings.
+    Nyquist); deterministic for a fixed ``samples_per_record``.  The DC
+    index is captured too.
     """
     if not hasattr(sys, "periodic_steady_state"):
         raise TypeError(f"{type(sys).__name__} has no periodic_steady_state;"
@@ -285,14 +272,14 @@ def simulate_dataset(sys, plan: SweepPlan,
     report = validate_plan(plan, domain="ball")
     if not report.ok:
         raise PlanInvalidError(str(report))
-    settings, info = resolve_settings(plan, settings)
+    info = _capture_info(plan, samples_per_record)
 
     trips = plan.triplets()
     sched = plan.schedule
     n_t, n_a = len(trips), len(sched)
     indices = enumerate_output_indices(plan.m_tones, plan.max_mixing_order,
-                                       include_dc=settings.include_dc)
-    n_rec = settings.samples_per_record
+                                       include_dc=True)
+    n_rec = info.samples_per_record
     dt = info.record_s / n_rec
 
     # signed mixing sums per triplet, in df units

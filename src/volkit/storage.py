@@ -65,13 +65,18 @@ def _check_envelope(doc: dict, kind: str) -> None:
         raise FormatError(f"unsupported major version {version!r}")
 
 
-def write_json(path: str, doc: dict) -> None:
-    """Atomic write with stable key order and a trailing newline."""
-    blob = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file and rename it over ``path``, so a
+    reader never sees a partial file."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
-        fh.write(blob)
+        fh.write(text)
     os.replace(tmp, path)
+
+
+def write_json(path: str, doc: dict) -> None:
+    """Atomic write with stable key order and a trailing newline."""
+    _write_atomic(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def read_json(path: str) -> dict:
@@ -87,6 +92,16 @@ def encode_array(arr, dtype: str) -> str:
 
 def decode_array(blob: str, dtype: str) -> np.ndarray:
     return np.frombuffer(base64.b64decode(blob), dtype=dtype)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a bool, a string or a number with a fraction
+    raises FormatError instead of truncating."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise FormatError(f"{name} must be an integer, not {value!r}")
+    return int(value)
 
 
 def _schema(from_dict):
@@ -127,7 +142,7 @@ def plan_from_dict(d: dict) -> SweepPlan:
     return SweepPlan(
         axes_hz=tuple(tuple(a) for a in d["axes_hz"]),
         df_hz=float(d["df_hz"]),
-        max_mixing_order=int(d["max_mixing_order"]),
+        max_mixing_order=_integer(d["max_mixing_order"], "max_mixing_order"),
         schedule=tuple(tuple(row) for row in d["V"]),
         coverage=d["coverage"],
         plan_id=d["plan_id"],
@@ -160,7 +175,8 @@ def _phasors_from_blocks(blocks, plan: SweepPlan, indices,
     n_trip, n_amp = shape[:2]
     seen = np.zeros((n_trip, n_amp), dtype=bool)
     for block in blocks:
-        t, a = int(block["triplet_id"]), int(block["amp_id"])
+        t = _integer(block["triplet_id"], "triplet_id")
+        a = _integer(block["amp_id"], "amp_id")
         if not (0 <= t < n_trip and 0 <= a < n_amp):
             raise FormatError(
                 f"block (triplet {t}, amplitude {a}) is outside the plan's "
@@ -191,7 +207,7 @@ def dataset_from_dict(d: dict) -> SpectralDataset:
         raise FormatError("a dataset holds exactly one of phasors_b64 and "
                           "lsop_blocks")
     plan = plan_from_dict(d["plan"])
-    indices = tuple(tuple(int(v) for v in k) for k in d["k"])
+    indices = tuple(tuple(_integer(v, "k entry") for v in k) for k in d["k"])
     shape = (plan.n_triplets, len(plan.schedule), len(indices))
     if "lsop_blocks" in d:
         phasors = _phasors_from_blocks(d["lsop_blocks"], plan, indices, shape)
@@ -210,7 +226,12 @@ def dataset_from_dict(d: dict) -> SpectralDataset:
         t, a, i = np.argwhere(bad)[0]
         raise FormatError(f"non-finite phasor {_index_key(indices[i])} in "
                           f"block (triplet {t}, amplitude {a})")
-    capture = CaptureInfo(**d["capture"]) if d.get("capture") else None
+    capture = None
+    if d.get("capture"):
+        samples = _integer(d["capture"]["samples_per_record"],
+                           "samples_per_record")
+        capture = CaptureInfo(**{**d["capture"],
+                                 "samples_per_record": samples})
     return SpectralDataset(plan=plan, indices=indices, phasors=phasors,
                            capture=capture, source=d.get("source", "file"))
 
@@ -267,13 +288,17 @@ def archive_from_dict(d: dict) -> KernelArchive:
         raise FormatError("archive holds no grids")
     grids = {}
     for order_s, g in d["grids"].items():
-        order, n = int(order_s), int(g["n_points"])
+        order = _integer(int(order_s) if order_s.isdecimal() else order_s,
+                         "grid order key")
+        n = _integer(g["n_points"], "n_points")
         coords = decode_array(g["coords_b64"], "<i8")
         if n < 0 or len(coords) != n * order:
             raise FormatError(f"order-{order} grid: {len(coords)} coordinates "
                               f"do not fit n_points={n}")
         grids[order] = KernelGrid(
-            order=order, lattice_units=tuple(g["lattice_units"]), df_hz=df,
+            order=order, df_hz=df,
+            lattice_units=tuple(_integer(u, "lattice_units entry")
+                                for u in g["lattice_units"]),
             coords=coords.reshape(n, order),
             sums=decode_array(g["sums_b64"], "<c16"),
             counts=decode_array(g["counts_b64"], "<i8"))
@@ -307,10 +332,7 @@ def save_waveform_csv(path: str, total: Waveform,
         row += [f"{per_order[n].samples[i]:.17g}" for n in orders]
         row.append(f"{total.samples[i]:.17g}")
         lines.append(",".join(row))
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def save_report(path: str, kind: str, payload: dict,

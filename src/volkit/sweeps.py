@@ -104,6 +104,9 @@ class SweepPlan:
         if not (math.isfinite(self.df_hz) and self.df_hz > 0):
             raise ValueError(
                 f"df_hz must be finite and positive, not {self.df_hz}")
+        if self.max_mixing_order < 1:
+            raise ValueError(f"max_mixing_order must be >= 1, not "
+                             f"{self.max_mixing_order}")
         if not self.schedule:
             raise ValueError("schedule needs at least one amplitude vector")
         if self.coverage not in ("aligned", "cross"):
@@ -114,12 +117,18 @@ class SweepPlan:
                 raise ValueError("aligned coverage needs equal axis lengths")
         for ax in self.axes_hz:
             for f in ax:
+                if not (math.isfinite(f) and f > 0):
+                    raise ValueError(
+                        f"axis frequency {f} must be finite and positive")
                 if abs(f / self.df_hz - round(f / self.df_hz)) > 1e-9:
                     raise ValueError(
                         f"axis frequency {f} is not a multiple of df={self.df_hz}")
         for row in self.schedule:
             if len(row) != self.m_tones:
                 raise ValueError("schedule rows must have one amplitude per tone")
+            if not all(math.isfinite(v) and v >= 0 for v in row):
+                raise ValueError(
+                    f"amplitudes {list(row)} must be finite and nonnegative")
 
     @property
     def m_tones(self) -> int:

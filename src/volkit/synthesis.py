@@ -159,11 +159,6 @@ def spectrum_of(source, period_s: float, bin_cap: float = 1e-4,
                                   dropped_power_fraction=dropped)
 
 
-@dataclass(frozen=True)
-class SynthesisSettings:
-    max_tuples: int = 5_000_000
-
-
 @dataclass
 class OrderInfo:
     order: int
@@ -186,14 +181,14 @@ def _reachable(spectrum: DiscreteSpectrum, frozen) -> np.ndarray:
 
 def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
                      order: int, duration: float, dt: float,
-                     settings: SynthesisSettings | None = None):
+                     max_tuples: int = 5_000_000):
     """Order-``order`` time response on a uniform grid; (Waveform, OrderInfo).
 
     ``dt`` must divide the spectrum's period into a whole number of steps.
     Bins beyond the archive band edge contribute zero kernels and are
-    skipped, which band-limits the prediction to the swept region.
+    skipped, which band-limits the prediction to the swept region.  At most
+    ``max_tuples`` bin tuples are summed, the heaviest ones.
     """
-    settings = settings or SynthesisSettings()
     if order not in archive.grids:
         raise KeyError(f"archive has no order-{order} grid")
     if not dt > 0:
@@ -209,9 +204,8 @@ def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
 
     rows = _ascending_rows(nb, order)
     dropped_fraction = 0.0
-    if len(rows) > settings.max_tuples:
-        rows, dropped_fraction = _cap_tuples(rows, np.abs(coeffs),
-                                             settings.max_tuples)
+    if len(rows) > max_tuples:
+        rows, dropped_fraction = _cap_tuples(rows, np.abs(coeffs), max_tuples)
     hvals = frozen.query_comb(spectrum.freqs_hz[reach], rows)
     cprod = coeffs[rows].prod(axis=1)
     contrib = hvals * cprod * _repetition_weights(rows)
@@ -290,14 +284,14 @@ def _repetition_weights(combos: np.ndarray) -> np.ndarray:
 
 def synthesize_total(archive: KernelArchive, spectrum: DiscreteSpectrum,
                      duration: float, dt: float,
-                     settings: SynthesisSettings | None = None) -> OrderedResponse:
+                     max_tuples: int = 5_000_000) -> OrderedResponse:
     """Sum of all archive orders; keeps the per-order decomposition."""
     per_order: dict[int, Waveform] = {}
     info: dict[int, OrderInfo] = {}
     total = None
     for order in sorted(archive.grids):
         wave, oi = synthesize_order(archive, spectrum, order, duration, dt,
-                                    settings)
+                                    max_tuples)
         per_order[order] = wave
         info[order] = oi
         total = wave.samples if total is None else total + wave.samples

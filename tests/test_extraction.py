@@ -3,13 +3,13 @@ import pytest
 
 from volkit.extraction import (
     ExtractionError,
-    ExtractionSettings,
     _coefficients,
     _lstsq_scaled,
     analytic_dataset,
     extract,
     unknowns_at_index,
 )
+from volkit.probing import SpectralDataset
 from volkit.sweeps import SweepPlan, amplitude_schedule, validate_plan
 from volkit.systems import MultiplierCascade, kernel_oracle, oracle_fn
 
@@ -69,7 +69,7 @@ class TestSolve:
         rows = (((0.5, 0.5, 0.5),) * 6)
         plan = make_plan(schedule=rows)
         ds = analytic_dataset(oracle_fn(MultiplierCascade()), plan, truncation=3)
-        _, report = extract(ds, plan, ExtractionSettings(min_success_fraction=0.0))
+        _, report = extract(ds, plan, min_success_fraction=0.0)
         reasons = [r for _, k, r in report.failures if k == (0, 0, 1)]
         assert len(reasons) == plan.n_triplets
         assert all("rank" in r and "condition" in r for r in reasons)
@@ -108,8 +108,10 @@ class TestExtract:
         ds = analytic_dataset(oracle_fn(sys), plan, truncation=3)
         archive, report = extract(ds, plan)
         assert report.points_per_order == {1: 3, 2: 12, 3: 28}
-        no_dc, _ = extract(
-            analytic_dataset(oracle_fn(sys), plan, 3, include_dc=False), plan)
+        keep = [i for i, k in enumerate(ds.indices) if any(k)]
+        no_dc, _ = extract(SpectralDataset(
+            plan=plan, indices=tuple(ds.indices[i] for i in keep),
+            phasors=ds.phasors[:, :, keep]), plan)
         assert no_dc.grid(2).n_points == 9
         assert no_dc.grid(1).n_points == 3
         assert no_dc.grid(3).n_points == 28
@@ -140,7 +142,7 @@ class TestExtract:
         plan = make_plan()
         ds = analytic_dataset(oracle_fn(MultiplierCascade()), plan, truncation=3)
         with pytest.raises(ValueError, match="truncation"):
-            extract(ds, plan, ExtractionSettings(truncation=5))
+            extract(ds, plan, truncation=5)
 
     def test_undersized_schedule_rejected_up_front(self):
         plan = make_plan(schedule=((0.5, 0.5, 0.5), (1.0, 1.0, 1.0)))

@@ -6,7 +6,6 @@ from volkit.mixing import MixTerm, input_coefficient
 from volkit.probing import (
     CaptureAlignmentError,
     PlanInvalidError,
-    ProbeSettings,
     TransientBlowupError,
     Waveform,
     capture_phasors,
@@ -280,8 +279,8 @@ class TestSimulatedDataset:
 
     def test_auto_record_length_for_standard_plan(self):
         plan = standard_sweep_plan()
-        from volkit.probing import resolve_settings
-        _, info = resolve_settings(plan, None)
+        from volkit.probing import _capture_info
+        info = _capture_info(plan, None)
         assert info.samples_per_record == 32768
         assert info.record_s == pytest.approx(1e-6)
 
@@ -310,8 +309,7 @@ class TestSteadyState:
         assert run_scaled_gap(sim.phasors, ana.phasors) <= 1e-12
 
     def transient_gap(self, system, plan, samples_per_record):
-        settings = ProbeSettings(samples_per_record=samples_per_record)
-        ds = simulate_dataset(system, plan, settings)
+        ds = simulate_dataset(system, plan, samples_per_record)
         assert ds.capture.settle_s == 0.0
         record = ds.capture.record_s
         dt = record / samples_per_record
@@ -347,8 +345,7 @@ class TestSteadyState:
             amp_limit_v=amp.saturation_limit_v, plan_id="amp-3")
         ds = simulate_dataset(amp, plan)
         n = ds.capture.samples_per_record
-        ds2 = simulate_dataset(amp, plan,
-                               ProbeSettings(samples_per_record=2 * n))
+        ds2 = simulate_dataset(amp, plan, samples_per_record=2 * n)
         assert run_scaled_gap(ds2.phasors, ds.phasors) <= 1e-12
 
 

@@ -1,3 +1,4 @@
+import argparse
 import base64
 import json
 import os
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import volkit.cli
 import volkit.synthesis
-from volkit.cli import main
+from volkit.cli import build_parser, main
 from volkit.kernels import KernelArchive, KernelGrid
 from volkit.probing import CaptureInfo, SpectralDataset
 from volkit.storage import (
@@ -218,6 +219,24 @@ def _set(*path, value):
     return mutate
 
 
+def _add(*path, delta):
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] += delta
+    return mutate
+
+
+def _rename_grid(old, new):
+    def mutate(doc):
+        doc["grids"][new] = doc["grids"].pop(old)
+    return mutate
+
+
+CAPTURE = {"sample_rate_hz": 8.192e9, "record_s": 1e-6, "settle_s": 0.0,
+           "samples_per_record": 8192}
+
+
 def _repeat_index(doc):
     doc["k"].append(doc["k"][1])
 
@@ -303,10 +322,31 @@ MALFORMED = {
     "dataset half-NaN phasor": ("dataset",
                                 _phasor_entry(complex(np.nan, 1.0))),
     "dataset with both layouts": ("dataset", _set("lsop_blocks", value=[])),
+    "dataset fractional triplet_id": ("blocks",
+                                      _block_field("triplet_id", 0.9)),
+    "dataset boolean amp_id": ("blocks", _block_field("amp_id", True)),
+    "dataset fractional k entry": ("dataset", _add("k", 3, 0, delta=0.5)),
+    "dataset fractional samples_per_record": (
+        "dataset", _set("capture", value={**CAPTURE,
+                                          "samples_per_record": 8192.5})),
+    "dataset plan fractional max_mixing_order": (
+        "dataset", _set("plan", "max_mixing_order", value=3.7)),
     "plan without schedule": ("plan", _plan_drop_schedule),
     "plan with empty schedule": ("plan", _set("V", value=[])),
     "plan with zero df_hz": ("plan", _set("df_hz", value=0.0)),
     "plan with infinite df_hz": ("plan", _set("df_hz", value=float("inf"))),
+    "plan with NaN axis frequency": ("plan", _set("axes_hz", 0, 1,
+                                                  value=float("nan"))),
+    "plan with negative axis frequency": ("plan", _set("axes_hz", 1, 0,
+                                                       value=-41e6)),
+    "plan with NaN amplitude": ("plan", _set("V", 0, 1, value=float("nan"))),
+    "plan with infinite amplitude": ("plan", _set("V", 3, 2,
+                                                  value=float("inf"))),
+    "plan with negative amplitude": ("plan", _set("V", 2, 0, value=-0.5)),
+    "plan with mixing order zero": ("plan", _set("max_mixing_order",
+                                                 value=0)),
+    "plan fractional max_mixing_order": ("plan", _set("max_mixing_order",
+                                                      value=3.7)),
     "archive n_points mismatch": ("archive", _grid_points_plus_one),
     "archive coordinate off lattice": ("archive",
                                        _grid_field("coords_b64", _off_lattice)),
@@ -317,6 +357,11 @@ MALFORMED = {
     "archive non-finite sum": ("archive", _non_finite_sum),
     "archive negative df_hz": ("archive", _set("df_hz", value=-1e6)),
     "archive without grids": ("archive", _set("grids", value={})),
+    "archive fractional grid order key": ("archive", _rename_grid("3", "3.5")),
+    "archive fractional n_points": ("archive", _add("grids", "3", "n_points",
+                                                    delta=0.5)),
+    "archive fractional lattice unit": (
+        "archive", _add("grids", "2", "lattice_units", 0, delta=0.4)),
 }
 
 
@@ -353,6 +398,7 @@ class TestMalformedFiles:
                      "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert os.listdir(tmp_path) == [path.name]  # nothing written
         with pytest.raises(FormatError):
             {"plan": load_plan, "dataset": load_dataset,
              "blocks": load_dataset, "archive": load_archive}[kind](path)
@@ -600,6 +646,95 @@ class TestCli:
                          "--out", str(out)]) == 0
         for name in ("plan.json", "dataset.json", "archive.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def _exit_code(argv):
+    """``main``'s exit code, returned or raised by the argument parser."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# (command, config file text); every one is a usage error
+BAD_CONFIGS = {
+    "null value": ("plan", '{"points_per_axis": null}'),
+    "list value": ("plan", '{"levels": [5, 10]}'),
+    "object value": ("probe", '{"system": {"name": "amplifier"}}'),
+    "pulse as an object": ("synthesize", '{"pulse": {"v0": 1.0}}'),
+    "fraction for an integer flag": ("plan", '{"points_per_axis": 2.7}'),
+    "text for a number flag": ("extract", '{"truncation": "three"}'),
+    "value outside the choices": ("plan", '{"coverage": "diagonal"}'),
+    "value flag set true": ("plan", '{"seed": true}'),
+    "switch set false": ("enumerate", '{"include_dc": false}'),
+    "switch given a value": ("enumerate", '{"include_dc": "yes"}'),
+    "unknown key": ("plan", '{"colour": "red"}'),
+    "abbreviated key": ("plan", '{"points": 3}'),
+    "another command's flag": ("extract", '{"seed": 7}'),
+    "removed key include_dc": ("probe", '{"include_dc": true}'),
+    "removed key system_params": ("probe", '{"system_params": 3}'),
+    "removed key bin_cap": ("synthesize", '{"bin_cap": 0.001}'),
+    "removed key max_bins_per_side": ("synthesize",
+                                      '{"max_bins_per_side": 100}'),
+    "removed key levels_dbm": ("plan", '{"levels_dbm": 5}'),
+    "not an object": ("plan", '[["points_per_axis", 3]]'),
+    "invalid JSON": ("plan", '{"points_per_axis": 3'),
+}
+
+
+class TestConfig:
+    """A --config file holds the command's own flags, spelled as on the
+    command line."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_malformed_config_exit_code_3(self, case, tmp_path, capsys):
+        command, text = BAD_CONFIGS[case]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert _exit_code([command, "--config", str(cfg),
+                           "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert any(line.startswith("error: ") for line in err.splitlines())
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    def test_missing_config_exit_code_3(self, tmp_path, capsys):
+        assert main(["plan", "--config", str(tmp_path / "nope.json"),
+                     "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: cannot read config")
+
+    def test_config_writes_what_flags_write(self, tmp_path):
+        flags, files = tmp_path / "flags", tmp_path / "files"
+        assert main(["plan", "--points-per-axis", "2", "--levels", "-30,-20",
+                     "--seed", "7", "--n-extra", "2", "--coverage", "cross",
+                     "--amp-limit-v", "0.07", "--out", str(flags)]) == 0
+        assert main(["probe", "--plan", str(flags / "plan.json"),
+                     "--system", "amplifier", "--samples-per-record", "4096",
+                     "--out", str(flags)]) == 0
+        files.mkdir()
+        (files / "plan-cfg.json").write_text(json.dumps({
+            "points-per-axis": 2, "levels": "-30,-20", "seed": 7,
+            "n_extra": 2, "coverage": "cross", "amp_limit_v": 0.07,
+            "out": str(files)}))
+        (files / "probe-cfg.json").write_text(json.dumps({
+            "plan": str(files / "plan.json"), "system": "amplifier",
+            "samples_per_record": 4096}))
+        assert main(["plan", "--config", str(files / "plan-cfg.json")]) == 0
+        assert main(["probe", "--config", str(files / "probe-cfg.json"),
+                     "--out", str(files)]) == 0
+        for name in ("plan.json", "dataset.json"):
+            assert (flags / name).read_bytes() == (files / name).read_bytes()
+
+    @pytest.mark.parametrize("command", sorted(next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction))))
+    def test_every_option_defaults_to_none(self, command):
+        # a default belongs to the library function that uses the option,
+        # or to the command (an `is None` test), never to the parser
+        options = vars(build_parser().parse_args([command]))
+        assert options.pop("command") == command
+        options.pop("fn")
+        assert options and all(v is None for v in options.values()), options
 
 
 def _exact_cascade_dataset(points, seed):

@@ -96,6 +96,23 @@ class TestStandardPlan:
             SweepPlan(axes_hz=((1.5e6,),), df_hz=1e6, max_mixing_order=3,
                       schedule=((1.0,),))
 
+    @pytest.mark.parametrize("axes, order, schedule, message", [
+        (((np.nan,),), 3, ((1.0,),), "axis frequency nan"),
+        (((np.inf,),), 3, ((1.0,),), "axis frequency inf"),
+        (((0.0,),), 3, ((1.0,),), "axis frequency 0.0"),
+        (((-2e6,),), 3, ((1.0,),), "axis frequency -2000000.0"),
+        (((2e6,),), 3, ((np.nan,),), r"amplitudes \[nan\]"),
+        (((2e6,),), 3, ((np.inf,),), r"amplitudes \[inf\]"),
+        (((2e6,),), 3, ((-0.5,),), r"amplitudes \[-0.5\]"),
+        (((2e6,),), 0, ((1.0,),), "max_mixing_order must be >= 1, not 0"),
+    ], ids=["nan tone", "infinite tone", "zero tone", "negative tone",
+            "nan amplitude", "infinite amplitude", "negative amplitude",
+            "order zero"])
+    def test_impossible_plan_rejected(self, axes, order, schedule, message):
+        with pytest.raises(ValueError, match=message):
+            SweepPlan(axes_hz=axes, df_hz=1e6, max_mixing_order=order,
+                      schedule=schedule)
+
 
 class TestValidatePlan:
     def test_aligned_standard_plan_passes_full_cube(self):

@@ -11,7 +11,6 @@ from volkit.kernels import KernelArchive, KernelGrid
 from volkit.probing import Waveform
 from volkit.synthesis import (
     DiscreteSpectrum,
-    SynthesisSettings,
     TrapezoidPulse,
     nrmse,
     spectrum_of,
@@ -246,19 +245,19 @@ class TestSynthesizeOrder:
         full, info_full = synthesize_order(archive, spec, 3, PERIOD, dt)
         capped, info_capped = synthesize_order(
             archive, spec, 3, PERIOD, dt,
-            SynthesisSettings(max_tuples=info_full.n_tuples // 2))
+            max_tuples=info_full.n_tuples // 2)
         assert info_capped.n_tuples == info_full.n_tuples // 2
         assert 0 < info_capped.dropped_tuple_fraction < 1
         again, _ = synthesize_order(
             archive, spec, 3, PERIOD, dt,
-            SynthesisSettings(max_tuples=info_full.n_tuples // 2))
+            max_tuples=info_full.n_tuples // 2)
         np.testing.assert_array_equal(capped.samples, again.samples)
 
     @pytest.mark.parametrize("cap", [777, 1001, 5000, 12345])
     def test_tuple_cap_keeps_conjugate_pairs(self, archive, cap):
         spec, _ = spectrum_of(pulse(), PERIOD, max_bins_per_side=40)
         _, info = synthesize_order(archive, spec, 3, PERIOD, PERIOD / 128,
-                                   SynthesisSettings(max_tuples=cap))
+                                   max_tuples=cap)
         assert cap - 1 <= info.n_tuples <= cap
         assert info.imag_residue <= 1e-10
 
