@@ -21,7 +21,6 @@ from volkit.mixing import (
 from volkit.probing import (
     SpectralDataset,
     Waveform,
-    capture_phasors,
     simulate_dataset,
     transient,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "Waveform",
     "amplitude_schedule",
     "analytic_dataset",
-    "capture_phasors",
     "dbm_to_volts",
     "enumerate_kernels_for_order",
     "enumerate_output_indices",

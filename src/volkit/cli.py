@@ -316,45 +316,43 @@ def cmd_synthesize(args) -> int:
 # validate
 
 
-def _sample_points(grid, rng, max_points: int) -> list:
-    """The grid's (args, value) pairs; above ``max_points`` of them, a
-    draw of ``max_points`` without replacement, kept in grid order."""
-    points = list(grid.items())
-    if len(points) > max_points:
-        sel = rng.choice(len(points), size=max_points, replace=False)
-        points = [points[i] for i in sorted(sel)]
-    return points
+def _stored_points(grid) -> tuple[np.ndarray, np.ndarray]:
+    """A grid's (P, order) canonical arguments in Hz and its P stored
+    averaged values."""
+    return (grid.coords * grid.df_hz,
+            np.array([v for _, v in grid.items()], dtype=complex))
 
 
-def _kernel_error_table(archive: KernelArchive, sys_obj, max_points=400):
-    rng = np.random.default_rng(0)
+def _kernel_error_table(archive: KernelArchive, sys_obj):
+    """Per-order error against the oracle at every stored point, and the
+    zero-kernel leakage: the largest |value| where the oracle is exactly
+    0 over the largest |value| where it is not."""
     table = {}
+    zero_peak = live_peak = 0.0
     for order, grid in archive.grids.items():
-        points = _sample_points(grid, rng, max_points)
-        rel = []
-        absolute = []
-        for args, val in points:
-            truth = kernel_oracle(sys_obj, args, order)
-            if abs(truth) > 0:
-                rel.append(abs(val - truth) / abs(truth))
-            else:
-                absolute.append(abs(val))
+        args, vals = _stored_points(grid)
+        truth = kernel_oracle(sys_obj, args, order)
+        live = truth != 0
+        rel = np.abs(vals[live] - truth[live]) / np.abs(truth[live])
+        absolute = np.abs(vals[~live])
         table[order] = {
-            "n_checked": len(points),
-            "max_rel_err": float(np.max(rel)) if rel else None,
-            "median_rel_err": float(np.median(rel)) if rel else None,
-            "max_abs_vs_zero_truth": float(np.max(absolute)) if absolute else None,
+            "n_checked": len(vals),
+            "max_rel_err": float(rel.max()) if rel.size else None,
+            "median_rel_err": float(np.median(rel)) if rel.size else None,
+            "max_abs_vs_zero_truth": (float(absolute.max()) if absolute.size
+                                      else None),
         }
-    return table
+        zero_peak = max(zero_peak, absolute.max(initial=0.0))
+        live_peak = max(live_peak, np.abs(vals[live]).max(initial=0.0))
+    leakage = float(zero_peak / live_peak) if zero_peak else 0.0
+    return table, leakage
 
 
-def _symmetry_audit(archive: KernelArchive, max_points=200):
+def _symmetry_audit(archive: KernelArchive):
     rng = np.random.default_rng(1)
     audit = {}
     for order, grid in archive.grids.items():
-        points = _sample_points(grid, rng, max_points)
-        args = np.array([a for a, _ in points]).reshape(-1, order)
-        vals = np.array([v for _, v in points], dtype=complex)
+        args, vals = _stored_points(grid)
         perm = grid.query_exact(rng.permuted(args, axis=1))
         flipped = grid.query_exact(-args)
         audit[order] = {"permutation_exact": bool((perm == vals).all()),
@@ -390,7 +388,7 @@ def cmd_validate(args) -> int:
 
     # the reference first: a step too coarse for the system fails at once
     reference = transient(sys_obj, pulse, duration, dt)
-    kernel_table = _kernel_error_table(archive, sys_obj)
+    kernel_table, leakage = _kernel_error_table(archive, sys_obj)
     symmetry = _symmetry_audit(archive)
     spectrum, _ = spectrum_of(pulse, period)
     resp = synthesize_total(archive, spectrum, duration, dt)
@@ -408,6 +406,8 @@ def cmd_validate(args) -> int:
         "scaling_machine_precision": {
             "value": max(scaling.values()), "limit": 1e-12,
             "ok": max(scaling.values()) <= 1e-12},
+        "zero_kernel_leakage": {
+            "value": leakage, "limit": 1e-3, "ok": leakage <= 1e-3},
     }
     if system_name in ("benchmark", "benchmark-linear"):
         h1 = kernel_table.get(1, {})

@@ -403,10 +403,6 @@ class KernelArchive:
         if orders and orders != list(range(1, orders[-1] + 1)):
             raise ValueError("grid orders must be contiguous from 1")
 
-    @property
-    def truncation_order(self) -> int:
-        return max(self.grids)
-
     def grid(self, order: int) -> KernelGrid:
         return self.grids[order]
 

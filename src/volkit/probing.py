@@ -108,9 +108,6 @@ class SpectralDataset:
                             if self._index_pos[k] != i)
             raise ValueError(f"index {repeated} appears more than once")
 
-    def phasor(self, triplet_id: int, amp_id: int, k: FrequencyIndex) -> complex:
-        return complex(self.phasors[triplet_id, amp_id, self._index_pos[tuple(k)]])
-
     def index_position(self, k: FrequencyIndex) -> int:
         return self._index_pos[tuple(k)]
 
@@ -175,60 +172,6 @@ def transient(sys, drive, duration: float, dt: float) -> Waveform:
                                        f" at t={(j + 1) * dt:.3g} s")
         u0 = u1
     return Waveform(samples=y, dt=dt, t0=0.0)
-
-
-# ---------------------------------------------------------------------------
-# phasor capture from a stored waveform
-
-
-def capture_phasors(
-    wave: Waveform,
-    freqs_hz: tuple[float, ...],
-    df_hz: float,
-    max_order: int,
-    settle_s: float,
-    record_s: float,
-    include_dc: bool = True,
-) -> dict[FrequencyIndex, complex]:
-    """Read the phasor at every canonical mixing product of one tone set.
-
-    The record must be exactly one resolution period (1/df) and every tone
-    must be an integer multiple of df, so each product falls on a bin.
-    """
-    if abs(record_s * df_hz - 1.0) > 1e-9:
-        raise CaptureAlignmentError(
-            f"record {record_s} s must be one resolution period 1/{df_hz}")
-    units = []
-    for f in freqs_hz:
-        m = f / df_hz
-        if abs(m - round(m)) > 1e-9:
-            raise CaptureAlignmentError(
-                f"tone {f} Hz is not a multiple of df={df_hz} Hz")
-        units.append(int(round(m)))
-    n_rec = record_s / wave.dt
-    if abs(n_rec - round(n_rec)) > 1e-6:
-        raise CaptureAlignmentError("record is not a whole number of samples")
-    n_rec = int(round(n_rec))
-    i0 = int(round(settle_s / wave.dt))
-    if i0 + n_rec > len(wave.samples):
-        raise ValueError("waveform shorter than settle + record")
-    seg = wave.samples[i0:i0 + n_rec]
-    spec = np.fft.rfft(seg) / n_rec
-    t_start = wave.t0 + i0 * wave.dt
-    out: dict[FrequencyIndex, complex] = {}
-    for k in enumerate_output_indices(len(freqs_hz), max_order,
-                                      include_dc=include_dc):
-        s = sum(ki * ui for ki, ui in zip(k, units))
-        b = abs(s)
-        if b >= len(spec):
-            raise CaptureAlignmentError(
-                f"product {k} at {b * df_hz:.3g} Hz beyond Nyquist")
-        if s == 0:
-            out[k] = complex(spec[0].real, 0.0)
-            continue
-        val = spec[b] * np.exp(-2j * np.pi * (b * df_hz) * t_start)
-        out[k] = complex(np.conj(val)) if s < 0 else complex(val)
-    return out
 
 
 # ---------------------------------------------------------------------------

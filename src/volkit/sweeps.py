@@ -109,6 +109,9 @@ class SweepPlan:
                              f"{self.max_mixing_order}")
         if not self.schedule:
             raise ValueError("schedule needs at least one amplitude vector")
+        for i, ax in enumerate(self.axes_hz):
+            if not len(ax):
+                raise ValueError(f"axis {i} has no frequencies")
         if self.coverage not in ("aligned", "cross"):
             raise ValueError("coverage must be 'aligned' or 'cross'")
         if self.coverage == "aligned":

@@ -23,6 +23,7 @@ transfer and the static part acting on the irfft samples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -120,7 +121,6 @@ class MultiplierCascade:
     blocks: tuple[LinearBlock, LinearBlock, LinearBlock] = field(
         default_factory=lambda: (lowpass_ladder(),) * 3)
     include_orders: tuple[int, ...] = (1, 2, 3)
-    system_id: str = "multiplier-cascade"
 
     saturation_limit_v = None
 
@@ -188,7 +188,6 @@ class SaturatingAmplifier:
     out_block: LinearBlock = field(default_factory=lowpass_ladder)
     vsat: float = 0.07
     gain: float = 0.25
-    system_id: str = "saturating-amplifier"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_a_full", _block_diag(
@@ -241,48 +240,63 @@ class SaturatingAmplifier:
         return TANH_SERIES[order] * self.gain**order / self.vsat ** (order - 1)
 
 
-def kernel_oracle(sys, freqs_hz, order: int) -> complex:
+def kernel_oracle(sys, freqs_hz, order: int) -> complex | np.ndarray:
     """Closed-form symmetric kernel of a reference system at signed Hz args.
 
-    Normalized to the series convention where the order-n response carries
-    a 1/n! prefactor, so a static ``y = u^n`` term has the constant kernel
-    ``n!``.
+    ``freqs_hz`` is one argument tuple, giving a complex, or (Q, order)
+    rows, giving Q values.  Normalized to the series convention where the
+    order-n response carries a 1/n! prefactor, so a static ``y = u^n`` term
+    has the constant kernel ``n!``.
     """
-    args = np.asarray(freqs_hz, dtype=float).reshape(1, -1)
-    if args.shape[1] != order:
+    args = np.asarray(freqs_hz, dtype=float)
+    single = args.ndim < 2
+    rows = args.reshape(1, -1) if single else args
+    if rows.ndim != 2 or rows.shape[1] != order:
         raise ValueError("argument count must equal the kernel order")
     # evaluate on the canonical representative so permutation symmetry and
     # conjugate symmetry hold bitwise, not just to rounding
-    canon, conj, _ = canonical_rows(args)
-    val = _closed_form_kernel(sys, 2.0 * np.pi * canon[0], order)
-    return complex(np.conj(val)) if conj[0] else val
+    canon, conj, _ = canonical_rows(rows)
+    vals = _closed_form_kernel(sys, 2.0 * np.pi * canon, order)
+    np.conjugate(vals, out=vals, where=conj)
+    return complex(vals[0]) if single else vals
 
 
-def _closed_form_kernel(sys, w: np.ndarray, order: int) -> complex:
-    """The oracle's kernel at canonical rad/s arguments ``w``."""
+def _transfers(blocks, w: np.ndarray) -> list[np.ndarray]:
+    """Each block's transfer at every entry of ``w``, solved once per
+    distinct frequency."""
+    uniq, inverse = np.unique(w, return_inverse=True)
+    inverse = inverse.reshape(w.shape)
+    return [blk.transfer(uniq)[inverse] for blk in blocks]
+
+
+def _mul(a, b) -> np.ndarray:
+    """Complex product rounded as Python's ``complex * complex``, so that
+    every row equals the one-point closed form bit for bit.  numpy's own
+    complex loops may fuse multiply-adds, and whether they do depends on
+    the operands' length and strides."""
+    out = (a.real * b.real - a.imag * b.imag).astype(complex)
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _closed_form_kernel(sys, w: np.ndarray, order: int) -> np.ndarray:
+    """The oracle's kernel at (Q, order) canonical rad/s rows ``w``."""
     if isinstance(sys, MultiplierCascade):
-        if order > 3:
-            return 0.0 + 0.0j
-        if order not in sys.include_orders:
-            return 0.0 + 0.0j
-        hs = [blk.transfer(w) for blk in sys.blocks[:order]]
-        total = 0.0 + 0.0j
-        for perm in itertools.permutations(range(order)):
-            term = 1.0 + 0.0j
-            for blk_i, arg_i in enumerate(perm):
-                term *= hs[blk_i][arg_i]
-            total += term
-        return complex(total)
+        if order > 3 or order not in sys.include_orders:
+            return np.zeros(len(w), dtype=complex)
+        # (Q, order!) terms: block i's transfer at the argument each
+        # permutation gives it, multiplied over the blocks, then summed
+        perms = np.array(list(itertools.permutations(range(order))))
+        hs = _transfers(sys.blocks[:order], w)
+        terms = functools.reduce(
+            _mul, (h[:, perms[:, i]] for i, h in enumerate(hs)))
+        return functools.reduce(np.add, terms.T)
     if isinstance(sys, SaturatingAmplifier):
         if order % 2 == 0:
-            return 0.0 + 0.0j
+            return np.zeros(len(w), dtype=complex)
         a_n = sys.series_coefficient(order)
-        l1 = sys.in_block.transfer(w)
-        l2 = sys.out_block.transfer(np.array([w.sum()]))[0]
-        return complex(math.factorial(order) * a_n * np.prod(l1) * l2)
+        (l1,) = _transfers([sys.in_block], w)
+        (l2,) = _transfers([sys.out_block], w.sum(axis=1))
+        return _mul(_mul(math.factorial(order) * a_n,
+                         functools.reduce(_mul, l1.T)), l2)
     raise TypeError(f"no kernel oracle for {type(sys).__name__}")
-
-
-def oracle_fn(sys):
-    """Bind a system into the (freqs_hz, order) -> complex callable shape."""
-    return lambda freqs_hz, order: kernel_oracle(sys, freqs_hz, order)

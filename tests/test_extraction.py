@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from volkit.extraction import (
 )
 from volkit.probing import SpectralDataset
 from volkit.sweeps import SweepPlan, amplitude_schedule, validate_plan
-from volkit.systems import MultiplierCascade, kernel_oracle, oracle_fn
+from volkit.systems import MultiplierCascade, kernel_oracle
+
+CASCADE_KERNEL = partial(kernel_oracle, MultiplierCascade())
 
 
 def make_plan(n_points=2, schedule=None, coverage="cross", df=1e6):
@@ -68,7 +72,7 @@ class TestSolve:
         # identical rows cannot separate four unknowns
         rows = (((0.5, 0.5, 0.5),) * 6)
         plan = make_plan(schedule=rows)
-        ds = analytic_dataset(oracle_fn(MultiplierCascade()), plan, truncation=3)
+        ds = analytic_dataset(CASCADE_KERNEL, plan, truncation=3)
         _, report = extract(ds, plan, min_success_fraction=0.0)
         reasons = [r for _, k, r in report.failures if k == (0, 0, 1)]
         assert len(reasons) == plan.n_triplets
@@ -90,7 +94,7 @@ class TestExtract:
     def test_oracle_round_trip_exact_to_solver_tolerance(self):
         sys = MultiplierCascade()
         plan = make_plan(n_points=2)
-        ds = analytic_dataset(oracle_fn(sys), plan, truncation=3)
+        ds = analytic_dataset(partial(kernel_oracle, sys), plan, truncation=3)
         archive, report = extract(ds, plan)
         assert report.success_fraction == 1.0
         assert report.max_relative_residual <= 1e-10
@@ -105,7 +109,7 @@ class TestExtract:
     def test_per_triplet_yield_counts(self):
         sys = MultiplierCascade()
         plan = make_plan(n_points=1)  # exactly one triplet
-        ds = analytic_dataset(oracle_fn(sys), plan, truncation=3)
+        ds = analytic_dataset(partial(kernel_oracle, sys), plan, truncation=3)
         archive, report = extract(ds, plan)
         assert report.points_per_order == {1: 3, 2: 12, 3: 28}
         keep = [i for i, k in enumerate(ds.indices) if any(k)]
@@ -119,7 +123,7 @@ class TestExtract:
     def test_failure_isolation_and_reporting(self):
         sys = MultiplierCascade()
         plan = make_plan(n_points=2)
-        ds = analytic_dataset(oracle_fn(sys), plan, truncation=3)
+        ds = analytic_dataset(partial(kernel_oracle, sys), plan, truncation=3)
         kpos = ds.index_position((0, 1, -2))
         ds.phasors[3, 1, kpos] = np.nan
         archive, report = extract(ds, plan)
@@ -133,26 +137,26 @@ class TestExtract:
     def test_low_success_fraction_raises(self):
         sys = MultiplierCascade()
         plan = make_plan(n_points=1)
-        ds = analytic_dataset(oracle_fn(sys), plan, truncation=3)
+        ds = analytic_dataset(partial(kernel_oracle, sys), plan, truncation=3)
         ds.phasors[:, 4, :] = np.nan
         with pytest.raises(ExtractionError, match="resolved"):
             extract(ds, plan)
 
     def test_truncation_above_plan_order_rejected(self):
         plan = make_plan()
-        ds = analytic_dataset(oracle_fn(MultiplierCascade()), plan, truncation=3)
+        ds = analytic_dataset(CASCADE_KERNEL, plan, truncation=3)
         with pytest.raises(ValueError, match="truncation"):
             extract(ds, plan, truncation=5)
 
     def test_undersized_schedule_rejected_up_front(self):
         plan = make_plan(schedule=((0.5, 0.5, 0.5), (1.0, 1.0, 1.0)))
-        ds = analytic_dataset(oracle_fn(MultiplierCascade()), plan, truncation=3)
+        ds = analytic_dataset(CASCADE_KERNEL, plan, truncation=3)
         with pytest.raises(ValueError, match="widest index system"):
             extract(ds, plan)
 
     def test_plan_must_be_the_datasets(self):
         plan = make_plan()
-        ds = analytic_dataset(oracle_fn(MultiplierCascade()), plan, truncation=3)
+        ds = analytic_dataset(CASCADE_KERNEL, plan, truncation=3)
         assert extract(ds, make_plan())[1].success_fraction == 1.0  # equal
         shifted = SweepPlan(
             axes_hz=tuple(tuple(f + 2e6 for f in ax) for ax in plan.axes_hz),

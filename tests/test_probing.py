@@ -1,14 +1,15 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from volkit.extraction import analytic_dataset
-from volkit.mixing import MixTerm, input_coefficient
+from volkit.mixing import MixTerm, enumerate_output_indices, input_coefficient
 from volkit.probing import (
     CaptureAlignmentError,
     PlanInvalidError,
     TransientBlowupError,
     Waveform,
-    capture_phasors,
     simulate_dataset,
     transient,
 )
@@ -18,7 +19,6 @@ from volkit.systems import (
     SaturatingAmplifier,
     kernel_oracle,
     lowpass_ladder,
-    oracle_fn,
 )
 
 
@@ -34,6 +34,57 @@ def small_plan(schedule=((0.05, 0.04, 0.03),), coverage="cross"):
     )
     assert validate_plan(plan, domain="ball").ok
     return plan
+
+
+def capture_phasors(
+    wave: Waveform,
+    freqs_hz: tuple[float, ...],
+    df_hz: float,
+    max_order: int,
+    settle_s: float,
+    record_s: float,
+    include_dc: bool = True,
+) -> dict:
+    """Read the phasor at every canonical mixing product of one tone set
+    from a stored waveform: the transient-side reference for the probe.
+
+    The record must be exactly one resolution period (1/df) and every tone
+    must be an integer multiple of df, so each product falls on a bin.
+    """
+    if abs(record_s * df_hz - 1.0) > 1e-9:
+        raise CaptureAlignmentError(
+            f"record {record_s} s must be one resolution period 1/{df_hz}")
+    units = []
+    for f in freqs_hz:
+        m = f / df_hz
+        if abs(m - round(m)) > 1e-9:
+            raise CaptureAlignmentError(
+                f"tone {f} Hz is not a multiple of df={df_hz} Hz")
+        units.append(int(round(m)))
+    n_rec = record_s / wave.dt
+    if abs(n_rec - round(n_rec)) > 1e-6:
+        raise CaptureAlignmentError("record is not a whole number of samples")
+    n_rec = int(round(n_rec))
+    i0 = int(round(settle_s / wave.dt))
+    if i0 + n_rec > len(wave.samples):
+        raise ValueError("waveform shorter than settle + record")
+    seg = wave.samples[i0:i0 + n_rec]
+    spec = np.fft.rfft(seg) / n_rec
+    t_start = wave.t0 + i0 * wave.dt
+    out = {}
+    for k in enumerate_output_indices(len(freqs_hz), max_order,
+                                      include_dc=include_dc):
+        s = sum(ki * ui for ki, ui in zip(k, units))
+        b = abs(s)
+        if b >= len(spec):
+            raise CaptureAlignmentError(
+                f"product {k} at {b * df_hz:.3g} Hz beyond Nyquist")
+        if s == 0:
+            out[k] = complex(spec[0].real, 0.0)
+            continue
+        val = spec[b] * np.exp(-2j * np.pi * (b * df_hz) * t_start)
+        out[k] = complex(np.conj(val)) if s < 0 else complex(val)
+    return out
 
 
 class Unstable:
@@ -130,7 +181,6 @@ class TestCapture:
         trip = plan.triplets()[0]
         units = [int(f / plan.df_hz) for f in trip]
         rng = np.random.default_rng(3)
-        from volkit.mixing import enumerate_output_indices
         idx = enumerate_output_indices(3, 3, include_dc=True)
         truth = {}
         for k in idx:
@@ -234,12 +284,12 @@ class TestSimulatedDataset:
         lin = MultiplierCascade(include_orders=(1,))
         plan = small_plan(schedule=((0.05, 0.04, 0.03), (0.02, 0.02, 0.02)))
         sim = simulate_dataset(lin, plan)
-        ana = analytic_dataset(oracle_fn(lin), plan, truncation=1)
+        ana = analytic_dataset(partial(kernel_oracle, lin), plan, truncation=1)
         for ti in range(plan.n_triplets):
             for ai in range(len(plan.schedule)):
                 for k in sim.indices:
-                    got = sim.phasor(ti, ai, k)
-                    ref = ana.phasor(ti, ai, k)
+                    got = sim.phasors[ti, ai, sim.index_position(k)]
+                    ref = ana.phasors[ti, ai, ana.index_position(k)]
                     if sum(map(abs, k)) == 1:
                         assert abs(got - ref) / abs(ref) < 5e-3
                     else:
@@ -252,10 +302,10 @@ class TestSimulatedDataset:
         down = tuple(alpha * v for v in base)
         plan = small_plan(schedule=(base, down))
         ds = simulate_dataset(sys, plan)
-        drop2 = 20 * np.log10(abs(ds.phasor(0, 0, (1, 1, 0))) /
-                              abs(ds.phasor(0, 1, (1, 1, 0))))
-        drop3 = 20 * np.log10(abs(ds.phasor(0, 0, (1, 1, 1))) /
-                              abs(ds.phasor(0, 1, (1, 1, 1))))
+        b2 = ds.phasors[0, :, ds.index_position((1, 1, 0))]
+        b3 = ds.phasors[0, :, ds.index_position((1, 1, 1))]
+        drop2 = 20 * np.log10(abs(b2[0]) / abs(b2[1]))
+        drop3 = 20 * np.log10(abs(b3[0]) / abs(b3[1]))
         assert drop2 == pytest.approx(6.0206, abs=0.1)
         assert drop3 == pytest.approx(9.0309, abs=0.1)
 
@@ -304,7 +354,7 @@ class TestSteadyState:
         # the cascade's Volterra series stops at order 3: exact to rounding
         sys = MultiplierCascade()
         sim = simulate_dataset(sys, plan)
-        ana = analytic_dataset(oracle_fn(sys), plan, 3)
+        ana = analytic_dataset(partial(kernel_oracle, sys), plan, 3)
         assert sim.indices == ana.indices
         assert run_scaled_gap(sim.phasors, ana.phasors) <= 1e-12
 
@@ -352,17 +402,18 @@ class TestSteadyState:
 class TestAnalyticDataset:
     def test_first_order_row_value(self):
         plan = small_plan()
-        ds = analytic_dataset(oracle_fn(MultiplierCascade(include_orders=(1,))),
-                              plan, truncation=1)
+        lin = MultiplierCascade(include_orders=(1,))
+        ds = analytic_dataset(partial(kernel_oracle, lin), plan, truncation=1)
         trip = plan.triplets()[0]
         v3 = plan.schedule[0][2]
         h1 = lowpass_ladder().transfer_hz(trip[2])
-        assert ds.phasor(0, 0, (0, 0, 1)) == pytest.approx(0.5 * v3 * complex(h1))
+        got = ds.phasors[0, 0, ds.index_position((0, 0, 1))]
+        assert got == pytest.approx(0.5 * v3 * complex(h1))
 
     def test_fundamental_includes_compression_and_desensitization(self):
         plan = small_plan()
         sys = MultiplierCascade()
-        ds = analytic_dataset(oracle_fn(sys), plan, truncation=3)
+        ds = analytic_dataset(partial(kernel_oracle, sys), plan, truncation=3)
         trip = plan.triplets()[0]
         v1, v2, v3 = plan.schedule[0]
         w1, w2, w3 = trip
@@ -372,16 +423,18 @@ class TestAnalyticDataset:
             + v3 * v2**2 / 8 * kernel_oracle(sys, (w2, -w2, w3), 3)
             + v3 * v1**2 / 8 * kernel_oracle(sys, (w1, -w1, w3), 3)
         )
-        assert ds.phasor(0, 0, (0, 0, 1)) == pytest.approx(expect)
+        got = ds.phasors[0, 0, ds.index_position((0, 0, 1))]
+        assert got == pytest.approx(expect)
 
     def test_difference_product_single_term(self):
         plan = small_plan()
         sys = MultiplierCascade()
-        ds = analytic_dataset(oracle_fn(sys), plan, truncation=3)
+        ds = analytic_dataset(partial(kernel_oracle, sys), plan, truncation=3)
         w1, w2, w3 = plan.triplets()[0]
         v1, v2, v3 = plan.schedule[0]
         expect = v2 * v3**2 / 16 * kernel_oracle(sys, (w2, -w3, -w3), 3)
-        assert ds.phasor(0, 0, (0, 1, -2)) == pytest.approx(expect)
+        got = ds.phasors[0, 0, ds.index_position((0, 1, -2))]
+        assert got == pytest.approx(expect)
 
     def test_matches_input_coefficient_helper(self):
         term = MixTerm(k=(0, 1, -2), r=(0, 0, 0))

@@ -11,8 +11,13 @@ import volkit
 MODULES = sorted(p for p in Path(volkit.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 REPO = Path(volkit.__file__).resolve().parents[2]
-CORPUS = sorted(p for part in ("src", "tests", "scripts", "perfbench")
-                for p in (REPO / part).rglob("*.py"))
+# the code that can use a public name: not the tests, and not the package's
+# re-exports, which would make every exported name its own user
+CORPUS = sorted(p for part in ("src", "perfbench")
+                for p in (REPO / part).rglob("*.py")
+                if p.name != "__init__.py")
+# public names kept only as references that tests compare against
+REFERENCE_APIS = {"query"}  # FrozenKernelGrid.query, bitwise for query_comb
 
 
 def unused_imports(source: str) -> list[str]:
@@ -97,7 +102,8 @@ def dead_names(source: str, used: set[str]) -> list[str]:
 
 @functools.cache
 def corpus_names() -> frozenset[str]:
-    return frozenset(mentioned_names(p.read_text() for p in CORPUS))
+    return frozenset(mentioned_names(p.read_text() for p in CORPUS)
+                     | REFERENCE_APIS)
 
 
 def test_checker_finds_dead_names():

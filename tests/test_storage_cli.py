@@ -4,6 +4,7 @@ import json
 import os
 import re
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +33,11 @@ from volkit.storage import (
 )
 from volkit.sweeps import SweepPlan, dbm_to_volts, standard_sweep_plan
 from volkit.synthesis import synthesize_order
-from volkit.systems import MultiplierCascade, kernel_oracle, oracle_fn
+from volkit.systems import MultiplierCascade, kernel_oracle
 from volkit.extraction import analytic_dataset, extract
 
 GOLDEN = Path(__file__).parent / "golden" / "enumeration_3_3.json"
+CASCADE_KERNEL = partial(kernel_oracle, MultiplierCascade())
 
 
 def tiny_plan():
@@ -93,7 +95,7 @@ class TestRoundTrips:
 
     def test_dataset_round_trip_exact(self, tmp_path):
         plan = tiny_plan()
-        ds = analytic_dataset(oracle_fn(MultiplierCascade()), plan, 3)
+        ds = analytic_dataset(CASCADE_KERNEL, plan, 3)
         path = tmp_path / "ds.json"
         save_dataset(path, ds)
         back = load_dataset(path)
@@ -103,7 +105,7 @@ class TestRoundTrips:
         assert back.phasors.flags.writeable and back.phasors.flags.owndata
 
     def test_missing_entries_write_one_nan_pattern(self, tmp_path):
-        ds = analytic_dataset(oracle_fn(MultiplierCascade()), tiny_plan(), 3)
+        ds = analytic_dataset(CASCADE_KERNEL, tiny_plan(), 3)
         files = []
         for bad in (complex(np.nan, np.nan), complex(np.inf, 0.0),
                     -complex(np.nan, np.nan), complex(1.0, np.nan)):
@@ -116,7 +118,7 @@ class TestRoundTrips:
 
     def test_dataset_with_settle_time_loads(self, tmp_path):
         # files from the time-stepping probe recorded a 200 ns settle
-        ds = analytic_dataset(oracle_fn(MultiplierCascade()), tiny_plan(), 3)
+        ds = analytic_dataset(CASCADE_KERNEL, tiny_plan(), 3)
         ds.capture = CaptureInfo(sample_rate_hz=8.192e9, record_s=1e-6,
                                  settle_s=2e-7, samples_per_record=8192)
         save_dataset(tmp_path / "ds.json", ds)
@@ -124,7 +126,7 @@ class TestRoundTrips:
 
     def test_archive_round_trip_exact(self, tmp_path):
         plan = tiny_plan()
-        ds = analytic_dataset(oracle_fn(MultiplierCascade()), plan, 3)
+        ds = analytic_dataset(CASCADE_KERNEL, plan, 3)
         archive, _ = extract(ds, plan)
         path = tmp_path / "archive.json"
         save_archive(path, archive)
@@ -147,7 +149,7 @@ class TestRoundTrips:
 
     def test_dataset_missing_entries_become_nan(self, tmp_path):
         plan = tiny_plan()
-        ds = analytic_dataset(oracle_fn(MultiplierCascade()), plan, 3)
+        ds = analytic_dataset(CASCADE_KERNEL, plan, 3)
         path = tmp_path / "ds.json"
         save_blocks(path, ds)
         doc = read_json(path)
@@ -345,6 +347,7 @@ MALFORMED = {
     "plan with negative amplitude": ("plan", _set("V", 2, 0, value=-0.5)),
     "plan with mixing order zero": ("plan", _set("max_mixing_order",
                                                  value=0)),
+    "plan with empty axis": ("plan", _set("axes_hz", 1, value=[])),
     "plan fractional max_mixing_order": ("plan", _set("max_mixing_order",
                                                       value=3.7)),
     "archive n_points mismatch": ("archive", _grid_points_plus_one),
@@ -369,7 +372,7 @@ MALFORMED = {
 def tiny_files(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny")
     plan = tiny_plan()
-    ds = analytic_dataset(oracle_fn(MultiplierCascade()), plan, 3)
+    ds = analytic_dataset(CASCADE_KERNEL, plan, 3)
     save_plan(out / "plan.json", plan)
     save_dataset(out / "dataset.json", ds)
     save_blocks(out / "blocks.json", ds)
@@ -452,7 +455,7 @@ class TestMalformedFiles:
             load_dataset(tmp_path / "ds.json")
 
     def test_index_arity_checked_in_memory(self):
-        ds = analytic_dataset(oracle_fn(MultiplierCascade()), tiny_plan(), 3)
+        ds = analytic_dataset(CASCADE_KERNEL, tiny_plan(), 3)
         indices = ds.indices[:-1] + ((1, 0),)
         with pytest.raises(ValueError, match=r"index \[1, 0\] has 2 entries "
                                              r"for the plan's 3 tones"):
@@ -472,6 +475,19 @@ def synth_calls(monkeypatch):
     monkeypatch.setattr(volkit.cli, "synthesize_order", counted)
     monkeypatch.setattr(volkit.synthesis, "synthesize_order", counted)
     return calls
+
+
+@pytest.fixture(scope="module")
+def amp_chain(tmp_path_factory):
+    """plan, probe and extract of the amplifier at 3 points per axis."""
+    out = tmp_path_factory.mktemp("amp")
+    assert main(["plan", "--points-per-axis", "3", "--levels=-30,-20",
+                 "--amp-limit-v", "0.07", "--out", str(out)]) == 0
+    assert main(["probe", "--plan", str(out / "plan.json"),
+                 "--system", "amplifier", "--out", str(out)]) == 0
+    assert main(["extract", "--dataset", str(out / "dataset.json"),
+                 "--out", str(out)]) == 0
+    return out
 
 
 class TestCli:
@@ -535,25 +551,43 @@ class TestCli:
         assert (a / "plan.json").read_bytes() == (b / "plan.json").read_bytes()
         assert load_plan(a / "plan.json").max_amplitude_v == dbm_to_volts(-20)
 
+    def test_plan_names_an_empty_axis(self, tmp_path, capsys):
+        assert main(["plan", "--points-per-axis", "0",
+                     "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "error: axis 0 has no frequencies\n"
+        assert os.listdir(tmp_path) == []
+
     def test_seed_is_a_plan_option(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["extract", "--seed", "7", "--dataset", "x.json"])
         assert exc.value.code == 3
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
-    def test_default_validate_passes_on_amplifier(self, tmp_path):
+    def test_default_validate_passes_on_amplifier(self, amp_chain, tmp_path):
         # the default pulse peaks at the amplifier's saturation limit
-        out = str(tmp_path)
-        assert main(["plan", "--points-per-axis", "3", "--levels=-30,-20",
-                     "--amp-limit-v", "0.07", "--out", out]) == 0
-        assert main(["probe", "--plan", f"{out}/plan.json",
-                     "--system", "amplifier", "--out", out]) == 0
-        assert main(["extract", "--dataset", f"{out}/dataset.json",
-                     "--out", out]) == 0
-        assert main(["validate", "--archive", f"{out}/archive.json",
-                     "--system", "amplifier", "--out", out]) == 0
+        assert main(["validate", "--archive", str(amp_chain / "archive.json"),
+                     "--system", "amplifier", "--out", str(tmp_path)]) == 0
         report = read_json(tmp_path / "validation_report.json")
         assert report["time_domain"]["total_nrmse"] <= 0.10
+        assert report["checks"]["zero_kernel_leakage"]["ok"]
+        archive = load_archive(amp_chain / "archive.json")
+        assert {n: v["n_checked"]
+                for n, v in report["kernel_error_table"].items()} == {
+            str(n): grid.n_points for n, grid in archive.grids.items()}
+
+    def test_validate_fails_on_even_order_leakage(self, amp_chain, tmp_path):
+        archive = load_archive(amp_chain / "archive.json")
+        odd_peak = max(abs(v) for n in (1, 3)
+                       for _, v in archive.grid(n).items())
+        h2 = archive.grid(2)
+        h2.sums[0] = 1e-2 * odd_peak * h2.counts[0]
+        save_archive(tmp_path / "archive.json", archive)
+        assert main(["validate", "--archive", str(tmp_path / "archive.json"),
+                     "--system", "amplifier", "--out", str(tmp_path)]) == 2
+        check = read_json(tmp_path / "validation_report.json")["checks"][
+            "zero_kernel_leakage"]
+        assert not check["ok"]
+        assert check["value"] == pytest.approx(1e-2)
 
     def test_probe_rejects_colliding_plan(self, tmp_path):
         plan = SweepPlan(
@@ -579,7 +613,7 @@ class TestCli:
     def test_extract_on_truncated_dataset_reports_missing(self, tmp_path):
         out = str(tmp_path)
         plan = tiny_plan()
-        ds = analytic_dataset(oracle_fn(MultiplierCascade()), plan, 3)
+        ds = analytic_dataset(CASCADE_KERNEL, plan, 3)
         save_blocks(tmp_path / "ds.json", ds)
         doc = read_json(tmp_path / "ds.json")
         doc["lsop_blocks"][0]["B"].pop("[0,1,-2]")
@@ -848,7 +882,7 @@ def _mutate(data, doc):
 @pytest.fixture(scope="module")
 def mutation_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("mutate")
-    ds = analytic_dataset(oracle_fn(MultiplierCascade()), tiny_plan(), 3)
+    ds = analytic_dataset(CASCADE_KERNEL, tiny_plan(), 3)
     save_dataset(out / "dataset.json", ds)
     save_blocks(out / "blocks.json", ds)
     return out

@@ -105,9 +105,10 @@ class TestStandardPlan:
         (((2e6,),), 3, ((np.inf,),), r"amplitudes \[inf\]"),
         (((2e6,),), 3, ((-0.5,),), r"amplitudes \[-0.5\]"),
         (((2e6,),), 0, ((1.0,),), "max_mixing_order must be >= 1, not 0"),
+        (((2e6,), ()), 3, ((1.0, 1.0),), "axis 1 has no frequencies"),
     ], ids=["nan tone", "infinite tone", "zero tone", "negative tone",
             "nan amplitude", "infinite amplitude", "negative amplitude",
-            "order zero"])
+            "order zero", "empty axis"])
     def test_impossible_plan_rejected(self, axes, order, schedule, message):
         with pytest.raises(ValueError, match=message):
             SweepPlan(axes_hz=axes, df_hz=1e6, max_mixing_order=order,

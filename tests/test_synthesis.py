@@ -45,9 +45,9 @@ def oracle_archive(sys=None, period=PERIOD, n_side=64, orders=(1, 2, 3)):
     grids = {}
     for n in orders:
         grids[n] = KernelGrid(order=n, lattice_units=units, df_hz=df)
-        grids[n].insert(np.array(points[n]),
-                        [kernel_oracle(sys, args, n) for args in points[n]])
-    return KernelArchive(grids=grids, metadata={"system_id": sys.system_id})
+        args = np.array(points[n])
+        grids[n].insert(args, kernel_oracle(sys, args, n))
+    return KernelArchive(grids=grids)
 
 
 @pytest.fixture(scope="module")

@@ -1,15 +1,16 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from volkit.kernels import canonical_rows
 from volkit.systems import (
     LinearBlock,
     MultiplierCascade,
     SaturatingAmplifier,
     kernel_oracle,
     lowpass_ladder,
-    oracle_fn,
 )
 
 
@@ -80,9 +81,82 @@ class TestKernelOracle:
         with pytest.raises(TypeError):
             kernel_oracle(object(), (1e8,), 1)
 
-    def test_oracle_fn_binds(self):
-        fn = oracle_fn(self.sys)
-        assert fn((5e7,), 1) == kernel_oracle(self.sys, (5e7,), 1)
+
+def closed_form_reference(system, args, order) -> complex:
+    """The closed-form kernel at one argument tuple, in Python complex
+    arithmetic, one block transfer per argument."""
+    canon, conj, _ = canonical_rows(np.array([args], dtype=float))
+    w = 2.0 * np.pi * canon[0]
+    if isinstance(system, MultiplierCascade):
+        if order > 3:
+            return 0j
+        hs = [[complex(blk.transfer(x)) for x in w]
+              for blk in system.blocks[:order]]
+        val = 0j
+        for perm in itertools.permutations(range(order)):
+            term = 1 + 0j
+            for blk_i, arg_i in enumerate(perm):
+                term *= hs[blk_i][arg_i]
+            val += term
+    else:
+        if order % 2 == 0:
+            return 0j
+        l1 = 1 + 0j
+        for x in w:
+            l1 *= complex(system.in_block.transfer(x))
+        l2 = complex(system.out_block.transfer(w.sum()))
+        val = (math.factorial(order) * system.series_coefficient(order)
+               * l1 * l2)
+    return val.conjugate() if conj[0] else val
+
+
+def signed_rows(order, n=60):
+    """Signed argument rows on a 5 MHz comb, with repeated frequencies and
+    diagonal rows among them."""
+    rng = np.random.default_rng(order)
+    rows = rng.integers(1, 40, size=(n, order)) * 5e6
+    rows[: n // 4] = rows[: n // 4, :1]
+    return rows * rng.choice([-1.0, 1.0], size=(n, order))
+
+
+@pytest.mark.parametrize("system",
+                         [MultiplierCascade(), SaturatingAmplifier()],
+                         ids=["cascade", "amplifier"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+class TestArrayOracle:
+    def test_rows_give_one_value_each(self, system, order):
+        rows = signed_rows(order)
+        vals = kernel_oracle(system, rows, order)
+        assert vals.dtype == complex and vals.shape == (len(rows),)
+        assert type(kernel_oracle(system, tuple(rows[0]), order)) is complex
+
+    def test_rows_equal_the_per_point_closed_form(self, system, order):
+        rows = signed_rows(order)
+        ref = [closed_form_reference(system, r, order) for r in rows]
+        assert np.array_equal(kernel_oracle(system, rows, order), ref)
+
+    def test_each_row_equals_its_tuple_call(self, system, order):
+        rows = signed_rows(order)
+        vals = kernel_oracle(system, rows, order)
+        one = np.array([kernel_oracle(system, tuple(r), order) for r in rows])
+        assert one.tobytes() == vals.tobytes()
+
+    def test_permuted_and_negated_rows_exact(self, system, order):
+        rows = signed_rows(order)
+        vals = kernel_oracle(system, rows, order)
+        perm = np.random.default_rng(5).permuted(rows, axis=1)
+        assert kernel_oracle(system, perm, order).tobytes() == vals.tobytes()
+        # equal as numbers: a self-conjugate row's real value keeps the
+        # sign of its zero imaginary part
+        assert np.array_equal(kernel_oracle(system, -rows, order),
+                              vals.conj())
+
+    def test_row_arity_and_system_checked(self, system, order):
+        rows = signed_rows(order)
+        with pytest.raises(ValueError):
+            kernel_oracle(system, rows, order + 1)
+        with pytest.raises(TypeError):
+            kernel_oracle(object(), rows, order)
 
 
 class TestSaturatingAmplifier:
