@@ -6,17 +6,14 @@ squares, store kernels canonically, and synthesize time-domain responses to
 arbitrary periodic inputs.
 """
 
-from volkit.extraction import (
-    analytic_dataset,
-    extract,
-    unknowns_at_index,
-)
+from volkit.extraction import analytic_dataset, extract
 from volkit.kernels import KernelArchive, KernelGrid
 from volkit.mixing import (
     MixTerm,
     enumerate_kernels_for_order,
     enumerate_output_indices,
     term_multiplicity,
+    unknowns_at_index,
 )
 from volkit.probing import (
     SpectralDataset,
@@ -26,7 +23,6 @@ from volkit.probing import (
 )
 from volkit.sweeps import (
     SweepPlan,
-    ToneSet,
     amplitude_schedule,
     dbm_to_volts,
     standard_sweep_plan,
@@ -58,7 +54,6 @@ __all__ = [
     "SaturatingAmplifier",
     "SpectralDataset",
     "SweepPlan",
-    "ToneSet",
     "TrapezoidPulse",
     "Waveform",
     "amplitude_schedule",

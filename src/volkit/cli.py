@@ -410,13 +410,13 @@ def cmd_validate(args) -> int:
             "value": leakage, "limit": 1e-3, "ok": leakage <= 1e-3},
     }
     if system_name in ("benchmark", "benchmark-linear"):
-        h1 = kernel_table.get(1, {})
+        h1 = kernel_table.get(1, {}).get("max_rel_err")
         checks["h1_vs_oracle"] = {
-            "value": h1.get("max_rel_err"), "limit": 0.02,
-            "ok": (h1.get("max_rel_err") or 1.0) <= 0.02}
-        worst_high = max(
-            (kernel_table[n]["max_rel_err"] or 1.0)
-            for n in archive.grids if n > 1) if len(archive.grids) > 1 else 0.0
+            "value": h1, "limit": 0.02, "ok": h1 is not None and h1 <= 0.02}
+        # an order whose oracle is 0 everywhere is judged by the leakage
+        worst_high = max((v["max_rel_err"] for n, v in kernel_table.items()
+                          if n > 1 and v["max_rel_err"] is not None),
+                         default=0.0)
         checks["h2_h3_vs_oracle"] = {
             "value": worst_high, "limit": 0.05, "ok": worst_high <= 0.05}
 

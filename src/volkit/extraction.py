@@ -23,7 +23,7 @@ from volkit.mixing import (
     MixTerm,
     enumerate_output_indices,
     input_coefficient,
-    terms_up_to_order,
+    unknowns_at_index,
 )
 from volkit.probing import SpectralDataset
 from volkit.sweeps import SweepPlan
@@ -33,11 +33,6 @@ RESIDUAL_TOL = 1e-8   # relative residual above which a solve is flagged
 
 class ExtractionError(RuntimeError):
     """Too few kernel points could be resolved."""
-
-
-def unknowns_at_index(k: FrequencyIndex, truncation: int) -> list[MixTerm]:
-    """Kernel terms feeding index ``k`` up to the truncation order."""
-    return terms_up_to_order(tuple(k), truncation)
 
 
 def _coefficients(terms: list[MixTerm], schedule) -> np.ndarray:

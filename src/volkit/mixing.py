@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 FrequencyIndex = tuple[int, ...]
@@ -39,18 +40,18 @@ def enumerate_output_indices(
 
     One representative per +/- pair, ordered by (total mixing order,
     lexicographic) so serialized index lists are stable.  ``include_dc``
-    prepends the all-zero vector, which even-order kernels feed.
+    prepends the all-zero vector, which even-order kernels feed.  Built
+    order by order from the signed splits of each total, so the work
+    grows with the output, not with the (2*max_order+1)**m_tones cube.
     """
     if m_tones < 1 or max_order < 1:
         raise ValueError("need m_tones >= 1 and max_order >= 1")
-    out: list[FrequencyIndex] = []
-    for k in itertools.product(range(-max_order, max_order + 1), repeat=m_tones):
-        tot = sum(abs(v) for v in k)
-        if 1 <= tot <= max_order and is_canonical(k):
-            out.append(k)
-    out.sort(key=lambda k: (sum(abs(v) for v in k), k))
-    if include_dc:
-        out.insert(0, (0,) * m_tones)
+    out: list[FrequencyIndex] = [(0,) * m_tones] if include_dc else []
+    for total in range(1, max_order + 1):
+        out.extend(sorted(
+            k for split in _compositions(total, m_tones)
+            for k in itertools.product(*((v, -v) if v else (0,) for v in split))
+            if is_canonical(k)))
     return out
 
 
@@ -118,22 +119,19 @@ def terms_at_index(k: FrequencyIndex, order: int) -> list[MixTerm]:
     residual = order - sum(abs(v) for v in k)
     if residual < 0 or residual % 2:
         return []
-    pairs = residual // 2
-    m = len(k)
-    terms = []
-    for r in _compositions(pairs, m):
-        terms.append(MixTerm(k=tuple(k), r=r))
-    terms.sort(key=lambda t: t.r)
-    return terms
+    return [MixTerm(k=tuple(k), r=r)
+            for r in sorted(_compositions(residual // 2, len(k)))]
 
 
-def terms_up_to_order(k: FrequencyIndex, max_order: int) -> list[MixTerm]:
-    """All MixTerms with order <= max_order at index ``k``, by (order, r)."""
-    out: list[MixTerm] = []
+def unknowns_at_index(k: Sequence[int], truncation: int) -> list[MixTerm]:
+    """Kernel terms feeding index ``k`` up to the truncation order, by
+    (order, r)."""
+    k = tuple(k)
     lo = sum(abs(v) for v in k)
     if lo == 0:
         lo = 2  # DC starts at the first even order; there is no order-0 term
-    for n in range(lo, max_order + 1):
+    out: list[MixTerm] = []
+    for n in range(lo, truncation + 1):
         out.extend(terms_at_index(k, n))
     return out
 
@@ -158,10 +156,5 @@ def enumerate_kernels_for_order(
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     """All tuples of ``parts`` nonnegative ints summing to ``total``."""
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
+    return [tuple(picks.count(p) for p in range(parts)) for picks in
+            itertools.combinations_with_replacement(range(parts), total)]

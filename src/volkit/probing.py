@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from volkit.mixing import FrequencyIndex, enumerate_output_indices
-from volkit.sweeps import SweepPlan, ToneSet, validate_plan
+from volkit.sweeps import SweepPlan, validate_plan
 
 NYQUIST_HEADROOM = 0.4        # default record: top product at 0.4 of Nyquist
 BLOWUP_FACTOR = 1e6           # state limit over (1 + peak input magnitude)
@@ -123,10 +123,6 @@ class SpectralDataset:
 def _drive_stage_values(drive, dt: float, n_steps: int) -> np.ndarray:
     """Input samples at the 2*n_steps+1 half-step stage times."""
     t = 0.5 * dt * np.arange(2 * n_steps + 1)
-    if isinstance(drive, ToneSet):
-        f = np.asarray(drive.freqs_hz)
-        v = np.asarray(drive.amps_v)
-        return (v[:, None] * np.cos(2.0 * np.pi * f[:, None] * t)).sum(axis=0)
     if isinstance(drive, Waveform):
         if abs(drive.dt - dt) > 1e-15 * dt:
             raise ValueError("waveform drive must be sampled at the solver step")
@@ -144,10 +140,10 @@ def _drive_stage_values(drive, dt: float, n_steps: int) -> np.ndarray:
 def transient(sys, drive, duration: float, dt: float) -> Waveform:
     """Fixed-step RK4 simulation from rest; output sampled every dt.
 
-    ``drive`` may be a ToneSet, a Waveform on the same time step, or a
-    callable t -> u accepting arrays.  Every CHECK_INTERVAL steps and after
-    the last, a state magnitude that is not within BLOWUP_FACTOR * (1 + peak
-    input magnitude) raises TransientBlowupError.
+    ``drive`` may be a Waveform on the same time step or a callable t -> u
+    accepting arrays.  Every CHECK_INTERVAL steps and after the last, a
+    state magnitude that is not within BLOWUP_FACTOR * (1 + peak input
+    magnitude) raises TransientBlowupError.
     """
     n = int(round(duration / dt))
     u = _drive_stage_values(drive, dt, n)
@@ -217,17 +213,15 @@ def simulate_dataset(sys, plan: SweepPlan,
         raise PlanInvalidError(str(report))
     info = _capture_info(plan, samples_per_record)
 
-    trips = plan.triplets()
+    trip_units = plan.triplet_units()                 # (T, M), df units
     sched = plan.schedule
-    n_t, n_a = len(trips), len(sched)
+    n_t, n_a = len(trip_units), len(sched)
     indices = enumerate_output_indices(plan.m_tones, plan.max_mixing_order,
                                        include_dc=True)
     n_rec = info.samples_per_record
     dt = info.record_s / n_rec
 
     # signed mixing sums per triplet, in df units
-    trip_units = np.array(
-        [[int(round(f / plan.df_hz)) for f in t] for t in trips], dtype=np.int64)
     ks = np.array(indices, dtype=np.int64)            # (K, M)
     sums = trip_units @ ks.T                          # (T, K)
     if np.abs(sums).max() * plan.df_hz >= 0.5 * info.sample_rate_hz:

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from volkit.mixing import enumerate_output_indices
+
 Triplet = tuple[float, ...]
 
 # Default sweep geometry: staggered starts so the per-axis 120 MHz combs
@@ -22,6 +24,7 @@ DEFAULT_STEP_HZ = 120e6
 DEFAULT_DF_HZ = 1e6
 DEFAULT_POINTS_PER_AXIS = 18
 Z0_OHM = 50.0  # reference impedance of the dBm power levels
+CUBE_LIMIT = 10**6  # most index vectors a "cube" plan check enumerates
 
 
 def dbm_to_volts(p_dbm: float) -> float:
@@ -55,32 +58,6 @@ def amplitude_schedule(
         for _ in range(n_extra):
             rows.append(tuple(volts[0] * rng.uniform(0.6, 0.95, size=m_tones)))
     return rows
-
-
-@dataclass(frozen=True)
-class ToneSet:
-    """One large-signal operating point: tone frequencies plus real amplitudes.
-
-    Phases are fixed to zero; time invariance lets any phase reference be
-    rotated away before extraction.
-    """
-
-    freqs_hz: tuple[float, ...]
-    amps_v: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.freqs_hz) != len(self.amps_v):
-            raise ValueError("freqs and amps must have equal length")
-        if any(f <= 0 for f in self.freqs_hz):
-            raise ValueError("tone frequencies must be positive")
-        if len(set(self.freqs_hz)) != len(self.freqs_hz):
-            raise ValueError("tone frequencies must be pairwise distinct")
-        if any(v < 0 for v in self.amps_v):
-            raise ValueError("amplitudes must be nonnegative")
-
-    @property
-    def m_tones(self) -> int:
-        return len(self.freqs_hz)
 
 
 @dataclass(frozen=True)
@@ -137,18 +114,16 @@ class SweepPlan:
     def m_tones(self) -> int:
         return len(self.axes_hz)
 
-    @property
-    def axis_units(self) -> tuple[tuple[int, ...], ...]:
-        """Axis grids as exact integer multiples of df."""
-        return tuple(
-            tuple(int(round(f / self.df_hz)) for f in ax) for ax in self.axes_hz
-        )
-
     def triplets(self) -> list[Triplet]:
         if self.coverage == "aligned":
             return [tuple(ax[i] for ax in self.axes_hz)
                     for i in range(len(self.axes_hz[0]))]
         return [tuple(t) for t in itertools.product(*self.axes_hz)]
+
+    def triplet_units(self) -> np.ndarray:
+        """(n_triplets, m_tones) int64 tone frequencies as exact multiples
+        of df, in ``triplets()`` order."""
+        return np.rint(np.array(self.triplets()) / self.df_hz).astype(np.int64)
 
     @property
     def n_triplets(self) -> int:
@@ -190,54 +165,47 @@ class PlanReport:
         return "\n".join(lines)
 
 
-def _index_domain(m: int, m0: int, domain: str) -> np.ndarray:
-    cube = np.array(list(itertools.product(range(-m0, m0 + 1), repeat=m)),
-                    dtype=np.int64)
-    if domain == "cube":
-        return cube
-    if domain == "ball":
-        return cube[np.abs(cube).sum(axis=1) <= m0]
-    raise ValueError("domain must be 'cube' or 'ball'")
-
-
 def validate_plan(plan: SweepPlan, domain: str = "cube") -> PlanReport:
     """Check that mixing sums identify their index vector, per triplet.
 
     Two different index vectors must never produce the same output
     frequency (a vector and its negation are conjugate twins and are by
     construction the only sign-related coincidence).  "cube" checks every
-    component in {-M0..M0}; "ball" restricts to total mixing order <= M0,
-    which is exactly the set of products an order-limited capture records.
+    component in {-M0..M0} and refuses a cube of more than CUBE_LIMIT
+    vectors; "ball" restricts to total mixing order <= M0, which is exactly
+    the set of products an order-limited capture records.
     """
-    ks = _index_domain(plan.m_tones, plan.max_mixing_order, domain)
-    axes_units = plan.axis_units
-    if plan.coverage == "aligned":
-        trips = np.array([[ax[i] for ax in axes_units]
-                          for i in range(len(axes_units[0]))], dtype=np.int64)
+    m, m0 = plan.m_tones, plan.max_mixing_order
+    if domain == "cube":
+        size = (2 * m0 + 1) ** m
+        if size > CUBE_LIMIT:
+            raise ValueError(
+                f"the {m}-tone order-{m0} index cube holds {size} vectors, "
+                f"more than the {CUBE_LIMIT} a cube check allows")
+        ks = np.array(list(itertools.product(range(-m0, m0 + 1), repeat=m)),
+                      dtype=np.int64)
+    elif domain == "ball":
+        half = np.array(enumerate_output_indices(m, m0, include_dc=True),
+                        dtype=np.int64)
+        ks = np.unique(np.concatenate([half, -half]), axis=0)
     else:
-        trips = np.array(list(itertools.product(*axes_units)), dtype=np.int64)
-    sums = trips @ ks.T  # (n_triplets, n_indices)
+        raise ValueError("domain must be 'cube' or 'ball'")
+    sums = plan.triplet_units() @ ks.T  # (n_triplets, n_indices)
+    sorted_sums = np.sort(sums, axis=1)
+    dup = (sorted_sums[:, 1:] == sorted_sums[:, :-1]).any(axis=1)
     collisions = []
-    order = np.argsort(sums, axis=1, kind="stable")
-    sorted_sums = np.take_along_axis(sums, order, axis=1)
-    dup = sorted_sums[:, 1:] == sorted_sums[:, :-1]
-    for t in np.nonzero(dup.any(axis=1))[0]:
-        # expand runs of equal sums into all pairwise index collisions
-        run_start = 0
-        row = sorted_sums[t]
-        for c in range(1, len(row) + 1):
-            if c == len(row) or row[c] != row[run_start]:
-                if c - run_start > 1:
-                    group = [tuple(int(v) for v in ks[order[t, j]])
-                             for j in range(run_start, c)]
-                    for a in range(len(group)):
-                        for b in range(a + 1, len(group)):
-                            collisions.append((int(t), group[a], group[b]))
-                run_start = c
+    for t in np.nonzero(dup)[0]:
+        # every pair of indices with equal sums collides, in index order
+        _, run, counts = np.unique(sums[t], return_inverse=True,
+                                   return_counts=True)
+        for r in np.nonzero(counts > 1)[0]:
+            group = [tuple(int(v) for v in k) for k in ks[run == r]]
+            collisions.extend((int(t), a, b)
+                              for a, b in itertools.combinations(group, 2))
     return PlanReport(
         ok=not collisions,
         domain=domain,
-        n_triplets_checked=len(trips),
+        n_triplets_checked=len(sums),
         collisions=collisions,
     )
 

@@ -9,9 +9,9 @@ from volkit.extraction import (
     _lstsq_scaled,
     analytic_dataset,
     extract,
-    unknowns_at_index,
 )
-from volkit.probing import SpectralDataset
+from volkit.mixing import unknowns_at_index
+from volkit.probing import SpectralDataset, simulate_dataset
 from volkit.sweeps import SweepPlan, amplitude_schedule, validate_plan
 from volkit.systems import MultiplierCascade, kernel_oracle
 
@@ -164,3 +164,19 @@ class TestExtract:
             plan_id=plan.plan_id)
         with pytest.raises(ValueError, match="plan differs"):
             extract(ds, shifted)
+
+    def test_eight_tone_probe_recovers_every_kernel(self):
+        # index sets are built per order, so many tones cost what they output
+        tones_hz = (13e6, 14e6, 17e6, 63e6, 132e6, 256e6, 441e6, 797e6)
+        plan = SweepPlan(
+            axes_hz=tuple((f,) for f in tones_hz), df_hz=1e6,
+            max_mixing_order=3,
+            schedule=tuple(amplitude_schedule((-10, -4), m_tones=8)))
+        assert validate_plan(plan, domain="ball").ok
+        sys = MultiplierCascade()
+        archive, report = extract(simulate_dataset(sys, plan))
+        assert report.failures == []
+        for order, grid in archive.grids.items():
+            vals = np.array([v for _, v in grid.items()])
+            truth = kernel_oracle(sys, grid.coords * grid.df_hz, order)
+            assert np.abs(vals - truth).max() <= 1e-9 * np.abs(truth).min()

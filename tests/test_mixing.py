@@ -15,7 +15,7 @@ from volkit.mixing import (
     is_canonical,
     term_multiplicity,
     terms_at_index,
-    terms_up_to_order,
+    unknowns_at_index,
 )
 
 
@@ -53,9 +53,12 @@ class TestEnumerateOutputIndices:
         assert set(got) == {(1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (1, -1)}
         assert len(got) == 6
 
-    @pytest.mark.parametrize("m,m0", [(1, 3), (2, 3), (3, 3), (3, 2), (4, 2)])
+    @pytest.mark.parametrize("m,m0", [(1, 3), (2, 3), (3, 3), (3, 2), (4, 2),
+                                      (5, 3), (6, 3), (4, 4)])
     def test_matches_brute_force(self, m, m0):
-        assert set(enumerate_output_indices(m, m0)) == brute_force_indices(m, m0)
+        expected = sorted(brute_force_indices(m, m0),
+                          key=lambda k: (sum(abs(v) for v in k), k))
+        assert enumerate_output_indices(m, m0) == expected
 
     def test_sorted_by_total_order_then_lex(self):
         idx = enumerate_output_indices(3, 3)
@@ -211,24 +214,24 @@ class TestInputCoefficient:
 
 class TestTermsUpToOrder:
     def test_fundamental_unknowns_truncation_3(self):
-        terms = terms_up_to_order((0, 0, 1), 3)
+        terms = unknowns_at_index((0, 0, 1), 3)
         assert [t.argument_tones() for t in terms] == [
             (3,), (3, 3, -3), (2, -2, 3), (1, -1, 3)]
 
     def test_pure_cube_has_single_term(self):
-        terms = terms_up_to_order((0, 0, 3), 3)
+        terms = unknowns_at_index((0, 0, 3), 3)
         assert len(terms) == 1
         assert terms[0].argument_tones() == (3, 3, 3)
 
     def test_truncation_5_adds_fifth_order(self):
-        terms = terms_up_to_order((0, 0, 1), 5)
+        terms = unknowns_at_index((0, 0, 1), 5)
         assert len(terms) == 10
         assert (0, 0, 2) in {t.r for t in terms if t.order == 5}
         diag5 = MixTerm(k=(0, 0, 1), r=(0, 0, 2))
         assert diag5.argument_tones() == (3, 3, 3, -3, -3)
 
     def test_dc_has_no_order_zero_term(self):
-        terms = terms_up_to_order((0, 0, 0), 3)
+        terms = unknowns_at_index((0, 0, 0), 3)
         assert all(t.order == 2 for t in terms)
         assert len(terms) == 3
 

@@ -13,13 +13,21 @@ from volkit.probing import (
     simulate_dataset,
     transient,
 )
-from volkit.sweeps import SweepPlan, ToneSet, standard_sweep_plan, validate_plan
+from volkit.sweeps import SweepPlan, standard_sweep_plan, validate_plan
 from volkit.systems import (
     MultiplierCascade,
     SaturatingAmplifier,
     kernel_oracle,
     lowpass_ladder,
 )
+
+
+def tone_drive(freqs_hz, amps_v):
+    """Drive callable: a sum of cosines with peak amplitudes ``amps_v``."""
+    f = np.asarray(freqs_hz)
+    v = np.asarray(amps_v)
+    return lambda t: (v[:, None] * np.cos(2.0 * np.pi * f[:, None] * t)
+                      ).sum(axis=0)
 
 
 def small_plan(schedule=((0.05, 0.04, 0.03),), coverage="cross"):
@@ -120,7 +128,7 @@ class TestTransient:
     def test_single_tone_fundamental_matches_transfer(self):
         sys = MultiplierCascade()
         f0, df, amp = 500e6, 4e6, 0.02
-        tones = ToneSet(freqs_hz=(f0,), amps_v=(amp,))
+        tones = tone_drive((f0,), (amp,))
         record = 1.0 / df
         dt = record / 2048
         wave = transient(sys, tones, 300e-9 + record, dt)
@@ -131,7 +139,7 @@ class TestTransient:
 
     def test_step_halving_shows_fourth_order_convergence(self):
         sys = MultiplierCascade()
-        tones = ToneSet(freqs_hz=(400e6,), amps_v=(0.5,))
+        tones = tone_drive((400e6,), (0.5,))
         dur = 40e-9
         y = {}
         for div in (1, 2, 4):
@@ -155,7 +163,7 @@ class TestTransient:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_is_a_blowup(self):
         plan = small_plan()
-        tones = ToneSet(freqs_hz=plan.triplets()[0], amps_v=plan.schedule[0])
+        tones = tone_drive(plan.triplets()[0], plan.schedule[0])
         with pytest.raises(TransientBlowupError, match="nan"):
             transient(Oscillator(), tones, 450e-9, 1.0 / plan.df_hz / 512)
 
@@ -236,7 +244,7 @@ class TestBruteForceKernelConstants:
         f0, df, amp = 100e6, 4e6, 0.01
         record = 1.0 / df
         dt = record / 1024
-        wave = transient(sys, ToneSet(freqs_hz=(f0,), amps_v=(amp,)),
+        wave = transient(sys, tone_drive((f0,), (amp,)),
                          250e-9 + record, dt)
         got = capture_phasors(wave, (f0,), df, 2, settle_s=250e-9,
                               record_s=record)[(2,)]
@@ -251,7 +259,7 @@ class TestBruteForceKernelConstants:
         trip = plan.triplets()[0]
         record = 1.0 / plan.df_hz
         dt = record / 1024
-        tones = ToneSet(freqs_hz=trip, amps_v=plan.schedule[0])
+        tones = tone_drive(trip, plan.schedule[0])
         wave = transient(sys, tones, 250e-9 + record, dt)
         got = capture_phasors(wave, trip, plan.df_hz, 3, settle_s=250e-9,
                               record_s=record)
@@ -366,7 +374,7 @@ class TestSteadyState:
         trip = plan.triplets()[0]
         ref = np.empty_like(ds.phasors)
         for a, amps in enumerate(plan.schedule):
-            wave = transient(system, ToneSet(freqs_hz=trip, amps_v=amps),
+            wave = transient(system, tone_drive(trip, amps),
                              self.SETTLE_S + record, dt)
             got = capture_phasors(wave, trip, plan.df_hz, 3,
                                   settle_s=self.SETTLE_S, record_s=record)

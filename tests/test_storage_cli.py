@@ -504,6 +504,12 @@ class TestCli:
         assert doc["n_frequencies"] == 1
         assert doc["frequencies"] == [[1]]
 
+    def test_enumerate_forty_tones(self, tmp_path):
+        assert main(["enumerate", "--tones", "40", "--max-order", "1",
+                     "--out", str(tmp_path)]) == 0
+        doc = read_json(tmp_path / "enumeration_40_1.json")
+        assert doc["n_frequencies"] == 40
+
     def test_enumerate_rejects_bad_args(self, tmp_path):
         assert main(["enumerate", "--tones", "0", "--out", str(tmp_path)]) == 3
 
@@ -574,6 +580,20 @@ class TestCli:
         assert {n: v["n_checked"]
                 for n, v in report["kernel_error_table"].items()} == {
             str(n): grid.n_points for n, grid in archive.grids.items()}
+
+    def test_validate_passes_on_linear_system(self, tmp_path):
+        # its orders 2 and 3 are exactly zero: judged by the leakage check
+        out = str(tmp_path)
+        assert main(["plan", "--points-per-axis", "3", "--out", out]) == 0
+        assert main(["probe", "--plan", f"{out}/plan.json",
+                     "--system", "benchmark-linear", "--out", out]) == 0
+        assert main(["extract", "--dataset", f"{out}/dataset.json",
+                     "--out", out]) == 0
+        assert main(["validate", "--archive", f"{out}/archive.json",
+                     "--system", "benchmark-linear", "--out", out]) == 0
+        checks = read_json(tmp_path / "validation_report.json")["checks"]
+        assert checks["h2_h3_vs_oracle"]["value"] == 0.0
+        assert checks["zero_kernel_leakage"]["value"] <= 1e-12
 
     def test_validate_fails_on_even_order_leakage(self, amp_chain, tmp_path):
         archive = load_archive(amp_chain / "archive.json")

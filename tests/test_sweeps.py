@@ -4,7 +4,6 @@ import pytest
 from volkit.sweeps import (
     PlanReport,
     SweepPlan,
-    ToneSet,
     amplitude_schedule,
     dbm_to_volts,
     standard_sweep_plan,
@@ -44,18 +43,6 @@ class TestAmplitudeSchedule:
     def test_empty_levels_rejected(self):
         with pytest.raises(ValueError):
             amplitude_schedule(())
-
-
-class TestToneSet:
-    def test_rejects_duplicate_or_nonpositive_frequencies(self):
-        with pytest.raises(ValueError):
-            ToneSet(freqs_hz=(1e6, 1e6), amps_v=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            ToneSet(freqs_hz=(0.0, 1e6), amps_v=(1.0, 1.0))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ToneSet(freqs_hz=(1e6,), amps_v=(1.0, 2.0))
 
 
 class TestStandardPlan:
@@ -121,6 +108,20 @@ class TestValidatePlan:
                                domain="cube")
         assert report.ok
         assert report.n_triplets_checked == 18
+
+    def test_oversized_cube_refused_up_front(self):
+        plan = SweepPlan(
+            axes_hz=tuple((f * 1e6,) for f in range(10, 22)), df_hz=1e6,
+            max_mixing_order=3, schedule=((1.0,) * 12,), coverage="aligned")
+        with pytest.raises(ValueError, match="holds 13841287201 vectors"):
+            validate_plan(plan, domain="cube")
+
+    def test_triplet_units_follow_triplets(self):
+        plan = standard_sweep_plan(points_per_axis=2)
+        units = plan.triplet_units()
+        assert units.dtype == np.int64
+        assert units.tolist() == [[round(f / 1e6) for f in t]
+                                  for t in plan.triplets()]
 
     def test_cross_plan_passes_recorded_product_domain(self):
         report = validate_plan(standard_sweep_plan(points_per_axis=6),
