@@ -129,6 +129,11 @@ def extract(dataset: SpectralDataset, plan: SweepPlan | None = None,
     trips = np.array(plan.triplets(), dtype=float)
     report = ExtractionReport(n_indices=len(dataset.indices),
                               n_triplets=len(trips))
+    # An index whose true phasor is zero holds only rounding noise, which
+    # no model fits, so residuals are measured against at least 1e-5 of the
+    # largest phasor: rounding (about 1e-15 of it) then stays in tolerance.
+    finite = dataset.phasors[np.isfinite(dataset.phasors)]
+    rhs_floor = max(1e-5 * np.abs(finite).max(initial=0.0), 1e-300)
     # per order: argument arrays and values in solve order, inserted at once
     samples = {n: ([], []) for n in grids}
 
@@ -154,7 +159,7 @@ def extract(dataset: SpectralDataset, plan: SweepPlan | None = None,
             report.failures.extend((int(t), k, reason) for t in good_ids)
             continue
         resid = np.linalg.norm(b - a @ x, axis=0)
-        rhs_norm = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
+        rhs_norm = np.maximum(np.linalg.norm(b, axis=0), rhs_floor)
         bad = resid > RESIDUAL_TOL * rhs_norm
         if bad.any():
             report.warnings.append(

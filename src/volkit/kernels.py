@@ -11,11 +11,14 @@ sorted unique canonical integer coordinates (P, order), complex128 sums
 For synthesis the sparse canonical samples are frozen into a dense tensor
 over the signed sweep lattice.  Probing never co-sweeps some coordinate
 combinations (for example two different points of the same source comb),
-which leaves structured holes; freezing fills them by per-axis line
-interpolation, in magnitude and unwrapped phase, and records which entries
-are measured versus filled.  Off-lattice queries then interpolate
-multilinearly in (magnitude, unwrapped phase), hold the band-edge sample
-for half a lattice step, and return zero beyond that.
+which leaves structured holes.  Freezing fills them on the canonical wedge
+only, one entry per symmetry class, pass by pass: a hole takes the mean of
+the interpolants, linear in magnitude and in shortest-step phase, along
+every axis whose line brackets it, and goes to all its images, so the
+tensor is exactly symmetric.  Freezing records which entries are measured
+versus filled.  Off-lattice queries then interpolate multilinearly in
+(magnitude, unwrapped phase), hold the band-edge sample for half a lattice
+step, and return zero beyond that.
 """
 
 from __future__ import annotations
@@ -185,8 +188,119 @@ def canonical_rows(
     return out, pick_rev, undecided
 
 
+def _ascending_rows(nb: int, order: int) -> np.ndarray:
+    """Every ascending ``order``-row of indices below ``nb``, in lexical
+    order: the combinations with replacement of ``range(nb)``.  The array
+    is column-major, so the per-column arithmetic on it reads contiguous
+    memory."""
+    cols = np.arange(nb, dtype=np.intp)[None, :]
+    for _ in range(order - 1):
+        # the rows with a first index of at least a form a suffix
+        start = np.searchsorted(cols[0], np.arange(nb))
+        count = cols.shape[1] - start
+        shift = np.cumsum(count) - count - start
+        tail = np.arange(count.sum()) - np.repeat(shift, count)
+        cols = np.vstack([np.repeat(np.arange(nb), count),
+                          np.take(cols, tail, axis=1)])
+    return cols.T
+
+
+def _wedge_rows(size: int, order: int) -> np.ndarray:
+    """The canonical wedge of the (size,)*order index cube of a signed
+    lattice, one row per symmetry class: the descending rows that are not
+    lexically below their mirror ``size-1-row[::-1]``, the row of the
+    negated arguments.  These are the rows ``canonical_rows`` keeps."""
+    asc = _ascending_rows(size, order)
+    # the descending row is size-1-asc and its mirror asc[:, ::-1]; their
+    # difference is symmetric in j, so half the columns decide
+    below = np.zeros(len(asc), dtype=bool)
+    undecided = np.ones(len(asc), dtype=bool)
+    for j in range((order + 1) // 2):
+        d = (size - 1 - asc[:, j]) - asc[:, order - 1 - j]
+        below |= undecided & (d < 0)
+        undecided &= d == 0
+    return size - 1 - asc[~below]
+
+
+def _scatter_images(vals: np.ndarray, rows: np.ndarray,
+                    values: np.ndarray) -> None:
+    """Write ``values`` at the wedge ``rows`` of ``vals`` and at all their
+    images: the conjugates at every permutation of the mirrored rows, then
+    the values at every permutation of the rows.  A self-conjugate row is
+    its own mirror, and its value is written real, as symmetry demands."""
+    size, n = vals.shape[0], vals.ndim
+    perms = list(itertools.permutations(range(n)))
+    mirror = size - 1 - rows
+    self_conj = (mirror[:, ::-1] == rows).all(axis=1)
+    values = np.where(self_conj, values.real, values)
+    for image, value in ((mirror, np.conj(values)), (rows, values)):
+        vals[tuple(np.moveaxis(image[:, perms], -1, 0))] = value[:, None]
+
+
+def _fill_pass(vals: np.ndarray, wedge: np.ndarray, axis_hz: np.ndarray,
+               hold: bool) -> int:
+    """One pass of hole filling over the wedge; returns the holes filled.
+
+    Every hole of the wedge reads the pass-start tensor.  Each axis whose
+    line brackets the hole between its nearest known entries a and b gives
+    one lerp: linear in magnitude, and in phase by the shortest step from
+    a to b.  With ``hold``, an axis whose line holds at least two known
+    entries, all on one side of the hole, gives the nearest of them.  A
+    hole takes the mean of what its axes give, and it goes to all its
+    images, so the tensor stays exactly symmetric.
+    """
+    holes = wedge[np.isnan(vals[tuple(wedge.T)])]
+    if not len(holes):
+        return 0
+    size, n = len(axis_hz), vals.ndim
+    known = ~np.isnan(vals)
+    # nearest known position at or before each entry along axis 0, -1 if
+    # none.  The tensor is symmetric, so the line along axis j through a
+    # hole reads as the line along axis 0 through the hole with j moved to
+    # the front, and the nearest known position after a hole is the mirror
+    # of the one before the mirrored hole.
+    pos = np.arange(size, dtype=np.int32).reshape((size,) + (1,) * (n - 1))
+    prev = np.maximum.accumulate(np.where(known, pos, -1), axis=0)
+    if hold:
+        on_line = known.sum(axis=0)
+    total = np.zeros(len(holes), dtype=complex)
+    count = np.zeros(len(holes))
+    for j in range(n):
+        line = (holes[:, j],) + tuple(np.delete(holes, j, axis=1).T)
+        a = prev[line]
+        b = size - 1 - prev[tuple(size - 1 - i for i in line)]
+        inner = (a >= 0) & (b < size)
+        # outside the known span both neighbours are the nearest end
+        a = np.minimum(np.where(a >= 0, a, b), size - 1)
+        b = np.where(b < size, b, a)
+        va, vb = vals[(a,) + line[1:]], vals[(b,) + line[1:]]
+        x, xa = axis_hz[line[0]], axis_hz[a]
+        t = (x - xa) / np.where(inner, axis_hz[b] - xa, 1.0)
+        ma, mb = np.abs(va), np.abs(vb)
+        # the shortest phase step from a to b, angle(vb * conj(va)) up to
+        # rounding, in real arithmetic that a per-entry loop reproduces
+        pa = np.angle(va)
+        step = np.angle(vb) - pa
+        step -= 2 * np.pi * np.rint(step / (2 * np.pi))
+        got = (ma + t * (mb - ma)) * np.exp(1j * (pa + t * step))
+        use = inner
+        if hold:
+            got = np.where(inner, got, va)
+            use = inner | (on_line[line[1:]] >= 2)
+        np.add(total, got, out=total, where=use)
+        count += use
+    done = count > 0
+    # each component divided by the count, as Python's complex / int does
+    mean = total[done].view(float).reshape(-1, 2) / count[done, None]
+    _scatter_images(vals, holes[done], mean.view(complex).reshape(-1))
+    return int(done.sum())
+
+
 class FrozenKernelGrid:
-    """Dense symmetric tensor over the signed lattice, plus interpolation."""
+    """Dense symmetric tensor over the signed lattice, plus interpolation.
+
+    Every entry equals its permuted images and the conjugate of its mirror
+    image exactly; entries at self-conjugate arguments are real."""
 
     def __init__(self, order, df_hz, axis_hz, values, known_mask):
         self.order = order
@@ -211,14 +325,14 @@ class FrozenKernelGrid:
         n, size = grid.order, len(signed)
         axis_hz = signed.astype(float) * grid.df_hz
         vals = np.full((size,) * n, np.nan + 0j, dtype=complex)
-        idx, means = np.searchsorted(signed, grid.coords), grid._means()
-        perms = list(itertools.permutations(range(n)))
-        # conjugates to all sign-flip images, then means to all permutation
-        # images, so that a self-conjugate sample keeps its mean
-        for image, value in ((size - 1 - idx, np.conj(means)), (idx, means)):
-            vals[tuple(np.moveaxis(image[:, perms], -1, 0))] = value[:, None]
+        _scatter_images(vals, np.searchsorted(signed, grid.coords),
+                        grid._means())
         known = ~np.isnan(vals)
-        cls._fill_holes(vals, axis_hz, n)
+        wedge = _wedge_rows(size, n)
+        # interpolate while any hole is bracketed; hold flat only when none is
+        while (_fill_pass(vals, wedge, axis_hz, hold=False)
+               or _fill_pass(vals, wedge, axis_hz, hold=True)):
+            pass
         still = np.isnan(vals)
         if still.any():
             raise EmptyGridError(
@@ -226,56 +340,6 @@ class FrozenKernelGrid:
                 "remain (lattice coverage too sparse)")
         return cls(order=n, df_hz=grid.df_hz, axis_hz=axis_hz, values=vals,
                    known_mask=known)
-
-    @staticmethod
-    def _fill_holes(vals: np.ndarray, axis_hz: np.ndarray, n: int) -> None:
-        """Iterative per-axis line interpolation of missing entries.
-
-        Works in magnitude and per-line unwrapped phase so filled values
-        respect the same smoothness assumptions as off-lattice queries.
-        Only positions bracketed by known samples on their line are filled;
-        a band-edge hole waits for an axis that brackets it rather than
-        being flat-extrapolated while an interpolating axis exists.
-        Anything still missing after convergence (possible only for very
-        sparse coverage) falls back to extrapolating fills.
-        """
-        size = len(axis_hz)
-        pos = np.arange(size)
-        for extrapolate in (False, True):
-            for _ in range(2 * n + 1):
-                missing = np.isnan(vals).sum()
-                if not missing:
-                    break
-                for ax in range(n):
-                    lines = np.moveaxis(vals, ax, -1)  # a view of vals
-                    known = ~np.isnan(lines)
-                    # nearest known position at or before / at or after
-                    prev = np.maximum.accumulate(np.where(known, pos, -1), -1)
-                    nxt = np.minimum.accumulate(
-                        np.where(known, pos, size)[..., ::-1], -1)[..., ::-1]
-                    hole = ~known & (known.sum(-1, keepdims=True) >= 2)
-                    if not extrapolate:
-                        hole &= (prev >= 0) & (nxt < size)
-                    if not hole.any():
-                        continue
-                    # neighbours a and b; outside the known span both are the
-                    # nearest end, whose value the entry takes
-                    a = np.minimum(np.where(prev >= 0, prev, nxt), size - 1)
-                    b = np.where(nxt < size, nxt, a)
-                    # each known phase is carried over the gap after it (the
-                    # first also over the gap before it): a gap adds exactly
-                    # zero when unwrapping the known phases
-                    f = np.stack((np.abs(lines), np.unwrap(np.take_along_axis(
-                        np.angle(lines), a, -1), axis=-1)))
-                    fa, fb = (np.take_along_axis(f, i[None], -1) for i in (a, b))
-                    xa, inner = axis_hz[a], a != b
-                    span = np.where(inner, axis_hz[b] - xa, 1.0)
-                    # np.interp's arithmetic between the known neighbours
-                    mag, ph = np.where(
-                        inner, (fb - fa) / span * (axis_hz - xa) + fa, fa)
-                    lines[hole] = mag[hole] * np.exp(1j * ph[hole])
-                if np.isnan(vals).sum() == missing:
-                    break
 
     # -- queries ----------------------------------------------------------------
 

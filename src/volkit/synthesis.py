@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from volkit.kernels import KernelArchive
+from volkit.kernels import KernelArchive, _ascending_rows
 from volkit.probing import Waveform
 
 IMAG_RESIDUE_LIMIT = 1e-6  # largest imaginary residue of an order / its peak
@@ -226,23 +226,6 @@ def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
                      imag_residue=residue,
                      dropped_tuple_fraction=dropped_fraction)
     return Waveform(samples=y_cplx.real, dt=dt, t0=0.0), info
-
-
-def _ascending_rows(nb: int, order: int) -> np.ndarray:
-    """Every ascending ``order``-row of indices below ``nb``, in lexical
-    order: the combinations with replacement of ``range(nb)``.  The array
-    is column-major, so the per-column arithmetic on it reads contiguous
-    memory."""
-    cols = np.arange(nb, dtype=np.intp)[None, :]
-    for _ in range(order - 1):
-        # the rows with a first index of at least a form a suffix
-        start = np.searchsorted(cols[0], np.arange(nb))
-        count = cols.shape[1] - start
-        shift = np.cumsum(count) - count - start
-        tail = np.arange(count.sum()) - np.repeat(shift, count)
-        cols = np.vstack([np.repeat(np.arange(nb), count),
-                          np.take(cols, tail, axis=1)])
-    return cols.T
 
 
 def _cap_tuples(rows: np.ndarray, mag: np.ndarray, cap: int):

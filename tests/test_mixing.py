@@ -229,6 +229,7 @@ class TestTermsUpToOrder:
         assert (0, 0, 2) in {t.r for t in terms if t.order == 5}
         diag5 = MixTerm(k=(0, 0, 1), r=(0, 0, 2))
         assert diag5.argument_tones() == (3, 3, 3, -3, -3)
+        assert any(t.argument_tones() == (3, 3, 3, -3, -3) for t in terms)
 
     def test_dc_has_no_order_zero_term(self):
         terms = unknowns_at_index((0, 0, 0), 3)

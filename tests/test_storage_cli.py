@@ -34,7 +34,7 @@ from volkit.storage import (
 from volkit.sweeps import SweepPlan, dbm_to_volts, standard_sweep_plan
 from volkit.synthesis import synthesize_order
 from volkit.systems import MultiplierCascade, kernel_oracle
-from volkit.extraction import analytic_dataset, extract
+from volkit.extraction import RESIDUAL_TOL, analytic_dataset, extract
 
 GOLDEN = Path(__file__).parent / "golden" / "enumeration_3_3.json"
 CASCADE_KERNEL = partial(kernel_oracle, MultiplierCascade())
@@ -589,6 +589,10 @@ class TestCli:
                      "--system", "benchmark-linear", "--out", out]) == 0
         assert main(["extract", "--dataset", f"{out}/dataset.json",
                      "--out", out]) == 0
+        # the zero phasors of orders 2 and 3 hold only rounding noise
+        extraction = read_json(tmp_path / "extraction_report.json")
+        assert extraction["warnings"] == []
+        assert extraction["max_relative_residual"] <= RESIDUAL_TOL
         assert main(["validate", "--archive", f"{out}/archive.json",
                      "--system", "benchmark-linear", "--out", out]) == 0
         checks = read_json(tmp_path / "validation_report.json")["checks"]
