@@ -33,6 +33,24 @@ def make_plan(n_points=2, schedule=None, coverage="cross", df=1e6):
     return plan
 
 
+class TestUnknowns:
+    def test_fundamental_has_linear_plus_three_third_order(self):
+        terms = unknowns_at_index((0, 0, 1), 3)
+        assert len(terms) == 4
+        assert terms[0].order == 1
+        assert {t.argument_tones() for t in terms[1:]} == {
+            (3, 3, -3), (2, -2, 3), (1, -1, 3)}
+
+    def test_pure_cube_is_single_unknown(self):
+        terms = unknowns_at_index((0, 0, 3), 3)
+        assert len(terms) == 1
+
+    def test_truncation_5_extends_fundamental(self):
+        terms = unknowns_at_index((0, 0, 1), 5)
+        assert len(terms) == 10
+        assert any(t.argument_tones() == (3, 3, 3, -3, -3) for t in terms)
+
+
 class TestBuildSystem:
     def test_row_coefficients_for_fundamental(self):
         plan = make_plan()
