@@ -1,12 +1,12 @@
 """Canonical storage and interpolation of symmetric kernel samples.
 
 A kernel value is stored once per symmetry class: argument tuples are
-canonicalized under permutation (sort) and global sign flip (conjugate),
-so permutation queries return the identical stored complex number and
-sign-flipped queries return its exact conjugate.  A grid holds three
-arrays, which extraction, the file format and freezing use directly:
-sorted unique canonical integer coordinates (P, order), complex128 sums
-(P,) and int64 counts (P,).
+sorted, and sign-flipped (conjugated) when ``_mirror_side`` finds their
+negation lexically larger, the one comparison every symmetry test asks.
+Permuted queries so return the identical stored complex number and
+sign-flipped ones its exact conjugate.  A grid holds sorted unique
+canonical integer coordinates (P, order), keyed by ``KernelGrid._keys``,
+complex128 sums (P,) and int64 counts (P,).
 
 For synthesis the sparse canonical samples are frozen into a dense tensor
 over the signed sweep lattice.  Probing never co-sweeps some coordinate
@@ -18,7 +18,7 @@ every axis whose line brackets it, and goes to all its images, so the
 tensor is exactly symmetric.  Freezing records which entries are measured
 versus filled.  Off-lattice queries then interpolate multilinearly in
 (magnitude, unwrapped phase), hold the band-edge sample for half a lattice
-step, and return zero beyond that.
+step, and return zero beyond that band, ``FrozenKernelGrid.in_band``.
 """
 
 from __future__ import annotations
@@ -72,7 +72,9 @@ class KernelGrid:
         self.counts = np.array(self.counts, dtype=np.int64)
         canon = canonical_rows(
             self._to_units(self.coords * self.df_hz))[0]
-        if not np.array_equal(np.unique(canon, axis=0), self.coords):
+        # fewer than two rows need no key: an empty grid builds on any cube
+        if not (np.array_equal(canon, self.coords) and (
+                len(canon) < 2 or (np.diff(self._keys(canon)) > 0).all())):
             raise ValueError("coordinates are not sorted unique canonical rows")
         n = len(canon)
         if (self.sums.shape, self.counts.shape) != ((n,), (n,)) \
@@ -99,6 +101,12 @@ class KernelGrid:
                 axis, f, f"axis {axis}: {f} Hz is not on the {grid}")
         return units
 
+    def _keys(self, units: np.ndarray) -> np.ndarray:
+        """Each (Q, order) row's flat index in the signed-lattice cube, in
+        the rows' lexical order; ValueError if int64 cannot index the cube."""
+        return np.ravel_multi_index(np.searchsorted(self._signed, units).T,
+                                    (len(self._signed),) * self.order)
+
     def insert(self, args_hz, value) -> None:
         """Add one argument tuple and value, or (Q, order) arguments and Q
         values.  Each point adds to the sum at its canonical coordinates,
@@ -111,14 +119,15 @@ class KernelGrid:
         rows = np.concatenate([self.coords, canon])
         vals = np.concatenate([self.sums, values])
         cnts = np.concatenate([self.counts, np.ones(len(values), np.int64)])
-        self.coords, first, inverse = np.unique(
-            rows, axis=0, return_index=True, return_inverse=True)
+        _, first, inverse = np.unique(
+            self._keys(rows), return_index=True, return_inverse=True)
+        self.coords = rows[first]
         # Start each sum from its first term, not from zero, and add the
         # rest in insertion order: sequential addition then rounds exactly
         # as one-at-a-time accumulation does, signed zeros included.
         later = np.ones(len(rows), dtype=bool)
         later[first] = False
-        inverse = inverse.reshape(-1)[later]
+        inverse = inverse[later]
         self.sums, self.counts = vals[first], cnts[first]
         np.add.at(self.sums, inverse, vals[later])
         np.add.at(self.counts, inverse, cnts[later])
@@ -136,11 +145,7 @@ class KernelGrid:
         conjugated where the canonical form is the sign flip.  An absent
         tuple gives None, an absent row of an array NaN."""
         canon, conj, _ = canonical_rows(self._to_units(args_hz))
-        # one key per row over the signed lattice: sorted coords, sorted keys
-        dims = (len(self._signed),) * self.order
-        keys, want = (
-            np.ravel_multi_index(np.searchsorted(self._signed, c).T, dims)
-            for c in (self.coords, canon))
+        keys, want = self._keys(self.coords), self._keys(canon)
         at, hit = np.searchsorted(keys, want), np.isin(want, keys)
         out = np.full(len(want), complex(np.nan, np.nan))
         out[hit] = self._means(at[hit])
@@ -176,16 +181,25 @@ def canonical_rows(
     which forces the kernel value there to be real.
     """
     fwd = -np.sort(-args, axis=1)          # descending
-    rev = -np.sort(args, axis=1)           # descending sort of negation
-    pick_rev = np.zeros(len(args), dtype=bool)
-    undecided = np.ones(len(args), dtype=bool)
-    for j in range(args.shape[1]):
-        gt = undecided & (rev[:, j] > fwd[:, j])
-        lt = undecided & (rev[:, j] < fwd[:, j])
-        pick_rev |= gt
-        undecided &= ~(gt | lt)
-    out = np.where(pick_rev[:, None], rev, fwd)
-    return out, pick_rev, undecided
+    flip, self_conj = _mirror_side(fwd, 0)
+    return np.where(flip[:, None], -fwd[:, ::-1], fwd), flip, self_conj
+
+
+def _mirror_side(desc: np.ndarray, top) -> tuple[np.ndarray, np.ndarray]:
+    """For each descending row, whether its mirror ``top - row[::-1]``, the
+    row of the negated arguments (``top`` 0 for values, the last index for
+    indices), is lexically larger, and whether the two are equal.  Their
+    difference is symmetric in j, so half the columns decide; entries are
+    compared, not subtracted, so infinite and near-maximal floats decide
+    exactly."""
+    n = desc.shape[1]
+    larger = np.zeros(len(desc), dtype=bool)
+    tie = np.ones(len(desc), dtype=bool)
+    for j in range((n + 1) // 2):
+        mirror, own = top - desc[:, n - 1 - j], desc[:, j]
+        larger |= tie & (mirror > own)
+        tie &= mirror == own
+    return larger, tie
 
 
 def _ascending_rows(nb: int, order: int) -> np.ndarray:
@@ -210,16 +224,8 @@ def _wedge_rows(size: int, order: int) -> np.ndarray:
     lattice, one row per symmetry class: the descending rows that are not
     lexically below their mirror ``size-1-row[::-1]``, the row of the
     negated arguments.  These are the rows ``canonical_rows`` keeps."""
-    asc = _ascending_rows(size, order)
-    # the descending row is size-1-asc and its mirror asc[:, ::-1]; their
-    # difference is symmetric in j, so half the columns decide
-    below = np.zeros(len(asc), dtype=bool)
-    undecided = np.ones(len(asc), dtype=bool)
-    for j in range((order + 1) // 2):
-        d = (size - 1 - asc[:, j]) - asc[:, order - 1 - j]
-        below |= undecided & (d < 0)
-        undecided &= d == 0
-    return size - 1 - asc[~below]
+    desc = size - 1 - _ascending_rows(size, order)
+    return desc[~_mirror_side(desc, size - 1)[0]]
 
 
 def _scatter_images(vals: np.ndarray, rows: np.ndarray,
@@ -230,10 +236,9 @@ def _scatter_images(vals: np.ndarray, rows: np.ndarray,
     its own mirror, and its value is written real, as symmetry demands."""
     size, n = vals.shape[0], vals.ndim
     perms = list(itertools.permutations(range(n)))
-    mirror = size - 1 - rows
-    self_conj = (mirror[:, ::-1] == rows).all(axis=1)
+    self_conj = _mirror_side(rows, size - 1)[1]
     values = np.where(self_conj, values.real, values)
-    for image, value in ((mirror, np.conj(values)), (rows, values)):
+    for image, value in ((size - 1 - rows, np.conj(values)), (rows, values)):
         vals[tuple(np.moveaxis(image[:, perms], -1, 0))] = value[:, None]
 
 
@@ -302,20 +307,18 @@ class FrozenKernelGrid:
     Every entry equals its permuted images and the conjugate of its mirror
     image exactly; entries at self-conjugate arguments are real."""
 
-    def __init__(self, order, df_hz, axis_hz, values, known_mask):
-        self.order = order
-        self.df_hz = df_hz
+    def __init__(self, axis_hz, values, known_mask):
+        self.order = values.ndim
         self.axis_hz = axis_hz
         self.values = values
         self.known_mask = known_mask
         self.mag = np.abs(values)
         ph = np.angle(values)
-        for ax in range(order):
+        for ax in range(self.order):
             ph = np.unwrap(ph, axis=ax)
         self.phase = ph
-        step = axis_hz[-1] - axis_hz[-2] if len(axis_hz) > 1 else df_hz
         self.band_edge_hz = axis_hz[-1]
-        self.margin_hz = 0.5 * step
+        self.margin_hz = 0.5 * (axis_hz[-1] - axis_hz[-2])
 
     # -- construction ---------------------------------------------------------
 
@@ -338,8 +341,7 @@ class FrozenKernelGrid:
             raise EmptyGridError(
                 f"order-{n} grid could not be completed: {still.sum()} holes "
                 "remain (lattice coverage too sparse)")
-        return cls(order=n, df_hz=grid.df_hz, axis_hz=axis_hz, values=vals,
-                   known_mask=known)
+        return cls(axis_hz, vals, known)
 
     # -- queries ----------------------------------------------------------------
 
@@ -366,38 +368,27 @@ class FrozenKernelGrid:
         (``comb_hz[nb-1-i] == -comb_hz[i]``), such as the bins of a
         Hermitian spectrum, and ``rows`` a (Q, order) array of ascending
         indices into it.  Each comb point's lattice cell and weight are
-        computed once, and a row's canonical form is either the reversed
-        row or its mirror ``nb-1-row``, chosen by a sign test.
+        computed once, and a row's canonical form is the reversed row or
+        its mirror ``nb-1-row``, whichever ``_mirror_side`` finds larger.
         """
         comb = np.asarray(comb_hz, dtype=float)
         rows = np.asarray(rows, dtype=np.intp).reshape(-1, self.order)
-        nb, n = len(comb), self.order
+        nb = len(comb)
         if not (np.array_equal(comb[::-1], -comb)
                 and (np.diff(comb) > 0).all()):
             raise ValueError("comb must be strictly ascending and symmetric")
         if len(rows) and not (0 <= rows[:, 0].min() and rows[:, -1].max() < nb
                               and (rows[:, 1:] >= rows[:, :-1]).all()):
             raise ValueError(f"rows must be ascending indices below {nb}")
-        # The reversed row is the descending sort of the arguments and the
-        # mirrored row that of their negation.  The canonical form is the
-        # lexically larger one: the sign of the first nonzero entry of
-        # mirror - reversed decides, and that difference is symmetric in j.
-        pick_mirror = np.zeros(len(rows), dtype=bool)
-        undecided = np.ones(len(rows), dtype=bool)
-        for j in range((n + 1) // 2):
-            d = (nb - 1 - rows[:, j]) - rows[:, n - 1 - j]
-            pick_mirror |= undecided & (d > 0)
-            undecided &= d == 0
-        canon = np.empty_like(rows)
-        for j in range(n):
-            canon[:, j] = np.where(pick_mirror, nb - 1 - rows[:, j],
-                                   rows[:, n - 1 - j])
+        desc = rows[:, ::-1]
+        flip, self_conj = _mirror_side(desc, nb - 1)
+        canon = np.where(flip[:, None], nb - 1 - rows, desc)
         cell, w, inside = self._stencil(comb)
         # rows are ascending and the band is an interval about zero, so a
         # row lies inside when its first and last points do
         return self._interpolate(cell[canon], w[canon],
                                  inside[rows[:, 0]] & inside[rows[:, -1]],
-                                 pick_mirror, undecided)
+                                 flip, self_conj)
 
     def _stencil(self, pts_hz: np.ndarray):
         """Lattice cell, weight in the cell and in-band flag per entry."""
@@ -407,8 +398,11 @@ class FrozenKernelGrid:
                        0, len(axis) - 2)
         x0 = axis[cell]
         w = (pts - x0) / (axis[cell + 1] - x0)
-        inside = np.abs(pts_hz) <= self.band_edge_hz + self.margin_hz
-        return cell, w, inside
+        return cell, w, self.in_band(pts_hz)
+
+    def in_band(self, freqs_hz) -> np.ndarray:
+        """Whether each frequency is within half a step of the band edge."""
+        return np.abs(freqs_hz) <= self.band_edge_hz + self.margin_hz
 
     def _interpolate(self, cell, w, inside, conj, self_conj) -> np.ndarray:
         """Kernel values at canonical points given as (Q, order) lattice

@@ -175,10 +175,6 @@ class OrderedResponse:
     info: dict[int, OrderInfo] = field(default_factory=dict)
 
 
-def _reachable(spectrum: DiscreteSpectrum, frozen) -> np.ndarray:
-    return np.abs(spectrum.freqs_hz) <= frozen.band_edge_hz + frozen.margin_hz
-
-
 def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
                      order: int, duration: float, dt: float,
                      max_tuples: int = 5_000_000):
@@ -197,7 +193,7 @@ def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
     if not abs(n_period * dt - spectrum.period_s) <= 1e-9 * spectrum.period_s:
         raise ValueError("period must be a whole number of time steps")
     frozen = archive.frozen(order)
-    reach = _reachable(spectrum, frozen)
+    reach = frozen.in_band(spectrum.freqs_hz)
     bins = spectrum.bins[reach]
     coeffs = spectrum.coeffs[reach]
     nb = len(bins)

@@ -199,6 +199,15 @@ class TestBulkInsert:
         with pytest.raises(ValueError, match="values"):
             grid.insert(np.array([[7e6], [41e6]]), np.ones(3))
 
+    def test_key_cube_beyond_int64_raises(self):
+        # 1200 signed lattice points to the 7th power is about 3.6e21 keys
+        grid = KernelGrid(order=7, lattice_units=range(1, 601), df_hz=1e6)
+        with pytest.raises(ValueError, match="dims"):
+            grid.insert((1e6,) * 7, 1.0)
+        with pytest.raises(ValueError, match="dims"):
+            grid.query_exact((1e6,) * 7)
+        assert grid.n_points == 0
+
     @pytest.mark.parametrize("coords, counts, match", [
         ([[7, 9]], [1], "not on the sweep lattice"),
         ([[41, 7]], [0], "count >= 1"),
@@ -403,7 +412,7 @@ def reference_freeze(grid, passes):
     vals = reference_fill(vals, axis_hz, n, passes)
     if np.isnan(vals).any():
         raise EmptyGridError("holes remain")
-    return FrozenKernelGrid(n, grid.df_hz, axis_hz, vals, known)
+    return FrozenKernelGrid(axis_hz, vals, known)
 
 
 def random_sparse_grid(seed):

@@ -316,3 +316,43 @@ def test_kernel_args_canonicalization_properties(args):
     # canonicalizing the canonical form is a fixed point
     again, conj2, _ = canonical_rows(canon[:1])
     assert (again == canon[:1]).all() and not conj2[0]
+
+
+def two_sort_canonical_rows(args):
+    """The canonical rule as first written: sort the row and its negation
+    descending, then compare them over every column."""
+    fwd = -np.sort(-args, axis=1)
+    rev = -np.sort(args, axis=1)
+    pick_rev = np.zeros(len(args), dtype=bool)
+    undecided = np.ones(len(args), dtype=bool)
+    for j in range(args.shape[1]):
+        gt = undecided & (rev[:, j] > fwd[:, j])
+        lt = undecided & (rev[:, j] < fwd[:, j])
+        pick_rev |= gt
+        undecided &= ~(gt | lt)
+    return np.where(pick_rev[:, None], rev, fwd), pick_rev, undecided
+
+
+# entry sets closed under negation, matched position by position
+FLOAT_ENTRIES = np.array([0.0, -0.0, 1.0, -1.0, 7e6, -7e6, 1.27e8, -1.27e8,
+                          1.7e308, -1.7e308, np.inf, -np.inf])
+INT_ENTRIES = np.array([0, 0, 1, -1, 7_000_000, -7_000_000, 127_000_000,
+                        -127_000_000, 2**62, -2**62, 2**63 - 1, -(2**63 - 1)])
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(min_value=0, max_value=len(FLOAT_ENTRIES) - 1),
+             min_size=n, max_size=n),
+    min_size=1, max_size=16)))
+def test_canonical_rows_matches_two_sort_rule(picks):
+    rows = FLOAT_ENTRIES[np.array(picks)]
+    got, want = canonical_rows(rows), two_sort_canonical_rows(rows)
+    # -0.0 and 0.0 compare equal, so they may swap places within a row
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+    rows = INT_ENTRIES[np.array(picks)]
+    got, want = canonical_rows(rows), two_sort_canonical_rows(rows)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
