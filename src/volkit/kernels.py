@@ -207,16 +207,24 @@ def _ascending_rows(nb: int, order: int) -> np.ndarray:
     order: the combinations with replacement of ``range(nb)``.  The array
     is column-major, so the per-column arithmetic on it reads contiguous
     memory."""
-    cols = np.arange(nb, dtype=np.intp)[None, :]
-    for _ in range(order - 1):
-        # the rows with a first index of at least a form a suffix
-        start = np.searchsorted(cols[0], np.arange(nb))
-        count = cols.shape[1] - start
-        shift = np.cumsum(count) - count - start
-        tail = np.arange(count.sum()) - np.repeat(shift, count)
-        cols = np.vstack([np.repeat(np.arange(nb), count),
-                          np.take(cols, tail, axis=1)])
+    cols = np.zeros((0, 1), dtype=np.intp)  # the one empty row
+    for _ in range(order):
+        cols = _prepend_firsts(cols, np.arange(nb))
     return cols.T
+
+
+def _prepend_firsts(cols: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+    """Each ascending index of ``firsts`` followed by every row of ``cols``
+    that starts at or above it, in lexical order.  ``cols`` holds ascending
+    rows in lexical order, column-major (one row per column), and so does
+    the result."""
+    # the rows with a first index of at least a form a suffix
+    start = (np.searchsorted(cols[0], firsts) if len(cols)
+             else np.zeros(len(firsts), dtype=np.intp))
+    count = cols.shape[1] - start
+    shift = np.cumsum(count) - count - start
+    tail = np.arange(count.sum()) - np.repeat(shift, count)
+    return np.vstack([np.repeat(firsts, count), np.take(cols, tail, axis=1)])
 
 
 def _wedge_rows(size: int, order: int) -> np.ndarray:
@@ -350,11 +358,14 @@ class FrozenKernelGrid:
 
         Accepts one tuple or an (Q, order) array.  Queries are canonicalized
         first, so permuted and sign-flipped queries are exactly consistent.
+        A NaN argument raises ValueError; an infinite one is beyond the band.
         """
         arr = np.atleast_2d(np.asarray(args_hz, dtype=float))
         scalar = np.ndim(args_hz) == 1
         if arr.shape[1] != self.order:
             raise ValueError(f"queries must have {self.order} columns")
+        if np.isnan(arr).any():
+            raise ValueError("query arguments must not be NaN")
         canon, conj, self_conj = canonical_rows(arr)
         cell, w, inside = self._stencil(canon)
         out = self._interpolate(cell, w, inside.all(axis=1), conj, self_conj)

@@ -144,35 +144,61 @@ def transient(sys, drive, duration: float, dt: float) -> Waveform:
     accepting arrays.  Every CHECK_INTERVAL steps and after the last, a
     state magnitude that is not within BLOWUP_FACTOR * (1 + peak input
     magnitude) raises TransientBlowupError.  Outputs are evaluated once
-    per CHECK_INTERVAL block of states, over the system's batch axis.
+    per CHECK_INTERVAL block of states, over the system's batch axis.  A
+    system whose ``linear_state`` is true has a ``deriv`` linear in (x, u);
+    its RK4 step is the affine map ``_linear_step_map`` gives, one matrix
+    product per step.
     """
     n = int(round(duration / dt))
     u = _drive_stage_values(drive, dt, n)
     limit = BLOWUP_FACTOR * (1.0 + np.abs(u).max())
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    linear = getattr(sys, "linear_state", False)
+    if linear:
+        p, q = _linear_step_map(sys, dt)
     x = np.zeros((sys.state_dim, 1))
     states = np.empty((sys.state_dim, CHECK_INTERVAL))
     y = np.empty(n)
-    u0 = u[0:1]
     for j in range(n):
         k = j % CHECK_INTERVAL
-        um = u[2 * j + 1:2 * j + 2]
-        u1 = u[2 * j + 2:2 * j + 3]
+        if linear and k == 0:
+            # the inputs' share of every step of this block, in one product
+            block = u[2 * j:2 * min(j + CHECK_INTERVAL, n) + 1]
+            pushed = q @ np.stack([block[0:-1:2], block[1::2], block[2::2]])
         states[:, k] = x[:, 0]
-        k1 = sys.deriv(x, u0)
-        k2 = sys.deriv(x + half * k1, um)
-        k3 = sys.deriv(x + half * k2, um)
-        k4 = sys.deriv(x + dt * k3, u1)
-        x += sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if linear:
+            x = p @ x + pushed[:, k:k + 1]
+        else:
+            u0, um, u1 = u[2 * j:2 * j + 3, None]  # each of shape (1,)
+            x = _rk4_step(sys, x, u0, um, u1, dt)
         if (k == 0 or j == n - 1) and not np.abs(x).max() <= limit:
             raise TransientBlowupError(f"state magnitude {np.abs(x).max():.3g}"
                                        f" at t={(j + 1) * dt:.3g} s")
         if k == CHECK_INTERVAL - 1 or j == n - 1:
             y[j - k:j + 1] = sys.output(states[:, :k + 1],
                                         u[2 * (j - k):2 * j + 1:2])
-        u0 = u1
     return Waveform(samples=y, dt=dt, t0=0.0)
+
+
+def _rk4_step(sys, x, u0, um, u1, dt: float) -> np.ndarray:
+    """One classical RK4 step of ``dx/dt = sys.deriv(x, u)`` from the
+    states ``x``, with inputs ``u0``, ``um`` and ``u1`` at the start, the
+    middle and the end of the step."""
+    half = 0.5 * dt
+    k1 = sys.deriv(x, u0)
+    k2 = sys.deriv(x + half * k1, um)
+    k3 = sys.deriv(x + half * k2, um)
+    k4 = sys.deriv(x + dt * k3, u1)
+    return x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _linear_step_map(sys, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(P, Q) of a linear system's RK4 step, ``x <- P x + Q (u0, um, u1)``:
+    the step applied to the identity with zero input gives P, and applied
+    to zero states with each unit input gives Q's columns."""
+    d = sys.state_dim
+    basis = np.eye(d + 3)
+    step = _rk4_step(sys, basis[:d], *basis[d:], dt)
+    return step[:, :d], step[:, d:]
 
 
 # ---------------------------------------------------------------------------

@@ -11,21 +11,35 @@ whole number N of steps; the spectrum is then folded modulo N and
 evaluated exactly at the sample times by one inverse FFT per order, and a
 window longer than the period repeats it.
 
-Hermitian input spectra and conjugate-symmetric kernels make every output
-spectrum Hermitian up to rounding; the imaginary residue after real
-projection is checked and reported.
+A tuple's mirror, the tuple of the negated bins, adds the exact conjugate
+term at the negated output bin: kernel queries conjugate sign-flipped
+arguments exactly, and the spectrum's coefficients are exactly Hermitian.
+So only the member of each pair that ``query_comb`` does not flip is
+summed (a self-mirror tuple at half weight), and the order's output is
+twice the real part of the inverse FFT.  Tuples are generated, queried
+and binned TUPLE_CHUNK at a time, so no array grows with the tuple count
+unless ``max_tuples`` caps it.  Because the output is real by
+construction, the check is on the input: the largest Hermitian skew of
+the in-band coefficients over their peak, reported as ``imag_residue``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from volkit.kernels import KernelArchive, _ascending_rows
+from volkit.kernels import (
+    KernelArchive,
+    _ascending_rows,
+    _mirror_side,
+    _prepend_firsts,
+)
 from volkit.probing import Waveform
 
-IMAG_RESIDUE_LIMIT = 1e-6  # largest imaginary residue of an order / its peak
+IMAG_RESIDUE_LIMIT = 1e-6  # largest in-band Hermitian skew / peak coefficient
+TUPLE_CHUNK = 16_384  # bin tuples queried, weighted and binned per step
 
 
 class SynthesisError(RuntimeError):
@@ -196,32 +210,70 @@ def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
     reach = frozen.in_band(spectrum.freqs_hz)
     bins = spectrum.bins[reach]
     coeffs = spectrum.coeffs[reach]
+    comb = spectrum.freqs_hz[reach]
     nb = len(bins)
-
-    rows = _ascending_rows(nb, order)
-    dropped_fraction = 0.0
-    if len(rows) > max_tuples:
-        rows, dropped_fraction = _cap_tuples(rows, np.abs(coeffs), max_tuples)
-    hvals = frozen.query_comb(spectrum.freqs_hz[reach], rows)
-    cprod = coeffs[rows].prod(axis=1)
-    contrib = hvals * cprod * _repetition_weights(rows)
-
-    # fold the output spectrum modulo N: exact at the sample times
-    slot = bins[rows].sum(axis=1) % n_period
-    y_spec = (np.bincount(slot, contrib.real, n_period)
-              + 1j * np.bincount(slot, contrib.imag, n_period))
-    y_cplx = np.resize(n_period * np.fft.ifft(y_spec),
-                       int(round(duration / dt)))
-    scale = np.abs(y_cplx).max() if len(y_cplx) else 0.0
-    residue = float(np.abs(y_cplx.imag).max() / scale) if scale > 0 else 0.0
+    # the output is real by construction, so the spectrum's own Hermitian
+    # skew is what can reveal an inconsistent input
+    scale = np.abs(coeffs).max(initial=0.0)
+    skew = np.abs(coeffs[::-1] - np.conj(coeffs)).max(initial=0.0)
+    residue = float(skew / scale) if scale > 0 else 0.0
     if residue > IMAG_RESIDUE_LIMIT:
         raise SynthesisError(
-            f"order-{order} imaginary residue {residue:.2e}; kernel grid and "
-            "spectrum are inconsistent")
-    info = OrderInfo(order=order, n_tuples=len(rows), n_bins_used=nb,
+            f"order-{order} Hermitian residue {residue:.2e}; the spectrum's "
+            "coefficients are not conjugate pairs")
+
+    n_tuples = math.comb(nb + order - 1, order)
+    dropped_fraction = 0.0
+    if n_tuples > max_tuples:
+        kept, dropped_fraction = _cap_tuples(
+            _ascending_rows(nb, order), np.abs(coeffs), max_tuples)
+        n_tuples = len(kept)
+        chunks = (kept[lo:lo + TUPLE_CHUNK]
+                  for lo in range(0, n_tuples, TUPLE_CHUNK))
+    else:
+        chunks = _ascending_chunks(nb, order)
+
+    # fold the output spectrum modulo N: exact at the sample times
+    z_re, z_im = np.zeros(n_period), np.zeros(n_period)
+    for rows in chunks:
+        # a row and its mirror add conjugate terms at negated output bins:
+        # sum the canonical member, and half of a self-mirror row
+        flip, tie = _mirror_side(rows[:, ::-1], nb - 1)
+        keep = ~flip
+        cols = rows.T.compress(keep, axis=1)  # one contiguous row per column
+        weight = _repetition_weights(cols.T)
+        weight[tie[keep]] *= 0.5
+        contrib = (frozen.query_comb(comb, cols.T)
+                   * coeffs[cols].prod(axis=0) * weight)
+        slot = bins[cols].sum(axis=0) % n_period
+        z_re += np.bincount(slot, contrib.real, n_period)
+        z_im += np.bincount(slot, contrib.imag, n_period)
+    y = 2.0 * (n_period * np.fft.ifft(z_re + 1j * z_im)).real
+    info = OrderInfo(order=order, n_tuples=n_tuples, n_bins_used=nb,
                      imag_residue=residue,
                      dropped_tuple_fraction=dropped_fraction)
-    return Waveform(samples=y_cplx.real, dt=dt, t0=0.0), info
+    return Waveform(samples=np.resize(y, int(round(duration / dt))), dt=dt,
+                    t0=0.0), info
+
+
+def _ascending_chunks(nb: int, order: int):
+    """Every ascending ``order``-row of indices below ``nb``, in lexical
+    order, in chunks of at most TUPLE_CHUNK rows.  Each chunk is built from
+    a run of first indices whose rows fit, or from one first index, whose
+    rows are then split; no array grows with the total row count."""
+    tail = _ascending_rows(nb, order - 1).T
+    # rows that start with a: a, then an ascending row of range(a, nb)
+    count = np.array([math.comb(nb - a + order - 2, order - 1)
+                      for a in range(nb)], dtype=np.int64)
+    cum = np.concatenate([[0], np.cumsum(count)])
+    a = 0
+    while a < nb:
+        b = max(a + 1, int(np.searchsorted(cum, cum[a] + TUPLE_CHUNK,
+                                           side="right")) - 1)
+        rows = _prepend_firsts(tail, np.arange(a, b)).T
+        for lo in range(0, len(rows), TUPLE_CHUNK):
+            yield rows[lo:lo + TUPLE_CHUNK]
+        a = b
 
 
 def _cap_tuples(rows: np.ndarray, mag: np.ndarray, cap: int):

@@ -14,11 +14,13 @@ Two systems ship:
   at every order, so truncation bias is real and measurable.
 
 Both expose ``state_dim``, ``deriv(x, u)`` and ``output(x, u)``, vectorized
-over a trailing batch axis, for ``transient``'s RK4 integrator.  Being LTI
-blocks around a static nonlinearity, both also give their exact periodic
-steady state for the probe: ``periodic_steady_state(spectra, n, dt)`` maps
-chunks of input rfft bins to output bins, each block multiplying by its
-transfer and the static part acting on the irfft samples.
+over a trailing batch axis, for ``transient``'s RK4 integrator.  The
+cascade's state equation is linear, which it declares as ``linear_state``.
+Being LTI blocks around a static nonlinearity, both also give their exact
+periodic steady state for the probe: ``periodic_steady_state(spectra, n,
+dt)`` maps chunks of input rfft bins to output bins, each block
+multiplying by its transfer and the static part acting on the irfft
+samples.
 """
 
 from __future__ import annotations
@@ -123,6 +125,7 @@ class MultiplierCascade:
     include_orders: tuple[int, ...] = (1, 2, 3)
 
     saturation_limit_v = None
+    linear_state = True  # deriv is linear in (x, u); transient uses that
 
     def __post_init__(self) -> None:
         if any(n not in (1, 2, 3) for n in self.include_orders):

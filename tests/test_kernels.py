@@ -272,6 +272,16 @@ class TestFrozenInterpolation:
         assert frozen.query((edge + frozen.margin_hz * 0.5,)) != 0
         assert frozen.query((edge + frozen.margin_hz * 2.0,)) == 0
 
+    def test_nan_argument_raises_and_infinite_is_beyond_band(self):
+        frozen = cross_coverage_grid().freeze()
+        for args in ((np.nan, 1e8), (1e8, np.nan), [[1e8, 2e7], [np.nan, 0]]):
+            with pytest.raises(ValueError, match="NaN"):
+                frozen.query(args)
+        assert frozen.query((np.inf, 1e8)) == 0
+        assert frozen.query((1e8, -np.inf)) == 0
+        np.testing.assert_array_equal(
+            frozen.query([[np.inf, np.inf], [-np.inf, 2e7]]), [0, 0])
+
     def test_permuted_and_conjugated_queries_exactly_consistent(self):
         sys = MultiplierCascade()
         units = lattice_units(6)

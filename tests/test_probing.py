@@ -14,6 +14,7 @@ from volkit.probing import (
     transient,
 )
 from volkit.sweeps import SweepPlan, standard_sweep_plan, validate_plan
+from volkit.synthesis import TrapezoidPulse
 from volkit.systems import (
     MultiplierCascade,
     SaturatingAmplifier,
@@ -119,7 +120,52 @@ class Oscillator:
         return x[0]
 
 
+class Delegating:
+    """A system's state equation and output without its ``linear_state``
+    flag, so ``transient`` takes the generic RK4 loop."""
+
+    def __init__(self, sys):
+        self.sys = sys
+        self.state_dim = sys.state_dim
+
+    def deriv(self, x, u):
+        return self.sys.deriv(x, u)
+
+    def output(self, x, u):
+        return self.sys.output(x, u)
+
+
+class LinearUnstable(Unstable):
+    linear_state = True
+
+
 class TestTransient:
+    def test_linear_step_map_matches_generic_loop(self):
+        sys = MultiplierCascade()
+        assert sys.linear_state and not hasattr(Delegating(sys),
+                                                "linear_state")
+        dt = 5e-12
+        pulse = Waveform(samples=TrapezoidPulse()(dt * np.arange(11200)),
+                         dt=dt)
+        tones = tone_drive((300e6, 710e6), (0.4, 0.3))
+        # several check blocks and a partial last one, and one short block
+        for drive, duration in ((pulse, 55e-9), (tones, 55e-9),
+                                (tones, 3e-9)):
+            fast = transient(sys, drive, duration, dt).samples
+            loop = transient(Delegating(sys), drive, duration, dt).samples
+            assert fast.shape == loop.shape
+            assert np.abs(fast - loop).max() <= 1e-12 * np.abs(loop).max()
+
+    @pytest.mark.parametrize("duration", [100e-9, 10e-9])
+    def test_linear_path_checks_blowup_at_the_same_steps(self, duration):
+        drive = lambda t: np.ones_like(t)  # noqa: E731
+        with pytest.raises(TransientBlowupError) as generic:
+            transient(Unstable(), drive, duration, 0.01e-9)
+        with pytest.raises(TransientBlowupError) as linear:
+            transient(LinearUnstable(), drive, duration, 0.01e-9)
+        at = str(generic.value).split(" at ")[1]
+        assert str(linear.value).endswith(" at " + at)
+
     def test_zero_input_gives_zero_output(self):
         sys = MultiplierCascade()
         wave = transient(sys, lambda t: np.zeros_like(t), 50e-9, 0.1e-9)

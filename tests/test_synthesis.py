@@ -1,20 +1,25 @@
 import itertools
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import volkit.synthesis
 from volkit.cli import main
 from volkit.kernels import KernelArchive, KernelGrid
 from volkit.probing import Waveform
 from volkit.synthesis import (
     DiscreteSpectrum,
+    SynthesisError,
     TrapezoidPulse,
     nrmse,
     spectrum_of,
     _ascending_rows,
+    _cap_tuples,
+    _repetition_weights,
     synthesize_order,
     synthesize_total,
 )
@@ -291,6 +296,99 @@ def _dense_reference(archive, spectrum, order, duration, dt):
     return (np.exp(2j * np.pi * np.outer(t, out_hz)) @ contrib).real
 
 
+def _full_sum_order(archive, spectrum, order, duration, dt, max_tuples):
+    """Reference: every kept bin tuple, both members of each mirror pair,
+    summed in one pass; returns (samples, n_tuples, dropped fraction)."""
+    n_period = int(round(spectrum.period_s / dt))
+    frozen = archive.frozen(order)
+    reach = frozen.in_band(spectrum.freqs_hz)
+    bins, coeffs = spectrum.bins[reach], spectrum.coeffs[reach]
+    rows = _ascending_rows(len(bins), order)
+    dropped = 0.0
+    if len(rows) > max_tuples:
+        rows, dropped = _cap_tuples(rows, np.abs(coeffs), max_tuples)
+    contrib = (frozen.query_comb(spectrum.freqs_hz[reach], rows)
+               * coeffs[rows].prod(axis=1) * _repetition_weights(rows))
+    slot = bins[rows].sum(axis=1) % n_period
+    y_spec = (np.bincount(slot, contrib.real, n_period)
+              + 1j * np.bincount(slot, contrib.imag, n_period))
+    y = np.resize(n_period * np.fft.ifft(y_spec), int(round(duration / dt)))
+    return y.real, len(rows), dropped
+
+
+def _random_hermitian(period, n_side, with_dc, seed):
+    """A spectrum of random conjugate pairs at bins 1..n_side, and a real
+    DC coefficient if ``with_dc``."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(1, n_side + 1)
+    c = rng.normal(size=n_side) + 1j * rng.normal(size=n_side)
+    bins, coeffs = [-k, k], [np.conj(c), c]
+    if with_dc:
+        bins.append([0])
+        coeffs.append([rng.normal()])
+    return DiscreteSpectrum(period_s=period, bins=np.concatenate(bins),
+                            coeffs=np.concatenate(coeffs))
+
+
+class TestMirrorPairSum:
+    """Summing one member of each mirror pair, chunk by chunk, gives the
+    full sum over every tuple to rounding."""
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("capped", [False, True])
+    @pytest.mark.parametrize("with_dc", [True, False])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_matches_full_sum(self, archive, monkeypatch, order, with_dc,
+                              capped, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(volkit.synthesis, "TUPLE_CHUNK", chunk)
+        spec = _random_hermitian(PERIOD, 11, with_dc, seed=order)
+        nb = 22 + with_dc  # every bin is in band
+        cap = math.comb(nb + order - 1, order) // 3 if capped else 5_000_000
+        dt = PERIOD / 160
+        want, n_tuples, dropped = _full_sum_order(archive, spec, order,
+                                                  1.5 * PERIOD, dt, cap)
+        got, info = synthesize_order(archive, spec, order, 1.5 * PERIOD, dt,
+                                     max_tuples=cap)
+        assert info.n_bins_used == nb
+        assert (info.n_tuples, info.dropped_tuple_fraction) == (n_tuples,
+                                                                dropped)
+        assert (n_tuples < math.comb(nb + order - 1, order)) == capped
+        assert got.samples.shape == want.shape
+        assert (np.abs(got.samples - want).max()
+                <= 1e-13 * np.abs(want).max())
+
+    def test_skewed_coefficient_raises_at_every_order(self, archive):
+        spec, _ = spectrum_of(pulse(), PERIOD, max_bins_per_side=40)
+        spec.coeffs[spec.bins == 1] *= 1.01
+        for order in (1, 2, 3):
+            with pytest.raises(SynthesisError, match="Hermitian residue"):
+                synthesize_order(archive, spec, order, PERIOD, PERIOD / 128)
+
+    def test_order3_memory_is_bounded_by_the_chunk(self):
+        # 161 of the comb's bins (|k| <= 80) are in band, 708 561 tuples
+        df = 115e6
+        units = tuple(range(1, 13))
+        signed = np.array([-u for u in units[::-1]] + list(units)) * df
+        sys = MultiplierCascade()
+        grids = {}
+        for n in (1, 2, 3):
+            grids[n] = KernelGrid(order=n, lattice_units=units, df_hz=df)
+            args = np.array(list(itertools.product(signed, repeat=n)))
+            grids[n].insert(args, kernel_oracle(sys, args, n))
+        archive = KernelArchive(grids=grids)
+        archive.frozen(3)
+        spec = _random_hermitian(56e-9, 85, True, seed=0)
+        tracemalloc.start()
+        try:
+            _, info = synthesize_order(archive, spec, 3, 55e-9, 10e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (info.n_bins_used, info.n_tuples) == (161, 708_561)
+        assert peak <= 32e6
+
+
 class TestTupleRows:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_rows_match_combinations_with_replacement(self, order):
@@ -300,6 +398,17 @@ class TestTupleRows:
             got = _ascending_rows(nb, order)
             assert got.shape == (len(want), order)
             assert list(map(tuple, got.tolist())) == want
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_chunks_split_the_rows_in_order(self, monkeypatch, order, chunk):
+        monkeypatch.setattr(volkit.synthesis, "TUPLE_CHUNK", chunk)
+        for nb in range(13):
+            parts = list(volkit.synthesis._ascending_chunks(nb, order))
+            assert all(0 < len(p) <= chunk for p in parts)
+            got = (np.concatenate(parts) if parts
+                   else np.zeros((0, order), dtype=int))
+            np.testing.assert_array_equal(got, _ascending_rows(nb, order))
 
 
 class TestStencilQueries:
