@@ -220,7 +220,8 @@ def cmd_probe(args) -> int:
     path = os.path.join(out, "dataset.json")
     save_dataset(path, ds, config_hash(_options(args, "plan")))
     print(f"wrote {path}: {ds.n_runs} operating points, "
-          f"{len(ds.indices)} indices each")
+          f"{len(ds.indices)} indices each, "
+          f"{ds.capture.samples_per_record} samples per record")
     return EXIT_OK
 
 

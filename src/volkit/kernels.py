@@ -5,8 +5,9 @@ sorted, and sign-flipped (conjugated) when ``_mirror_side`` finds their
 negation lexically larger, the one comparison every symmetry test asks.
 Permuted queries so return the identical stored complex number and
 sign-flipped ones its exact conjugate.  A grid holds sorted unique
-canonical integer coordinates (P, order), keyed by ``KernelGrid._keys``,
-complex128 sums (P,) and int64 counts (P,).
+canonical integer coordinates (P, order), complex128 sums (P,) and int64
+counts (P,); it keeps the coordinates' sorted keys too (their flat indices
+in the signed-lattice cube), and ``insert`` merges new points into both.
 
 For synthesis the sparse canonical samples are frozen into a dense tensor
 over the signed sweep lattice.  Probing never co-sweeps some coordinate
@@ -61,8 +62,8 @@ class KernelGrid:
 
     def __post_init__(self) -> None:
         self.lattice_units = tuple(sorted(set(int(u) for u in self.lattice_units)))
-        if any(u <= 0 for u in self.lattice_units):
-            raise ValueError("lattice frequencies must be positive")
+        if not self.lattice_units or min(self.lattice_units) <= 0:
+            raise ValueError("need one or more positive lattice frequencies")
         lattice = np.asarray(self.lattice_units, dtype=np.int64)
         self._signed = np.concatenate([-lattice[::-1], lattice])
         if self.coords is None:
@@ -70,11 +71,9 @@ class KernelGrid:
         self.coords = np.array(self.coords, dtype=np.int64)
         self.sums = np.array(self.sums, dtype=complex)
         self.counts = np.array(self.counts, dtype=np.int64)
-        canon = canonical_rows(
-            self._to_units(self.coords * self.df_hz))[0]
-        # fewer than two rows need no key: an empty grid builds on any cube
-        if not (np.array_equal(canon, self.coords) and (
-                len(canon) < 2 or (np.diff(self._keys(canon)) > 0).all())):
+        canon, self._stored, _ = self._canonical(self.coords * self.df_hz)
+        if not (np.array_equal(canon, self.coords)
+                and (np.diff(self._stored) > 0).all()):
             raise ValueError("coordinates are not sorted unique canonical rows")
         n = len(canon)
         if (self.sums.shape, self.counts.shape) != ((n,), (n,)) \
@@ -83,8 +82,16 @@ class KernelGrid:
 
     # -- coordinate handling -------------------------------------------------
 
-    def _to_units(self, args_hz) -> np.ndarray:
-        """(Q, order) integer coordinates of one tuple or a (Q, order) array."""
+    def _canonical(self, args_hz):
+        """Canonical integer coordinates (Q, order), their keys (Q,) and
+        the conjugate flags (Q,) of one tuple or a (Q, order) array.
+
+        A key is the row's flat index in the signed-lattice cube, so keys
+        sort as the rows do; ValueError if int64 cannot index the cube.
+        Rows are canonicalised as lattice positions ``2*i - (L-1)``: the
+        map is odd and increasing, so the positions sort and mirror as the
+        frequencies do, and one search of the lattice both checks each
+        argument and indexes it."""
         args = np.atleast_2d(np.asarray(args_hz, dtype=float))
         if args.ndim != 2 or args.shape[1] != self.order:
             raise ValueError(
@@ -92,45 +99,63 @@ class KernelGrid:
         u = args / self.df_hz
         off_df = ~(np.abs(u - np.rint(u)) <= 1e-6)
         units = np.where(off_df, 0, np.rint(u)).astype(np.int64)
-        bad = off_df | ~np.isin(units, self._signed)
+        # searching all but the last point keeps every index in range
+        at = np.searchsorted(self._signed[:-1], units)
+        bad = off_df | (self._signed[at] != units)
         if bad.any():
             row, axis = (int(i) for i in np.argwhere(bad)[0])
             f = float(args[row, axis])
             grid = "df grid" if off_df[row, axis] else "sweep lattice"
             raise OffLatticeError(
                 axis, f, f"axis {axis}: {f} Hz is not on the {grid}")
-        return units
-
-    def _keys(self, units: np.ndarray) -> np.ndarray:
-        """Each (Q, order) row's flat index in the signed-lattice cube, in
-        the rows' lexical order; ValueError if int64 cannot index the cube."""
-        return np.ravel_multi_index(np.searchsorted(self._signed, units).T,
-                                    (len(self._signed),) * self.order)
+        size = len(self._signed)
+        canon, conj, _ = canonical_rows(2 * at - (size - 1))
+        at = (canon + (size - 1)) >> 1
+        # an empty set of rows needs no key: an empty grid builds on any cube
+        keys = (np.ravel_multi_index(at.T, (size,) * self.order) if len(at)
+                else np.zeros(0, dtype=np.int64))
+        return np.take(self._signed, at), keys, conj
 
     def insert(self, args_hz, value) -> None:
         """Add one argument tuple and value, or (Q, order) arguments and Q
         values.  Each point adds to the sum at its canonical coordinates,
         conjugated when the canonical form is the sign flip."""
-        canon, conj, _ = canonical_rows(self._to_units(args_hz))
+        canon, new_keys, conj = self._canonical(args_hz)
         values = np.asarray(value, dtype=complex).reshape(-1)
         if len(values) != len(canon):
             raise ValueError(f"{len(canon)} argument rows, {len(values)} values")
         values = np.where(conj, np.conj(values), values)
-        rows = np.concatenate([self.coords, canon])
-        vals = np.concatenate([self.sums, values])
-        cnts = np.concatenate([self.counts, np.ones(len(values), np.int64)])
-        _, first, inverse = np.unique(
-            self._keys(rows), return_index=True, return_inverse=True)
-        self.coords = rows[first]
-        # Start each sum from its first term, not from zero, and add the
-        # rest in insertion order: sequential addition then rounds exactly
-        # as one-at-a-time accumulation does, signed zeros included.
-        later = np.ones(len(rows), dtype=bool)
+        keys, first, inverse = np.unique(
+            new_keys, return_index=True, return_inverse=True)
+        # merge the distinct new keys into the sorted stored ones: each
+        # key's row after the merge is its stored rank plus the new keys
+        # merged below it
+        stored = self._stored
+        at = np.searchsorted(stored, keys)
+        fresh = np.searchsorted(stored, keys, side="right") == at
+        slot = at + np.cumsum(fresh) - fresh
+        first, dest = first[fresh], slot[fresh]
+        # each merged row picks a stored row or, past them, a new one
+        pick = np.empty(len(stored) + len(dest), dtype=np.intp)
+        kept = np.ones(len(pick), dtype=bool)
+        kept[dest] = False
+        pick[kept] = np.arange(len(stored))
+        pick[dest] = len(stored) + first
+        self._stored = np.concatenate([stored, new_keys])[pick]
+        self.coords = np.take(np.concatenate([self.coords, canon]), pick,
+                              axis=0)
+        self.sums = np.concatenate([self.sums, values])[pick]
+        self.counts = np.concatenate(
+            [self.counts, np.ones(len(canon), np.int64)])[pick]
+        # A new point's sum starts from its first term, not from zero, and
+        # every other term adds in insertion order: sequential addition
+        # then rounds exactly as one-at-a-time accumulation does, signed
+        # zeros included.
+        later = np.ones(len(canon), dtype=bool)
         later[first] = False
-        inverse = inverse[later]
-        self.sums, self.counts = vals[first], cnts[first]
-        np.add.at(self.sums, inverse, vals[later])
-        np.add.at(self.counts, inverse, cnts[later])
+        pos = slot[inverse[later]]
+        np.add.at(self.sums, pos, values[later])
+        np.add.at(self.counts, pos, 1)
 
     def _means(self, rows=slice(None)) -> np.ndarray:
         """Averaged values of all points or of ``rows``.  Each component is
@@ -144,9 +169,10 @@ class KernelGrid:
         """Stored averaged values at one argument tuple or (Q, order) rows,
         conjugated where the canonical form is the sign flip.  An absent
         tuple gives None, an absent row of an array NaN."""
-        canon, conj, _ = canonical_rows(self._to_units(args_hz))
-        keys, want = self._keys(self.coords), self._keys(canon)
-        at, hit = np.searchsorted(keys, want), np.isin(want, keys)
+        _, want, conj = self._canonical(args_hz)
+        keys = self._stored
+        at = np.searchsorted(keys, want)
+        hit = np.searchsorted(keys, want, side="right") > at
         out = np.full(len(want), complex(np.nan, np.nan))
         out[hit] = self._means(at[hit])
         np.conjugate(out, out=out, where=conj)

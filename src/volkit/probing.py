@@ -23,7 +23,7 @@ import numpy as np
 from volkit.mixing import FrequencyIndex, enumerate_output_indices
 from volkit.sweeps import SweepPlan, validate_plan
 
-NYQUIST_HEADROOM = 0.4        # default record: top product at 0.4 of Nyquist
+NYQUIST_HEADROOM = 0.4        # undeclared degree: top product at 0.4 of Nyquist
 BLOWUP_FACTOR = 1e6           # state limit over (1 + peak input magnitude)
 CHECK_INTERVAL = 2048         # steps between blow-up checks
 RUN_CHUNK = 16                # probe runs whose records are held at once
@@ -205,15 +205,27 @@ def _linear_step_map(sys, dt: float) -> tuple[np.ndarray, np.ndarray]:
 # dataset generation
 
 
-def _capture_info(plan: SweepPlan, samples_per_record: int | None
+def _capture_info(sys, plan: SweepPlan, samples_per_record: int | None
                   ) -> CaptureInfo:
-    """The one-period record of ``plan``; ``samples_per_record`` defaults to
-    the least power of two >= 256 that puts the top product at
-    NYQUIST_HEADROOM of Nyquist."""
+    """The one-period record of ``plan`` for ``sys``.
+
+    ``samples_per_record`` defaults to the least power of two >= 256 that
+    captures ``sys`` exactly when it declares a ``polynomial_degree`` D.
+    With M the plan's mixing order and f_top its highest tone, a record of
+    n > (D + M) f_top / df samples folds no product of degree <= D onto a
+    claimed bin, and n > 2 M f_top / df keeps every claimed bin below
+    Nyquist.  A system without a declared degree gets the record that puts
+    the top product at NYQUIST_HEADROOM of Nyquist.
+    """
     record = 1.0 / plan.df_hz
-    if samples_per_record is None:
+    degree = getattr(sys, "polynomial_degree", None)
+    if samples_per_record is None and degree is None:
         need = plan.max_product_hz * record / NYQUIST_HEADROOM * 2.0
         samples_per_record = 1 << max(8, math.ceil(math.log2(need)))
+    elif samples_per_record is None:
+        m, top = plan.max_mixing_order, int(plan.triplet_units().max())
+        need = max(degree + m, 2 * m) * top + 1     # strictly above both
+        samples_per_record = 1 << max(8, (need - 1).bit_length())
     if samples_per_record < 1:
         raise ValueError(f"samples_per_record must be >= 1, not "
                          f"{samples_per_record}")
@@ -232,7 +244,8 @@ def simulate_dataset(sys, plan: SweepPlan,
     Each run's drive is its tone lines in the rfft bins of one record; the
     system's ``periodic_steady_state`` maps RUN_CHUNK runs at a time to
     output spectra, from which the product bins are gathered.  Exact up to
-    rounding (and, for a static nonlinearity, harmonics folded from above
+    rounding for a system that declares its ``polynomial_degree`` (a
+    static nonlinearity without one keeps harmonics folded from above
     Nyquist); deterministic for a fixed ``samples_per_record``.  The DC
     index is captured too.
     """
@@ -242,7 +255,7 @@ def simulate_dataset(sys, plan: SweepPlan,
     report = validate_plan(plan, domain="ball")
     if not report.ok:
         raise PlanInvalidError(str(report))
-    info = _capture_info(plan, samples_per_record)
+    info = _capture_info(sys, plan, samples_per_record)
 
     trip_units = plan.triplet_units()                 # (T, M), df units
     sched = plan.schedule

@@ -15,7 +15,9 @@ Two systems ship:
 
 Both expose ``state_dim``, ``deriv(x, u)`` and ``output(x, u)``, vectorized
 over a trailing batch axis, for ``transient``'s RK4 integrator.  The
-cascade's state equation is linear, which it declares as ``linear_state``.
+cascade's state equation is linear, which it declares as ``linear_state``,
+and its output is a polynomial of the input, whose degree it declares as
+``polynomial_degree``; the probe sizes its record by that degree.
 Being LTI blocks around a static nonlinearity, both also give their exact
 periodic steady state for the probe: ``periodic_steady_state(spectra, n,
 dt)`` maps chunks of input rfft bins to output bins, each block
@@ -127,6 +129,11 @@ class MultiplierCascade:
     saturation_limit_v = None
     linear_state = True  # deriv is linear in (x, u); transient uses that
 
+    @property
+    def polynomial_degree(self) -> int:
+        """Highest power of the input in y; the probe's record follows it."""
+        return max(self.include_orders, default=0)
+
     def __post_init__(self) -> None:
         if any(n not in (1, 2, 3) for n in self.include_orders):
             raise ValueError("include_orders entries must be 1, 2, or 3")
@@ -159,12 +166,15 @@ class MultiplierCascade:
         return self._combine(*abc)
 
     def periodic_steady_state(self, spectra, n: int, dt: float):
-        """Yield output rfft bins per chunk of (runs, n//2+1) input bins."""
+        """Yield output rfft bins per chunk of (runs, n//2+1) input bins.
+        A block object held more than once is filtered once per chunk."""
         f = np.fft.rfftfreq(n, dt)
-        hs = [blk.transfer_hz(f) for blk in self.blocks]
+        ids = [id(blk) for blk in self.blocks]
+        first = [ids.index(i) for i in ids]   # each block's first holder
+        hs = {i: self.blocks[i].transfer_hz(f) for i in set(first)}
         for u in spectra:
-            yield np.fft.rfft(self._combine(
-                *(np.fft.irfft(u * h, n) for h in hs)))
+            outs = {i: np.fft.irfft(u * h, n) for i, h in hs.items()}
+            yield np.fft.rfft(self._combine(*(outs[i] for i in first)))
 
     def _combine(self, a, b, c):
         """``a + a*b + a*b*c`` of the block outputs, per include_orders."""

@@ -186,6 +186,36 @@ class TestBulkInsert:
         np.testing.assert_array_equal(once.coords, twice.coords)
         assert once.sums.tobytes() == twice.sums.tobytes()
 
+    def test_chunked_inserts_merge_into_stored_points(self):
+        # chunks from empty to larger than the grid land where one bulk
+        # insert puts them; a grid restored from the arrays queries and
+        # takes further inserts alike
+        lattice, units, values = BULK_CASES["random repeats"]
+        units = np.asarray(units) * 1e6
+        grids = [KernelGrid(order=3, lattice_units=lattice, df_hz=1e6)
+                 for _ in range(2)]
+        grids[0].insert(units[:300], values[:300])
+        cuts = [0, 0, 1, 2, 5, 9, 40, 41, 300]
+        for a, b in zip(cuts, cuts[1:]):
+            grids[1].insert(units[a:b], values[a:b])
+        first = grids[0]
+        grids.append(KernelGrid(order=3, lattice_units=lattice, df_hz=1e6,
+                                coords=first.coords, sums=first.sums,
+                                counts=first.counts))
+        probe = np.concatenate([units, -units[::7], [(7e6, -7e6, 7e6)]])
+        for grid in grids:
+            grid.insert(units[300:], values[300:])
+            np.testing.assert_array_equal(grid.coords, first.coords)
+            assert grid.sums.tobytes() == first.sums.tobytes()
+            np.testing.assert_array_equal(grid.counts, first.counts)
+            np.testing.assert_array_equal(grid.query_exact(probe),
+                                          first.query_exact(probe))
+
+    @pytest.mark.parametrize("lattice", [(), (7, 0), (-7, 41)])
+    def test_lattice_must_hold_positive_frequencies(self, lattice):
+        with pytest.raises(ValueError, match="positive lattice"):
+            KernelGrid(order=1, lattice_units=lattice, df_hz=1e6)
+
     def test_bulk_off_lattice_names_first_offender(self):
         grid = KernelGrid(order=2, lattice_units=(7, 41), df_hz=1e6)
         args = np.array([[7e6, 41e6], [41e6, 7.5e6], [53e6, 7e6]])

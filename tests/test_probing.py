@@ -1,3 +1,4 @@
+import math
 from functools import partial
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from volkit.extraction import analytic_dataset
 from volkit.mixing import MixTerm, enumerate_output_indices, input_coefficient
 from volkit.probing import (
+    RUN_CHUNK,
     CaptureAlignmentError,
     PlanInvalidError,
     TransientBlowupError,
@@ -382,11 +384,16 @@ class TestSimulatedDataset:
             simulate_dataset(Oscillator(), small_plan())
 
     def test_auto_record_length_for_standard_plan(self):
+        # the cascade declares degree 3, the amplifier and a delegating
+        # wrapper declare none and keep the NYQUIST_HEADROOM record
         plan = standard_sweep_plan()
         from volkit.probing import _capture_info
-        info = _capture_info(plan, None)
-        assert info.samples_per_record == 32768
-        assert info.record_s == pytest.approx(1e-6)
+        for system, n in ((MultiplierCascade(), 16384),
+                          (SaturatingAmplifier(), 32768),
+                          (Delegating(MultiplierCascade()), 32768)):
+            info = _capture_info(system, plan, None)
+            assert info.samples_per_record == n
+            assert info.record_s == pytest.approx(1e-6)
 
 
 def run_scaled_gap(got, ref):
@@ -433,8 +440,10 @@ class TestSteadyState:
     def test_matches_settled_transient_to_rk4_error(self, system):
         # the gap is RK4's step error (4.5e-4 cascade, 1.5e-4 amplifier at
         # the default step); halving the step shrinks it ~16x (4th order)
+        # the record (and so the RK4 step) the tolerances were set at; the
+        # cascade's own default record is 256 samples, twice the step
         plan = small_plan(schedule=((0.05, 0.04, 0.03), (0.02, 0.03, 0.01)))
-        n = simulate_dataset(system, plan).capture.samples_per_record
+        n = 512
         gap = self.transient_gap(system, plan, n)
         gap_half = self.transient_gap(system, plan, 2 * n)
         assert gap <= 1e-3
@@ -451,6 +460,79 @@ class TestSteadyState:
         n = ds.capture.samples_per_record
         ds2 = simulate_dataset(amp, plan, samples_per_record=2 * n)
         assert run_scaled_gap(ds2.phasors, ds.phasors) <= 1e-12
+
+
+class TestRecordLength:
+    """The probe's default record follows the system's declared degree."""
+
+    def test_cascade_record_is_the_shortest_exact_one(self):
+        sys = MultiplierCascade()
+        plan = standard_sweep_plan(points_per_axis=3, plan_id="std-3")
+        ds = simulate_dataset(sys, plan)
+        assert ds.capture.samples_per_record == 2048
+        long = simulate_dataset(sys, plan, samples_per_record=32768)
+        ana = analytic_dataset(partial(kernel_oracle, sys), plan, 3)
+        assert run_scaled_gap(ds.phasors, long.phasors) <= 1e-13
+        assert run_scaled_gap(ds.phasors, ana.phasors) <= 1e-13
+        # half the record puts the top product at Nyquist
+        with pytest.raises(CaptureAlignmentError):
+            simulate_dataset(sys, plan, samples_per_record=1024)
+
+    def test_record_follows_declared_degree(self):
+        # at mixing order 1 the top tone (247 df) needs n > 2*247 for
+        # Nyquist, n > (3+1)*247 for the cascade's degree-3 products, and
+        # the undeclared rule puts 247 df at 0.4 of Nyquist
+        plan = SweepPlan(axes_hz=((7e6,), (127e6,), (247e6,)), df_hz=1e6,
+                         max_mixing_order=1, schedule=((0.01,) * 3,))
+        for system, n in ((MultiplierCascade(include_orders=(1,)), 512),
+                          (MultiplierCascade(), 1024),
+                          (SaturatingAmplifier(), 2048)):
+            ds = simulate_dataset(system, plan)
+            assert ds.capture.samples_per_record == n
+        linear = MultiplierCascade(include_orders=(1,))
+        assert linear.polynomial_degree == 1
+        ana = analytic_dataset(partial(kernel_oracle, linear), plan, 1)
+        got = simulate_dataset(linear, plan).phasors
+        assert run_scaled_gap(got, ana.phasors) <= 1e-13
+
+    @pytest.mark.parametrize("points, n", [(3, 8192), (6, 16384)])
+    def test_amplifier_record_unchanged(self, points, n):
+        amp = SaturatingAmplifier()
+        assert not hasattr(amp, "polynomial_degree")
+        plan = standard_sweep_plan(
+            points_per_axis=points, levels_dbm=(-30.0, -20.0),
+            amp_limit_v=amp.saturation_limit_v, plan_id="amp")
+        assert simulate_dataset(amp, plan).capture.samples_per_record == n
+
+    @pytest.mark.parametrize("system", [MultiplierCascade(),
+                                        SaturatingAmplifier()],
+                             ids=["cascade", "amplifier"])
+    def test_explicit_record_overrides_default(self, system):
+        plan = small_plan()
+        ds = simulate_dataset(system, plan, samples_per_record=4096)
+        assert ds.capture.samples_per_record == 4096
+        assert ds.capture.sample_rate_hz == pytest.approx(4096 * plan.df_hz)
+
+    def test_shared_block_filtered_once_per_chunk(self, monkeypatch):
+        plan = standard_sweep_plan(points_per_axis=3, plan_id="std-3")
+        shared = MultiplierCascade()
+        separate = MultiplierCascade(
+            blocks=(lowpass_ladder(), lowpass_ladder(), lowpass_ladder()))
+        calls = []
+        irfft = np.fft.irfft
+
+        def counting_irfft(*args, **kwargs):
+            calls.append(1)
+            return irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+        chunks = math.ceil(plan.n_triplets * len(plan.schedule) / RUN_CHUNK)
+        phasors = []
+        for system, filters in ((shared, 1), (separate, 3)):
+            calls.clear()
+            phasors.append(simulate_dataset(system, plan).phasors.tobytes())
+            assert len(calls) == filters * chunks
+        assert phasors[0] == phasors[1]
 
 
 class TestAnalyticDataset:

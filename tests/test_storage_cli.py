@@ -538,6 +538,18 @@ class TestCli:
         assert report["time_domain"]["linear_only_nrmse"] > \
             report["time_domain"]["total_nrmse"]
 
+    def test_probe_reports_samples_per_record(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert main(["plan", "--points-per-axis", "3", "--out", out]) == 0
+        for extra, n in (([], 2048), (["--samples-per-record", "4096"], 4096)):
+            capsys.readouterr()
+            assert main(["probe", "--plan", f"{out}/plan.json", "--system",
+                         "benchmark", "--out", out, *extra]) == 0
+            line = capsys.readouterr().out
+            assert line.endswith(f", {n} samples per record\n")
+            assert load_dataset(f"{out}/dataset.json").capture \
+                .samples_per_record == n
+
     def test_usage_error_is_input_error(self, tmp_path, capsys):
         # exit 2 means "validation thresholds failed"; a bad flag is input
         with pytest.raises(SystemExit) as exc:
