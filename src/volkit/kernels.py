@@ -335,6 +335,23 @@ def _fill_pass(vals: np.ndarray, wedge: np.ndarray, axis_hz: np.ndarray,
     return int(done.sum())
 
 
+def _unwrap(ph: np.ndarray, axis: int) -> None:
+    """``np.unwrap(ph, axis=axis)`` in place, bit for bit.
+
+    ``np.unwrap`` zeroes the correction of every step below pi in
+    magnitude, so only the other steps (NaN included) are wrapped here.
+    """
+    p = np.moveaxis(ph, axis, 0)                      # a view of ph
+    dd = np.diff(p, axis=0)
+    jump = ~(np.abs(dd) < np.pi)
+    step = dd[jump]
+    wrapped = np.mod(step + np.pi, 2 * np.pi) - np.pi
+    wrapped[(wrapped == -np.pi) & (step > 0)] = np.pi
+    fix = np.zeros_like(dd)
+    fix[jump] = wrapped - step
+    p[1:] += fix.cumsum(axis=0)
+
+
 class FrozenKernelGrid:
     """Dense symmetric tensor over the signed lattice, plus interpolation.
 
@@ -349,7 +366,7 @@ class FrozenKernelGrid:
         self.mag = np.abs(values)
         ph = np.angle(values)
         for ax in range(self.order):
-            ph = np.unwrap(ph, axis=ax)
+            _unwrap(ph, ax)
         self.phase = ph
         self.band_edge_hz = axis_hz[-1]
         self.margin_hz = 0.5 * (axis_hz[-1] - axis_hz[-2])

@@ -3,8 +3,12 @@
 The probe reads, per (triplet, amplitude) pair, the output phasor at every
 retained mixing product of the system's periodic steady state.  A record
 is one resolution period (1/df), so every tone and product sits on a DFT
-bin: no settle, no time stepping, no leakage.  ``transient`` integrates any
-drive from rest with fixed-step RK4, the independent time-domain reference.
+bin: no settle, no time stepping, no leakage.  ``simulate_dataset`` is the
+one steady-state routine: a system declares LTI ``input_blocks``, a
+``static`` nonlinearity and an ``output_block`` (or None), and each
+distinct plan tone is filtered once per block and superposed per run.
+``transient`` integrates any drive from rest with fixed-step RK4, the
+independent time-domain reference.
 
 Phasor convention: ``B`` is the positive-frequency coefficient of the
 two-sided expansion, i.e. the real signal component at f > 0 is
@@ -241,16 +245,20 @@ def simulate_dataset(sys, plan: SweepPlan,
                      samples_per_record: int | None = None) -> SpectralDataset:
     """Probe every (triplet, amplitude vector) pair of the plan.
 
-    Each run's drive is its tone lines in the rfft bins of one record; the
-    system's ``periodic_steady_state`` maps RUN_CHUNK runs at a time to
-    output spectra, from which the product bins are gathered.  Exact up to
-    rounding for a system that declares its ``polynomial_degree`` (a
-    static nonlinearity without one keeps harmonics folded from above
-    Nyquist); deterministic for a fixed ``samples_per_record``.  The DC
-    index is captured too.
+    Every run's record is the periodic steady state of the system's
+    declared structure: ``input_blocks`` filter the drive, ``static`` acts
+    on their samples, ``output_block`` (if any) filters the result.  The
+    blocks are LTI, so each distinct block (by identity) filters each
+    distinct plan tone once, in one irfft, and a run's block output is its
+    amplitudes times those tone responses; RUN_CHUNK runs at a time then
+    pass through ``static`` and one rfft, and only the product bins are
+    read.  Exact up to rounding for a system that declares its
+    ``polynomial_degree`` (a static nonlinearity without one keeps
+    harmonics folded from above Nyquist); deterministic for a fixed
+    ``samples_per_record``.  The DC index is captured too.
     """
-    if not hasattr(sys, "periodic_steady_state"):
-        raise TypeError(f"{type(sys).__name__} has no periodic_steady_state;"
+    if not hasattr(sys, "input_blocks"):
+        raise TypeError(f"{type(sys).__name__} has no input_blocks;"
                         " only block-structured systems can be probed")
     report = validate_plan(plan, domain="ball")
     if not report.ok:
@@ -264,6 +272,7 @@ def simulate_dataset(sys, plan: SweepPlan,
                                        include_dc=True)
     n_rec = info.samples_per_record
     dt = info.record_s / n_rec
+    bin_hz = 1.0 / (n_rec * dt)                       # rfftfreq's bin step
 
     # signed mixing sums per triplet, in df units
     ks = np.array(indices, dtype=np.int64)            # (K, M)
@@ -272,23 +281,41 @@ def simulate_dataset(sys, plan: SweepPlan,
         raise CaptureAlignmentError("mixing products reach Nyquist; "
                                     "increase samples_per_record")
 
-    # one row per run: tone bins and amplitudes in, product bins out
-    tone_bins = np.repeat(trip_units, n_a, axis=0)    # (R, M)
+    # each distinct block's response to each distinct tone: one line of
+    # 0.5*n*H per row, so a unit amplitude gives the filtered cosine
+    tones, tone_of = np.unique(trip_units, return_inverse=True)
+    blocks = sys.input_blocks
+    ids = [id(blk) for blk in blocks]
+    first = [ids.index(i) for i in ids]               # each block's first holder
+    lines = np.zeros((len(tones), n_rec // 2 + 1), dtype=complex)
+    basis = {}
+    for i in dict.fromkeys(first):
+        lines[np.arange(len(tones)), tones] = (
+            0.5 * n_rec * blocks[i].transfer_hz(tones * bin_hz))
+        basis[i] = np.fft.irfft(lines, n_rec)         # (tones, n)
+
+    # one row per run: tone positions and amplitudes in, product bins out
+    run_tones = np.repeat(tone_of.reshape(n_t, -1), n_a, axis=0)  # (R, M)
     amps = np.tile(np.asarray(sched, dtype=float), (n_t, 1))
     product_bins = np.repeat(np.abs(sums), n_a, axis=0)  # (R, K)
-    chunks = [slice(s, s + RUN_CHUNK) for s in range(0, len(amps), RUN_CHUNK)]
 
-    def drive_spectra():
-        for rows in chunks:
-            u = np.zeros((len(amps[rows]), n_rec // 2 + 1), dtype=complex)
-            np.put_along_axis(u, tone_bins[rows], 0.5 * n_rec * amps[rows],
-                              axis=1)
-            yield u
+    out_block = sys.output_block
+    if out_block is not None:                         # its transfer where read
+        prods = np.unique(product_bins)
+        h_out = np.zeros(n_rec // 2 + 1, dtype=complex)
+        h_out[prods] = out_block.transfer_hz(prods * bin_hz)
 
     b = np.empty(product_bins.shape, dtype=complex)
-    outputs = sys.periodic_steady_state(drive_spectra(), n_rec, dt)
-    for rows, y in zip(chunks, outputs):
-        b[rows] = np.take_along_axis(y, product_bins[rows], axis=1) / n_rec
+    for s in range(0, len(amps), RUN_CHUNK):
+        rows = slice(s, s + RUN_CHUNK)
+        w = np.zeros((len(amps[rows]), len(tones)))
+        np.put_along_axis(w, run_tones[rows], amps[rows], axis=1)
+        outs = {i: w @ v for i, v in basis.items()}
+        y = np.fft.rfft(sys.static([outs[i] for i in first]))
+        b[rows] = np.take_along_axis(y, product_bins[rows], axis=1)
+        if out_block is not None:
+            b[rows] *= h_out[product_bins[rows]]
+    b /= n_rec
 
     b = b.reshape(n_t, n_a, len(indices))
     b = np.where((sums < 0)[:, None, :], np.conj(b), b)
@@ -296,4 +323,3 @@ def simulate_dataset(sys, plan: SweepPlan,
     b[:, :, dc] = b[:, :, dc].real
     return SpectralDataset(plan=plan, indices=tuple(indices), phasors=b,
                            capture=info, source="simulated")
-

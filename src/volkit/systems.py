@@ -18,11 +18,11 @@ over a trailing batch axis, for ``transient``'s RK4 integrator.  The
 cascade's state equation is linear, which it declares as ``linear_state``,
 and its output is a polynomial of the input, whose degree it declares as
 ``polynomial_degree``; the probe sizes its record by that degree.
-Being LTI blocks around a static nonlinearity, both also give their exact
-periodic steady state for the probe: ``periodic_steady_state(spectra, n,
-dt)`` maps chunks of input rfft bins to output bins, each block
-multiplying by its transfer and the static part acting on the irfft
-samples.
+Being LTI blocks around a static nonlinearity, both also declare that
+structure for the probe's periodic steady state: ``input_blocks`` each
+filter the input, ``static(outs)`` maps their sampled outputs (runs, n)
+to the nonlinearity's samples, and ``output_block`` (or None) filters
+the result.
 """
 
 from __future__ import annotations
@@ -128,6 +128,7 @@ class MultiplierCascade:
 
     saturation_limit_v = None
     linear_state = True  # deriv is linear in (x, u); transient uses that
+    output_block = None
 
     @property
     def polynomial_degree(self) -> int:
@@ -165,16 +166,14 @@ class MultiplierCascade:
         abc += self._d_col * u
         return self._combine(*abc)
 
-    def periodic_steady_state(self, spectra, n: int, dt: float):
-        """Yield output rfft bins per chunk of (runs, n//2+1) input bins.
-        A block object held more than once is filtered once per chunk."""
-        f = np.fft.rfftfreq(n, dt)
-        ids = [id(blk) for blk in self.blocks]
-        first = [ids.index(i) for i in ids]   # each block's first holder
-        hs = {i: self.blocks[i].transfer_hz(f) for i in set(first)}
-        for u in spectra:
-            outs = {i: np.fft.irfft(u * h, n) for i, h in hs.items()}
-            yield np.fft.rfft(self._combine(*(outs[i] for i in first)))
+    @property
+    def input_blocks(self) -> tuple[LinearBlock, ...]:
+        """The blocks that filter the input, in ``static``'s order."""
+        return self.blocks
+
+    def static(self, outs) -> np.ndarray:
+        """The memoryless combination of the three block outputs."""
+        return self._combine(*outs)
 
     def _combine(self, a, b, c):
         """``a + a*b + a*b*c`` of the block outputs, per include_orders."""
@@ -214,8 +213,27 @@ class SaturatingAmplifier:
     def state_dim(self) -> int:
         return self.in_block.order + self.out_block.order
 
+    @property
+    def input_blocks(self) -> tuple[LinearBlock]:
+        return (self.in_block,)
+
+    @property
+    def output_block(self) -> LinearBlock:
+        return self.out_block
+
+    def static(self, outs) -> np.ndarray:
+        """The limiter on the input block's output, overwriting it."""
+        return self._limiter(outs[0])
+
     def _limiter(self, v: np.ndarray) -> np.ndarray:
-        return self.vsat * np.tanh(self.gain * v / self.vsat)
+        """``vsat * tanh(gain * v / vsat)``, computed in place in ``v``
+        (a float array; a scalar is limited in a 0-d copy)."""
+        v = np.asarray(v)
+        v *= self.gain
+        v /= self.vsat
+        np.tanh(v, out=v)
+        v *= self.vsat
+        return v
 
     def deriv(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         n1 = self.in_block.order
@@ -230,19 +248,6 @@ class SaturatingAmplifier:
         n1 = self.in_block.order
         v = self.in_block.output(x[:n1], u)
         return self.out_block.output(x[n1:], self._limiter(v))
-
-    def periodic_steady_state(self, spectra, n: int, dt: float):
-        """Yield output rfft bins per chunk of (runs, n//2+1) input bins.
-
-        Limiter harmonics above Nyquist fold back; below vsat they are
-        negligible (doubling n moves a phasor by under 1e-15 of its run).
-        """
-        f = np.fft.rfftfreq(n, dt)
-        h_in = self.in_block.transfer_hz(f)
-        h_out = self.out_block.transfer_hz(f)
-        for u in spectra:
-            v = np.fft.irfft(u * h_in, n)
-            yield np.fft.rfft(self._limiter(v)) * h_out
 
     def series_coefficient(self, order: int) -> float:
         """Taylor coefficient a_n of the limiter, w = sum a_n v^n."""

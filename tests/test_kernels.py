@@ -9,6 +9,7 @@ from volkit.kernels import (
     KernelArchive,
     KernelGrid,
     OffLatticeError,
+    _unwrap,
     _wedge_rows,
     canonical_rows,
 )
@@ -567,6 +568,34 @@ class TestFrozenSymmetry:
         err = np.abs(frozen.values[tuple(filled.T)] - truth) / peak
         assert err.max() <= max_err
         assert np.sqrt(np.mean(err ** 2)) <= rms_err
+
+
+class TestPhaseUnwrap:
+    """The freeze's unwrap corrects only the steps np.unwrap corrects."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_numpy_unwrap_on_each_axis(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 9, size=seed % 3 + 1))
+        ph = rng.uniform(-4.0, 4.0, shape) * (0.5, 1.0, 3.0)[seed % 3]
+        # whole multiples of pi make steps of exactly +-pi, np.unwrap's
+        # boundary case, and negative zeros only meet its "+ 0.0"
+        at = rng.random(shape) < 0.3
+        ph[at] = np.pi * rng.integers(-3, 4, size=at.sum())
+        ph[rng.random(shape) < 0.1] = -0.0
+        if seed >= 3:   # a NaN step is corrected, so NaN runs down its line
+            ph[rng.random(shape) < 0.05] = np.nan
+        for axis in range(ph.ndim):
+            got = ph.copy()
+            _unwrap(got, axis)
+            assert got.tobytes() == np.unwrap(ph, axis=axis).tobytes()
+
+    def test_frozen_phase_is_the_unwrapped_angle(self, bench_archive):
+        frozen = bench_archive.frozen(3)
+        want = np.angle(frozen.values)
+        for axis in range(3):
+            want = np.unwrap(want, axis=axis)
+        assert frozen.phase.tobytes() == want.tobytes()
 
 
 class TestArchive:

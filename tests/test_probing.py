@@ -1,17 +1,19 @@
-import math
 from functools import partial
 
 import numpy as np
 import pytest
 
-from volkit.extraction import analytic_dataset
+from volkit import probing
+from volkit.extraction import analytic_dataset, extract
 from volkit.mixing import MixTerm, enumerate_output_indices, input_coefficient
 from volkit.probing import (
     RUN_CHUNK,
     CaptureAlignmentError,
     PlanInvalidError,
+    SpectralDataset,
     TransientBlowupError,
     Waveform,
+    _capture_info,
     simulate_dataset,
     transient,
 )
@@ -513,7 +515,8 @@ class TestRecordLength:
         assert ds.capture.samples_per_record == 4096
         assert ds.capture.sample_rate_hz == pytest.approx(4096 * plan.df_hz)
 
-    def test_shared_block_filtered_once_per_chunk(self, monkeypatch):
+    def test_shared_block_filtered_once_per_probe(self, monkeypatch):
+        # one irfft per distinct input block per call, whatever the chunks
         plan = standard_sweep_plan(points_per_axis=3, plan_id="std-3")
         shared = MultiplierCascade()
         separate = MultiplierCascade(
@@ -526,13 +529,106 @@ class TestRecordLength:
             return irfft(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "irfft", counting_irfft)
-        chunks = math.ceil(plan.n_triplets * len(plan.schedule) / RUN_CHUNK)
+        assert plan.n_triplets * len(plan.schedule) > RUN_CHUNK
         phasors = []
         for system, filters in ((shared, 1), (separate, 3)):
             calls.clear()
             phasors.append(simulate_dataset(system, plan).phasors.tobytes())
-            assert len(calls) == filters * chunks
+            assert len(calls) == filters
         assert phasors[0] == phasors[1]
+
+
+def _dense_spectrum_dataset(sys, plan, samples_per_record=None):
+    """The probe before tones were superposed, as a reference: per chunk of
+    runs a dense rfft spectrum holding each run's tone lines, each distinct
+    input block's transfer over every bin and one irfft, the static part,
+    one rfft, and the output block's transfer over every bin."""
+    info = _capture_info(sys, plan, samples_per_record)
+    n_rec = info.samples_per_record
+    dt = info.record_s / n_rec
+    trip_units = plan.triplet_units()
+    n_t, n_a = len(trip_units), len(plan.schedule)
+    indices = enumerate_output_indices(plan.m_tones, plan.max_mixing_order,
+                                       include_dc=True)
+    ks = np.array(indices, dtype=np.int64)
+    sums = trip_units @ ks.T
+    tone_bins = np.repeat(trip_units, n_a, axis=0)
+    amps = np.tile(np.asarray(plan.schedule, dtype=float), (n_t, 1))
+    product_bins = np.repeat(np.abs(sums), n_a, axis=0)
+    f = np.fft.rfftfreq(n_rec, dt)
+    ids = [id(blk) for blk in sys.input_blocks]
+    first = [ids.index(i) for i in ids]
+    hs = {i: sys.input_blocks[i].transfer_hz(f) for i in set(first)}
+    b = np.empty(product_bins.shape, dtype=complex)
+    for s in range(0, len(amps), RUN_CHUNK):
+        rows = slice(s, s + RUN_CHUNK)
+        u = np.zeros((len(amps[rows]), n_rec // 2 + 1), dtype=complex)
+        np.put_along_axis(u, tone_bins[rows], 0.5 * n_rec * amps[rows], axis=1)
+        outs = {i: np.fft.irfft(u * h, n_rec) for i, h in hs.items()}
+        y = np.fft.rfft(sys.static([outs[i] for i in first]))
+        if sys.output_block is not None:
+            y = y * sys.output_block.transfer_hz(f)
+        b[rows] = np.take_along_axis(y, product_bins[rows], axis=1) / n_rec
+    b = b.reshape(n_t, n_a, len(indices))
+    b = np.where((sums < 0)[:, None, :], np.conj(b), b)
+    dc = (ks == 0).all(axis=1)
+    b[:, :, dc] = b[:, :, dc].real
+    return b
+
+
+AMP_PLAN_3 = standard_sweep_plan(points_per_axis=3, levels_dbm=(-30.0, -20.0),
+                                 amp_limit_v=0.07, plan_id="amp-3")
+
+
+class TestSuperposition:
+    """Each distinct tone filtered once and superposed per run gives the
+    dense per-run spectrum path's phasors to rounding."""
+
+    @pytest.mark.parametrize("system", [MultiplierCascade(),
+                                        SaturatingAmplifier()],
+                             ids=["cascade", "amplifier"])
+    @pytest.mark.parametrize("case", ["one-run", "shared-tones", "explicit-n",
+                                      "chunk-1", "chunk-7"])
+    def test_matches_dense_spectrum_path(self, system, case, monkeypatch):
+        if case == "one-run":
+            plan = small_plan()
+        elif case == "explicit-n":
+            plan = small_plan(schedule=((0.05, 0.04, 0.03), (0.02, 0.03, 0.01)))
+        elif isinstance(system, SaturatingAmplifier):
+            plan = AMP_PLAN_3
+        else:
+            plan = standard_sweep_plan(points_per_axis=3, plan_id="std-3")
+        n = 4096 if case == "explicit-n" else None
+        if case.startswith("chunk-"):
+            monkeypatch.setattr(probing, "RUN_CHUNK", int(case[6:]))
+        got = simulate_dataset(system, plan, n).phasors
+        ref = _dense_spectrum_dataset(system, plan, n)
+        if case == "one-run":
+            assert got.shape[:2] == (1, 1)
+        if case == "shared-tones":
+            units = plan.triplet_units()
+            assert len(np.unique(units)) < units.size
+        assert run_scaled_gap(got, ref) <= 1e-15
+
+    def test_amplifier_kernels_match_dense_spectrum_path(
+            self, amp_system, amp_plan, amp_dataset, amp_archive):
+        ref = SpectralDataset(
+            plan=amp_plan, indices=amp_dataset.indices,
+            phasors=_dense_spectrum_dataset(amp_system, amp_plan))
+        ref_archive, _ = extract(ref, amp_plan)
+        for order, grid in amp_archive.grids.items():
+            ref_grid = ref_archive.grid(order)
+            assert np.array_equal(grid.coords, ref_grid.coords)
+            want = ref_grid._means()
+            # relative to the order's peak; the even orders are exactly 0
+            gap = np.abs(grid._means() - want).max()
+            assert gap <= 1e-12 * np.abs(want).max(), order
+
+    def test_system_without_input_blocks_refused(self):
+        # a state equation and an output are not enough: the probe needs
+        # the block structure
+        with pytest.raises(TypeError, match="Delegating has no input_blocks"):
+            simulate_dataset(Delegating(MultiplierCascade()), small_plan())
 
 
 class TestAnalyticDataset:
