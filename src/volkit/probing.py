@@ -7,8 +7,9 @@ bin: no settle, no time stepping, no leakage.  ``simulate_dataset`` is the
 one steady-state routine: a system declares LTI ``input_blocks``, a
 ``static`` nonlinearity and an ``output_block`` (or None), and each
 distinct plan tone is filtered once per block and superposed per run.
-``transient`` integrates any drive from rest with fixed-step RK4, the
-independent time-domain reference.
+``transient`` integrates a drive from rest with fixed-step RK4 through
+the same declared blocks, stepping each block's state: the time-domain
+reference, independent of the probe's superposition.
 
 Phasor convention: ``B`` is the positive-frequency coefficient of the
 two-sided expansion, i.e. the real signal component at f > 0 is
@@ -124,6 +125,18 @@ class SpectralDataset:
 # transient integration
 
 
+def _input_blocks(sys) -> tuple[tuple, list[int]]:
+    """``sys.input_blocks`` and, per block, the position of the first
+    block identical to it, so each distinct block is filtered or stepped
+    once; a system that declares no input blocks raises TypeError."""
+    if not hasattr(sys, "input_blocks"):
+        raise TypeError(f"{type(sys).__name__} has no input_blocks;"
+                        " only block-structured systems can be simulated")
+    blocks = sys.input_blocks
+    ids = [id(blk) for blk in blocks]
+    return blocks, [ids.index(i) for i in ids]
+
+
 def _drive_stage_values(drive, dt: float, n_steps: int) -> np.ndarray:
     """Input samples at the 2*n_steps+1 half-step stage times."""
     t = 0.5 * dt * np.arange(2 * n_steps + 1)
@@ -145,64 +158,77 @@ def transient(sys, drive, duration: float, dt: float) -> Waveform:
     """Fixed-step RK4 simulation from rest; output sampled every dt.
 
     ``drive`` may be a Waveform on the same time step or a callable t -> u
-    accepting arrays.  Every CHECK_INTERVAL steps and after the last, a
-    state magnitude that is not within BLOWUP_FACTOR * (1 + peak input
-    magnitude) raises TransientBlowupError.  Outputs are evaluated once
-    per CHECK_INTERVAL block of states, over the system's batch axis.  A
-    system whose ``linear_state`` is true has a ``deriv`` linear in (x, u);
-    its RK4 step is the affine map ``_linear_step_map`` gives, one matrix
-    product per step.
+    accepting arrays.  The system is stepped through its declared
+    structure, CHECK_INTERVAL steps at a time: each distinct input block
+    (by identity) takes the drive at the step's four RK4 stages, ``static``
+    maps all their stage outputs in one call, and the output block (if
+    any) takes those as its own stage inputs.  This is the coupled RK4 of
+    the whole system's state equation; the output at ``t_j`` is stage 1 of
+    step j.  After the first step of every CHECK_INTERVAL block and after
+    the last, a state magnitude that is not within BLOWUP_FACTOR * (1 +
+    peak input magnitude) raises TransientBlowupError.
     """
+    blocks, first = _input_blocks(sys)
+    stepped = {i: blocks[i] for i in first}           # distinct input blocks
+    if sys.output_block is not None:
+        stepped["out"] = sys.output_block
+    maps = {k: _stage_map(blk, dt) for k, blk in stepped.items()}
+    states = {k: np.zeros((1, blk.order)) for k, blk in stepped.items()}
     n = int(round(duration / dt))
     u = _drive_stage_values(drive, dt, n)
     limit = BLOWUP_FACTOR * (1.0 + np.abs(u).max())
-    linear = getattr(sys, "linear_state", False)
-    if linear:
-        p, q = _linear_step_map(sys, dt)
-    x = np.zeros((sys.state_dim, 1))
-    states = np.empty((sys.state_dim, CHECK_INTERVAL))
     y = np.empty(n)
-    for j in range(n):
-        k = j % CHECK_INTERVAL
-        if linear and k == 0:
-            # the inputs' share of every step of this block, in one product
-            block = u[2 * j:2 * min(j + CHECK_INTERVAL, n) + 1]
-            pushed = q @ np.stack([block[0:-1:2], block[1::2], block[2::2]])
-        states[:, k] = x[:, 0]
-        if linear:
-            x = p @ x + pushed[:, k:k + 1]
-        else:
-            u0, um, u1 = u[2 * j:2 * j + 3, None]  # each of shape (1,)
-            x = _rk4_step(sys, x, u0, um, u1, dt)
-        if (k == 0 or j == n - 1) and not np.abs(x).max() <= limit:
-            raise TransientBlowupError(f"state magnitude {np.abs(x).max():.3g}"
-                                       f" at t={(j + 1) * dt:.3g} s")
-        if k == CHECK_INTERVAL - 1 or j == n - 1:
-            y[j - k:j + 1] = sys.output(states[:, :k + 1],
-                                        u[2 * (j - k):2 * j + 1:2])
+    for j0 in range(0, n, CHECK_INTERVAL):
+        j1 = min(j0 + CHECK_INTERVAL, n)
+        half = u[2 * j0:2 * j1 + 1]
+        s = np.stack([half[0:-1:2], half[1::2], half[1::2], half[2::2]])
+        outs = {}
+        for i in dict.fromkeys(first):
+            states[i], outs[i] = _step_block(maps[i], states[i][-1], s)
+        w = sys.static([outs[i] for i in first])      # (4, steps)
+        if "out" in maps:
+            states["out"], w = _step_block(maps["out"], states["out"][-1], w)
+        y[j0:j1] = w[0]
+        for j in sorted({j0, n - 1 if j1 == n else j0}):
+            mag = np.abs(np.concatenate(
+                [st[j + 1 - j0] for st in states.values()])).max()
+            if not mag <= limit:
+                raise TransientBlowupError(f"state magnitude {mag:.3g}"
+                                           f" at t={(j + 1) * dt:.3g} s")
     return Waveform(samples=y, dt=dt, t0=0.0)
 
 
-def _rk4_step(sys, x, u0, um, u1, dt: float) -> np.ndarray:
-    """One classical RK4 step of ``dx/dt = sys.deriv(x, u)`` from the
-    states ``x``, with inputs ``u0``, ``um`` and ``u1`` at the start, the
-    middle and the end of the step."""
-    half = 0.5 * dt
-    k1 = sys.deriv(x, u0)
-    k2 = sys.deriv(x + half * k1, um)
-    k3 = sys.deriv(x + half * k2, um)
-    k4 = sys.deriv(x + dt * k3, u1)
-    return x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+def _stage_map(blk, dt: float) -> np.ndarray:
+    """One classical RK4 step of the LTI block ``blk`` as one matrix M:
+    ``M @ [x; s] = [x'; v]``, with ``s`` the inputs at the step's four
+    stages (start, middle, middle, end), ``x'`` the state after the step
+    and ``v`` the block's output at each stage.  The step is linear in
+    (x, s), so it is evaluated once on the identity."""
+    n = blk.order
+    basis = np.eye(n + 4)
+    x, s = basis[:n], basis[n:]
+    k = np.zeros_like(x)
+    slopes, outs = [], []
+    for s_i, h in zip(s, (0.0, 0.5 * dt, 0.5 * dt, dt)):
+        state = x + h * k
+        outs.append(blk.c @ state + blk.d * s_i)
+        k = blk.a @ state + np.outer(blk.b, s_i)
+        slopes.append(k)
+    k1, k2, k3, k4 = slopes
+    return np.vstack([x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4), outs])
 
 
-def _linear_step_map(sys, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(P, Q) of a linear system's RK4 step, ``x <- P x + Q (u0, um, u1)``:
-    the step applied to the identity with zero input gives P, and applied
-    to zero states with each unit input gives Q's columns."""
-    d = sys.state_dim
-    basis = np.eye(d + 3)
-    step = _rk4_step(sys, basis[:d], *basis[d:], dt)
-    return step[:, :d], step[:, d:]
+def _step_block(m, x, s):
+    """Step a block with stage map ``m`` from state ``x`` through the
+    stage inputs ``s`` (4, steps): its states (steps + 1, n) from ``x`` on
+    and its stage outputs (4, steps)."""
+    n = len(x)
+    p = m[:n, :n]
+    states = [x]
+    for pushed in s.T @ m[:n, n:].T:                  # the inputs' share
+        states.append(p @ states[-1] + pushed)
+    states = np.array(states)
+    return states, m[n:] @ np.vstack([states[:-1].T, s])
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +283,7 @@ def simulate_dataset(sys, plan: SweepPlan,
     harmonics folded from above Nyquist); deterministic for a fixed
     ``samples_per_record``.  The DC index is captured too.
     """
-    if not hasattr(sys, "input_blocks"):
-        raise TypeError(f"{type(sys).__name__} has no input_blocks;"
-                        " only block-structured systems can be probed")
+    blocks, first = _input_blocks(sys)
     report = validate_plan(plan, domain="ball")
     if not report.ok:
         raise PlanInvalidError(str(report))
@@ -284,9 +308,6 @@ def simulate_dataset(sys, plan: SweepPlan,
     # each distinct block's response to each distinct tone: one line of
     # 0.5*n*H per row, so a unit amplitude gives the filtered cosine
     tones, tone_of = np.unique(trip_units, return_inverse=True)
-    blocks = sys.input_blocks
-    ids = [id(blk) for blk in blocks]
-    first = [ids.index(i) for i in ids]               # each block's first holder
     lines = np.zeros((len(tones), n_rec // 2 + 1), dtype=complex)
     basis = {}
     for i in dict.fromkeys(first):

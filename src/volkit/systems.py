@@ -13,16 +13,14 @@ Two systems ship:
   tanh limiter, filter).  All even-order kernels vanish; odd orders exist
   at every order, so truncation bias is real and measurable.
 
-Both expose ``state_dim``, ``deriv(x, u)`` and ``output(x, u)``, vectorized
-over a trailing batch axis, for ``transient``'s RK4 integrator.  The
-cascade's state equation is linear, which it declares as ``linear_state``,
-and its output is a polynomial of the input, whose degree it declares as
-``polynomial_degree``; the probe sizes its record by that degree.
-Being LTI blocks around a static nonlinearity, both also declare that
-structure for the probe's periodic steady state: ``input_blocks`` each
-filter the input, ``static(outs)`` maps their sampled outputs (runs, n)
-to the nonlinearity's samples, and ``output_block`` (or None) filters
-the result.
+Both are LTI blocks around a static nonlinearity and declare only that
+structure, which the probe's periodic steady state and ``transient``'s
+RK4 both read: ``input_blocks`` each filter the input, ``static(outs)``
+maps their outputs, sampled along any trailing axes, to the
+nonlinearity's samples, and ``output_block`` (or None) filters the
+result.  The cascade's output is a polynomial of the input, whose degree
+it declares as ``polynomial_degree``; the probe sizes its record by that
+degree.
 """
 
 from __future__ import annotations
@@ -38,17 +36,6 @@ from volkit.kernels import canonical_rows
 
 TANH_SERIES = {1: 1.0, 3: -1.0 / 3.0, 5: 2.0 / 15.0, 7: -17.0 / 315.0,
                9: 62.0 / 2835.0}
-
-
-def _block_diag(mats) -> np.ndarray:
-    dim = sum(m.shape[0] for m in mats)
-    out = np.zeros((dim, dim))
-    at = 0
-    for m in mats:
-        n = m.shape[0]
-        out[at:at + n, at:at + n] = m
-        at += n
-    return out
 
 
 @dataclass(frozen=True)
@@ -89,9 +76,6 @@ class LinearBlock:
     def transfer_hz(self, f_hz) -> np.ndarray:
         return self.transfer(2.0 * np.pi * np.asarray(f_hz, dtype=float))
 
-    def output(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.c @ x + self.d * u
-
 
 def lowpass_ladder(
     l_henry: float = 42.52e-9,
@@ -127,7 +111,6 @@ class MultiplierCascade:
     include_orders: tuple[int, ...] = (1, 2, 3)
 
     saturation_limit_v = None
-    linear_state = True  # deriv is linear in (x, u); transient uses that
     output_block = None
 
     @property
@@ -138,33 +121,6 @@ class MultiplierCascade:
     def __post_init__(self) -> None:
         if any(n not in (1, 2, 3) for n in self.include_orders):
             raise ValueError("include_orders entries must be 1, 2, or 3")
-        # stacked operators: one gemm per derivative/output evaluation
-        object.__setattr__(self, "_a_full", _block_diag(
-            [blk.a for blk in self.blocks]))
-        object.__setattr__(self, "_b_full", np.concatenate(
-            [blk.b for blk in self.blocks])[:, None])
-        c_rows = np.zeros((3, self._a_full.shape[0]))
-        at = 0
-        for i, blk in enumerate(self.blocks):
-            c_rows[i, at:at + blk.order] = blk.c
-            at += blk.order
-        object.__setattr__(self, "_c_rows", c_rows)
-        object.__setattr__(self, "_d_col",
-                           np.array([blk.d for blk in self.blocks])[:, None])
-
-    @property
-    def state_dim(self) -> int:
-        return sum(blk.order for blk in self.blocks)
-
-    def deriv(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        out = self._a_full @ x
-        out += self._b_full * u
-        return out
-
-    def output(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        abc = self._c_rows @ x
-        abc += self._d_col * u
-        return self._combine(*abc)
 
     @property
     def input_blocks(self) -> tuple[LinearBlock, ...]:
@@ -172,11 +128,9 @@ class MultiplierCascade:
         return self.blocks
 
     def static(self, outs) -> np.ndarray:
-        """The memoryless combination of the three block outputs."""
-        return self._combine(*outs)
-
-    def _combine(self, a, b, c):
-        """``a + a*b + a*b*c`` of the block outputs, per include_orders."""
+        """``a + a*b + a*b*c`` of the three block outputs, per
+        include_orders."""
+        a, b, c = outs
         y = np.zeros_like(a)
         if 1 in self.include_orders:
             y = y + a
@@ -201,17 +155,9 @@ class SaturatingAmplifier:
     vsat: float = 0.07
     gain: float = 0.25
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_a_full", _block_diag(
-            [self.in_block.a, self.out_block.a]))
-
     @property
     def saturation_limit_v(self) -> float:
         return self.vsat
-
-    @property
-    def state_dim(self) -> int:
-        return self.in_block.order + self.out_block.order
 
     @property
     def input_blocks(self) -> tuple[LinearBlock]:
@@ -222,32 +168,14 @@ class SaturatingAmplifier:
         return self.out_block
 
     def static(self, outs) -> np.ndarray:
-        """The limiter on the input block's output, overwriting it."""
-        return self._limiter(outs[0])
-
-    def _limiter(self, v: np.ndarray) -> np.ndarray:
-        """``vsat * tanh(gain * v / vsat)``, computed in place in ``v``
-        (a float array; a scalar is limited in a 0-d copy)."""
-        v = np.asarray(v)
+        """``vsat * tanh(gain * v / vsat)`` of the input block's output
+        ``v``, computed in place in that float array."""
+        v = outs[0]
         v *= self.gain
         v /= self.vsat
         np.tanh(v, out=v)
         v *= self.vsat
         return v
-
-    def deriv(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        n1 = self.in_block.order
-        v = self.in_block.output(x[:n1], u)
-        w = self._limiter(v)
-        out = self._a_full @ x
-        out[:n1] += self.in_block.b[:, None] * u
-        out[n1:] += self.out_block.b[:, None] * w
-        return out
-
-    def output(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        n1 = self.in_block.order
-        v = self.in_block.output(x[:n1], u)
-        return self.out_block.output(x[n1:], self._limiter(v))
 
     def series_coefficient(self, order: int) -> float:
         """Taylor coefficient a_n of the limiter, w = sum a_n v^n."""

@@ -7,6 +7,7 @@ from volkit import probing
 from volkit.extraction import analytic_dataset, extract
 from volkit.mixing import MixTerm, enumerate_output_indices, input_coefficient
 from volkit.probing import (
+    CHECK_INTERVAL,
     RUN_CHUNK,
     CaptureAlignmentError,
     PlanInvalidError,
@@ -100,75 +101,111 @@ def capture_phasors(
     return out
 
 
-class Unstable:
-    state_dim = 1
-
-    def deriv(self, x, u):
-        return 5e9 * x + u
-
-    def output(self, x, u):
-        return x[0]
-
-
-class Oscillator:
-    """Growing 1 GHz rotation; RK4 at the small plan's step overflows to NaN
-    within one check interval."""
-
-    state_dim = 2
-    a = np.array([[2e9, 2 * np.pi * 1e9], [-2 * np.pi * 1e9, 2e9]])
-
-    def deriv(self, x, u):
-        return self.a @ x + np.array([[1.0], [0.0]]) * u
-
-    def output(self, x, u):
-        return x[0]
+def block_diag(*mats):
+    out = np.zeros(np.sum([m.shape for m in mats], axis=0))
+    r = c = 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
 
 
-class Delegating:
-    """A system's state equation and output without its ``linear_state``
-    flag, so ``transient`` takes the generic RK4 loop."""
+def state_space(sys):
+    """``(dim, deriv, output)`` of a reference system's coupled state
+    equation over its whole state, written out by hand and vectorized over
+    a trailing batch axis."""
+    if isinstance(sys, SaturatingAmplifier):
+        b1, b2 = sys.in_block, sys.out_block
+        n1 = b1.order
+        a = block_diag(b1.a, b2.a)
 
-    def __init__(self, sys):
-        self.sys = sys
-        self.state_dim = sys.state_dim
+        def limited(x, u):
+            v = b1.c @ x[:n1] + b1.d * u
+            return sys.vsat * np.tanh(sys.gain * v / sys.vsat)
 
-    def deriv(self, x, u):
-        return self.sys.deriv(x, u)
+        def deriv(x, u):
+            out = a @ x
+            out[:n1] += b1.b[:, None] * u
+            out[n1:] += b2.b[:, None] * limited(x, u)
+            return out
 
-    def output(self, x, u):
-        return self.sys.output(x, u)
+        def output(x, u):
+            return b2.c @ x[n1:] + b2.d * limited(x, u)
+        return len(a), deriv, output
+
+    a = block_diag(*(blk.a for blk in sys.blocks))
+    b = np.concatenate([blk.b for blk in sys.blocks])[:, None]
+    c = block_diag(*(blk.c[None, :] for blk in sys.blocks))
+    d = np.array([blk.d for blk in sys.blocks])[:, None]
+
+    def deriv(x, u):
+        return a @ x + b * u
+
+    def output(x, u):
+        p, q, r = c @ x + d * u
+        terms = {1: p, 2: p * q, 3: p * q * r}
+        return sum(terms[k] for k in sys.include_orders)
+    return len(a), deriv, output
 
 
-class LinearUnstable(Unstable):
-    linear_state = True
+def coupled_rk4(sys, drive, duration, dt):
+    """Classical RK4 of the coupled state equation, stage by stage: the
+    reference ``transient`` must equal to rounding."""
+    dim, deriv, output = state_space(sys)
+    n = int(round(duration / dt))
+    u = probing._drive_stage_values(drive, dt, n)
+    x = np.zeros((dim, 1))
+    y = np.empty(n)
+    for j in range(n):
+        u0, um, u1 = u[2 * j:2 * j + 3, None]
+        y[j] = output(x, u0)[0]
+        k1 = deriv(x, u0)
+        k2 = deriv(x + 0.5 * dt * k1, um)
+        k3 = deriv(x + 0.5 * dt * k2, um)
+        k4 = deriv(x + dt * k3, u1)
+        x = x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+    return y
+
+
+def constant(t):
+    return np.ones_like(t)
+
+
+SYSTEMS = {"cascade": MultiplierCascade(),
+           "amplifier": SaturatingAmplifier(),
+           "linear": MultiplierCascade(include_orders=(1,))}
 
 
 class TestTransient:
-    def test_linear_step_map_matches_generic_loop(self):
-        sys = MultiplierCascade()
-        assert sys.linear_state and not hasattr(Delegating(sys),
-                                                "linear_state")
-        dt = 5e-12
-        pulse = Waveform(samples=TrapezoidPulse()(dt * np.arange(11200)),
-                         dt=dt)
-        tones = tone_drive((300e6, 710e6), (0.4, 0.3))
-        # several check blocks and a partial last one, and one short block
-        for drive, duration in ((pulse, 55e-9), (tones, 55e-9),
-                                (tones, 3e-9)):
-            fast = transient(sys, drive, duration, dt).samples
-            loop = transient(Delegating(sys), drive, duration, dt).samples
-            assert fast.shape == loop.shape
-            assert np.abs(fast - loop).max() <= 1e-12 * np.abs(loop).max()
+    DT = 5e-12
 
-    @pytest.mark.parametrize("duration", [100e-9, 10e-9])
-    def test_linear_path_checks_blowup_at_the_same_steps(self, duration):
-        drive = lambda t: np.ones_like(t)  # noqa: E731
-        with pytest.raises(TransientBlowupError) as generic:
-            transient(Unstable(), drive, duration, 0.01e-9)
-        with pytest.raises(TransientBlowupError) as linear:
-            transient(LinearUnstable(), drive, duration, 0.01e-9)
-        at = str(generic.value).split(" at ")[1]
-        assert str(linear.value).endswith(" at " + at)
+    @pytest.mark.parametrize("drive", ["waveform", "callable"])
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_matches_coupled_state_space_rk4(self, name, drive):
+        sys, dt = SYSTEMS[name], self.DT
+        if drive == "waveform":
+            wave = TrapezoidPulse()(dt * np.arange(2400))
+            drive = Waveform(samples=wave, dt=dt)
+        else:
+            drive = tone_drive((300e6, 710e6), (0.4, 0.3))
+        # one full check block and a partial last one, and one short run
+        for n in (2400, 600):
+            assert n < CHECK_INTERVAL or n % CHECK_INTERVAL
+            got = transient(sys, drive, n * dt, dt).samples
+            want = coupled_rk4(sys, drive, n * dt, dt)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", ["cascade", "amplifier"])
+    def test_each_distinct_block_stepped_once(self, name, monkeypatch):
+        # the cascade's three input blocks are one object; the amplifier
+        # steps its input block and its output block
+        calls = []
+        step = probing._step_block
+        monkeypatch.setattr(probing, "_step_block",
+                            lambda *a: calls.append(1) or step(*a))
+        transient(SYSTEMS[name], constant, 100 * self.DT, self.DT)
+        assert len(calls) == {"cascade": 1, "amplifier": 2}[name]
 
     def test_zero_input_gives_zero_output(self):
         sys = MultiplierCascade()
@@ -200,22 +237,34 @@ class TestTransient:
         order = np.log2(e1 / e2)
         assert order >= 3.5
 
+    # at a 4 ns step RK4 is unstable for the ladder blocks: the state
+    # grows about 200-fold a step from the first
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_detected(self):
-        with pytest.raises(TransientBlowupError):
-            transient(Unstable(), lambda t: np.ones_like(t), 100e-9, 0.01e-9)
+        # the check after the first step passes; the next check is after
+        # the first step of the second block, long past overflow
+        dt = 4e-9
+        for sys in (MultiplierCascade(), SaturatingAmplifier()):
+            with pytest.raises(TransientBlowupError) as err:
+                transient(sys, constant, (CHECK_INTERVAL + 300) * dt, dt)
+            at = float(str(err.value).split(" at t=")[1].rstrip(" s"))
+            assert at == pytest.approx((CHECK_INTERVAL + 1) * dt, rel=1e-2)
 
     def test_blowup_checked_after_last_step(self):
-        # 1000 steps, fewer than a check interval: the state ends finite
-        # but far past the limit
-        with pytest.raises(TransientBlowupError, match="at t=1e-08 s"):
-            transient(Unstable(), lambda t: np.ones_like(t), 10e-9, 0.01e-9)
+        # 25 steps, fewer than a check interval: the check after the first
+        # passes, and the state ends finite but far past the limit
+        for sys in (MultiplierCascade(), SaturatingAmplifier()):
+            with pytest.raises(TransientBlowupError,
+                               match=r"magnitude \d.*e\+\d+ at t=1e-07 s"):
+                transient(sys, constant, 100e-9, 4e-9)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_is_a_blowup(self):
-        plan = small_plan()
-        tones = tone_drive(plan.triplets()[0], plan.schedule[0])
-        with pytest.raises(TransientBlowupError, match="nan"):
-            transient(Oscillator(), tones, 450e-9, 1.0 / plan.df_hz / 512)
+        for sys in (MultiplierCascade(), SaturatingAmplifier()):
+            with pytest.raises(TransientBlowupError,
+                               match="nan at t=2e-06 s"):
+                transient(sys, constant, 2e-6, 4e-9)
 
     def test_waveform_drive_requires_matching_step(self):
         wave = Waveform(samples=np.zeros(16), dt=1e-9)
@@ -382,17 +431,25 @@ class TestSimulatedDataset:
         assert ds.phasors[0, 0, 0].imag == 0.0
 
     def test_system_without_steady_state_refused(self):
-        with pytest.raises(TypeError, match="Oscillator"):
-            simulate_dataset(Oscillator(), small_plan())
+        # transient steps the blocks the probe filters, and refuses a system
+        # without them in the same words
+        said = []
+        for run in (lambda sys: simulate_dataset(sys, small_plan()),
+                    lambda sys: transient(sys, constant, 1e-9, 1e-10)):
+            with pytest.raises(TypeError, match="object has no input_blocks"
+                               ) as err:
+                run(object())
+            said.append(str(err.value))
+        assert said[0] == said[1]
 
     def test_auto_record_length_for_standard_plan(self):
-        # the cascade declares degree 3, the amplifier and a delegating
-        # wrapper declare none and keep the NYQUIST_HEADROOM record
+        # the cascade declares degree 3, the amplifier and a plain object
+        # declare none and keep the NYQUIST_HEADROOM record
         plan = standard_sweep_plan()
         from volkit.probing import _capture_info
         for system, n in ((MultiplierCascade(), 16384),
                           (SaturatingAmplifier(), 32768),
-                          (Delegating(MultiplierCascade()), 32768)):
+                          (object(), 32768)):
             info = _capture_info(system, plan, None)
             assert info.samples_per_record == n
             assert info.record_s == pytest.approx(1e-6)
@@ -627,8 +684,8 @@ class TestSuperposition:
     def test_system_without_input_blocks_refused(self):
         # a state equation and an output are not enough: the probe needs
         # the block structure
-        with pytest.raises(TypeError, match="Delegating has no input_blocks"):
-            simulate_dataset(Delegating(MultiplierCascade()), small_plan())
+        with pytest.raises(TypeError, match="object has no input_blocks"):
+            simulate_dataset(object(), small_plan())
 
 
 class TestAnalyticDataset:
