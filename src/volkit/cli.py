@@ -302,7 +302,6 @@ def cmd_synthesize(args) -> int:
                 "tuples": i.n_tuples,
                 "bins_in_band": i.n_bins_used,
                 "imag_residue": i.imag_residue,
-                "dropped_tuple_fraction": i.dropped_tuple_fraction,
             } for n, i in resp.info.items()
         },
     }

@@ -16,11 +16,12 @@ term at the negated output bin: kernel queries conjugate sign-flipped
 arguments exactly, and the spectrum's coefficients are exactly Hermitian.
 So only the member of each pair that ``query_comb`` does not flip is
 summed (a self-mirror tuple at half weight), and the order's output is
-twice the real part of the inverse FFT.  Tuples are generated, queried
-and binned TUPLE_CHUNK at a time, so no array grows with the tuple count
-unless ``max_tuples`` caps it.  Because the output is real by
-construction, the check is on the input: the largest Hermitian skew of
-the in-band coefficients over their peak, reported as ``imag_residue``.
+twice the real part of the inverse FFT.  Every tuple is summed; they are
+generated, queried and binned TUPLE_CHUNK at a time, so no array grows
+with the tuple count, and ``spectrum_of``'s bin limits bound the work.
+Because the output is real by construction, the check is on the input:
+the largest Hermitian skew of the in-band coefficients over their peak,
+reported as ``imag_residue``.
 """
 
 from __future__ import annotations
@@ -144,6 +145,7 @@ def spectrum_of(source, period_s: float, bin_cap: float = 1e-4,
         n_side = min(n_side, 20 * max_bins_per_side)
         k = np.arange(-n_side, n_side + 1)
         coeffs = source.fourier_transform(k / period_s) / period_s
+        lost = 0.0
     elif isinstance(source, Waveform):
         n = int(round(period_s / source.dt))
         if abs(n * source.dt - period_s) > 1e-9 * period_s:
@@ -151,14 +153,16 @@ def spectrum_of(source, period_s: float, bin_cap: float = 1e-4,
         if n > len(source.samples):
             raise ValueError("waveform shorter than one period")
         spec = np.fft.fft(source.samples[:n]) / n
-        half = n // 2
-        k = np.arange(-(half - 1), half)
-        coeffs = np.concatenate([spec[-(half - 1):], spec[:half]])
+        k = np.arange(-((n - 1) // 2), (n - 1) // 2 + 1)
+        coeffs = spec[k]
+        # an even period's Nyquist bin has no conjugate twin: it is left
+        # out, and its power counts as dropped
+        lost = abs(spec[n // 2]) ** 2 if n % 2 == 0 else 0.0
     else:
         raise TypeError(f"unsupported source {type(source).__name__}")
 
     power = np.abs(coeffs) ** 2
-    total = power.sum()
+    total = power.sum() + lost
     keep = np.abs(coeffs) >= bin_cap * np.abs(coeffs).max()
     keep &= keep[::-1]  # conjugate pairs live or die together
     if keep.sum() > 2 * max_bins_per_side + 1:
@@ -166,7 +170,7 @@ def spectrum_of(source, period_s: float, bin_cap: float = 1e-4,
         allowed = np.zeros_like(keep)
         allowed[rank[: 2 * max_bins_per_side + 1]] = True
         keep &= allowed & allowed[::-1]
-    dropped = float(power[~keep].sum() / total) if total > 0 else 0.0
+    dropped = float((power[~keep].sum() + lost) / total) if total > 0 else 0.0
     spectrum = DiscreteSpectrum(period_s=period_s, bins=k[keep],
                                 coeffs=coeffs[keep])
     return spectrum, SpectrumInfo(n_bins=len(spectrum.bins),
@@ -179,6 +183,7 @@ class OrderInfo:
     n_tuples: int
     n_bins_used: int
     imag_residue: float
+    # always 0.0, since every tuple is summed; perfbench still reads it
     dropped_tuple_fraction: float = 0.0
 
 
@@ -190,14 +195,12 @@ class OrderedResponse:
 
 
 def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
-                     order: int, duration: float, dt: float,
-                     max_tuples: int = 5_000_000):
+                     order: int, duration: float, dt: float):
     """Order-``order`` time response on a uniform grid; (Waveform, OrderInfo).
 
     ``dt`` must divide the spectrum's period into a whole number of steps.
     Bins beyond the archive band edge contribute zero kernels and are
-    skipped, which band-limits the prediction to the swept region.  At most
-    ``max_tuples`` bin tuples are summed, the heaviest ones.
+    skipped, which band-limits the prediction to the swept region.
     """
     if order not in archive.grids:
         raise KeyError(f"archive has no order-{order} grid")
@@ -222,20 +225,9 @@ def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
             f"order-{order} Hermitian residue {residue:.2e}; the spectrum's "
             "coefficients are not conjugate pairs")
 
-    n_tuples = math.comb(nb + order - 1, order)
-    dropped_fraction = 0.0
-    if n_tuples > max_tuples:
-        kept, dropped_fraction = _cap_tuples(
-            _ascending_rows(nb, order), np.abs(coeffs), max_tuples)
-        n_tuples = len(kept)
-        chunks = (kept[lo:lo + TUPLE_CHUNK]
-                  for lo in range(0, n_tuples, TUPLE_CHUNK))
-    else:
-        chunks = _ascending_chunks(nb, order)
-
     # fold the output spectrum modulo N: exact at the sample times
     z_re, z_im = np.zeros(n_period), np.zeros(n_period)
-    for rows in chunks:
+    for rows in _ascending_chunks(nb, order):
         # a row and its mirror add conjugate terms at negated output bins:
         # sum the canonical member, and half of a self-mirror row
         flip, tie = _mirror_side(rows[:, ::-1], nb - 1)
@@ -249,9 +241,8 @@ def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
         z_re += np.bincount(slot, contrib.real, n_period)
         z_im += np.bincount(slot, contrib.imag, n_period)
     y = 2.0 * (n_period * np.fft.ifft(z_re + 1j * z_im)).real
-    info = OrderInfo(order=order, n_tuples=n_tuples, n_bins_used=nb,
-                     imag_residue=residue,
-                     dropped_tuple_fraction=dropped_fraction)
+    info = OrderInfo(order=order, n_tuples=math.comb(nb + order - 1, order),
+                     n_bins_used=nb, imag_residue=residue)
     return Waveform(samples=np.resize(y, int(round(duration / dt))), dt=dt,
                     t0=0.0), info
 
@@ -276,29 +267,6 @@ def _ascending_chunks(nb: int, order: int):
         a = b
 
 
-def _cap_tuples(rows: np.ndarray, mag: np.ndarray, cap: int):
-    """The heaviest ascending rows, at most ``cap``, and the dropped weight
-    fraction.  The weight of a row is the product of its bins' magnitudes.
-
-    A row and its mirror (the row of the negated bins, on a symmetric comb
-    of ``len(mag)`` bins) carry conjugate terms, so they are ranked and
-    kept as one unit, by the weight of the earlier row and then by
-    position; the heaviest units are kept while their row count fits.
-    """
-    weight = mag[rows].prod(axis=1)
-    # lexically sorting the mirrored rows lists, for each row position,
-    # the position of its mirror (mirroring is an involution)
-    mirror = np.lexsort((len(mag) - 1 - rows).T)
-    lead = np.nonzero(np.arange(len(rows)) <= mirror)[0]
-    rank = lead[np.argsort(-weight[lead], kind="stable")]
-    size = np.where(mirror[rank] == rank, 1, 2)
-    take = rank[np.cumsum(size) <= cap]
-    keep = np.zeros(len(rows), dtype=bool)
-    keep[take] = keep[mirror[take]] = True
-    dropped = weight[~keep].sum() / max(weight.sum(), 1e-300)
-    return rows[keep], float(dropped)
-
-
 def _repetition_weights(combos: np.ndarray) -> np.ndarray:
     """1 / prod(count!) over repeated entries of each sorted tuple row."""
     q, n = combos.shape
@@ -314,15 +282,13 @@ def _repetition_weights(combos: np.ndarray) -> np.ndarray:
 
 
 def synthesize_total(archive: KernelArchive, spectrum: DiscreteSpectrum,
-                     duration: float, dt: float,
-                     max_tuples: int = 5_000_000) -> OrderedResponse:
+                     duration: float, dt: float) -> OrderedResponse:
     """Sum of all archive orders; keeps the per-order decomposition."""
     per_order: dict[int, Waveform] = {}
     info: dict[int, OrderInfo] = {}
     total = None
     for order in sorted(archive.grids):
-        wave, oi = synthesize_order(archive, spectrum, order, duration, dt,
-                                    max_tuples)
+        wave, oi = synthesize_order(archive, spectrum, order, duration, dt)
         per_order[order] = wave
         info[order] = oi
         total = wave.samples if total is None else total + wave.samples

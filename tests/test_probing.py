@@ -240,7 +240,6 @@ class TestTransient:
     # at a 4 ns step RK4 is unstable for the ladder blocks: the state
     # grows about 200-fold a step from the first
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_detected(self):
         # the check after the first step passes; the next check is after
         # the first step of the second block, long past overflow
@@ -259,7 +258,6 @@ class TestTransient:
                                match=r"magnitude \d.*e\+\d+ at t=1e-07 s"):
                 transient(sys, constant, 100e-9, 4e-9)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_is_a_blowup(self):
         for sys in (MultiplierCascade(), SaturatingAmplifier()):
             with pytest.raises(TransientBlowupError,

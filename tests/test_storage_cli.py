@@ -1,6 +1,7 @@
 import argparse
 import base64
 import json
+import math
 import os
 import re
 from dataclasses import asdict
@@ -538,6 +539,19 @@ class TestCli:
         assert report["time_domain"]["linear_only_nrmse"] > \
             report["time_domain"]["total_nrmse"]
 
+    def test_synthesize_report_counts_every_tuple(self, tiny_files,
+                                                  tmp_path):
+        archive = str(tiny_files / "archive.json")
+        assert main(["synthesize", "--archive", archive,
+                     "--out", str(tmp_path)]) == 0
+        orders = read_json(tmp_path / "synthesis_report.json")["orders"]
+        assert sorted(orders) == ["1", "2", "3"]
+        for n, row in orders.items():
+            assert sorted(row) == ["bins_in_band", "imag_residue", "tuples"]
+            assert row["bins_in_band"] > 0
+            assert row["tuples"] == math.comb(
+                row["bins_in_band"] + int(n) - 1, int(n))
+
     def test_probe_reports_samples_per_record(self, tmp_path, capsys):
         out = str(tmp_path)
         assert main(["plan", "--points-per-axis", "3", "--out", out]) == 0
@@ -660,7 +674,6 @@ class TestCli:
         assert report["n_failures"] == 1
         assert report["failures"][0]["k"] == [0, 1, -2]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unstable_validate_step_is_input_error(self, tiny_files,
                                                    tmp_path, capsys,
                                                    synth_calls):

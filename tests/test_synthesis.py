@@ -18,7 +18,6 @@ from volkit.synthesis import (
     nrmse,
     spectrum_of,
     _ascending_rows,
-    _cap_tuples,
     _repetition_weights,
     synthesize_order,
     synthesize_total,
@@ -73,6 +72,23 @@ class TestSpectrum:
         assert c[1] == pytest.approx(0.35)
         assert c[-1] == pytest.approx(0.35)
         assert info.dropped_power_fraction < 1e-12
+
+    def test_odd_period_keeps_its_top_pair(self):
+        # 9 samples: bins -4..4, the cosine at bin 4 included
+        t = np.arange(9)
+        wave = Waveform(samples=0.5 + np.cos(2 * np.pi * 4 * t / 9), dt=1.0)
+        spec, info = spectrum_of(wave, 9.0, bin_cap=1e-9)
+        assert spec.bins.tolist() == [-4, 0, 4]
+        np.testing.assert_allclose(spec.coeffs, [0.5, 0.5, 0.5], atol=1e-15)
+        assert info.dropped_power_fraction < 1e-12
+
+    def test_even_period_drops_the_nyquist_bin_as_power(self):
+        # 8 samples: bins -3..3 kept; the Nyquist line holds 2/3 of the power
+        t = np.arange(8)
+        wave = Waveform(samples=np.sqrt(0.5) + np.cos(np.pi * t), dt=1.0)
+        spec, info = spectrum_of(wave, 8.0, bin_cap=1e-9)
+        assert spec.bins.tolist() == [0]
+        assert info.dropped_power_fraction == pytest.approx(2 / 3)
 
     def test_trapezoid_closed_form_matches_fft(self):
         p = pulse()
@@ -244,28 +260,6 @@ class TestSynthesizeOrder:
         with pytest.raises(KeyError):
             synthesize_order(archive, spec, 2, PERIOD, PERIOD / 64)
 
-    def test_tuple_cap_truncates_deterministically(self, archive):
-        spec, _ = spectrum_of(pulse(), PERIOD, max_bins_per_side=40)
-        dt = PERIOD / 128
-        full, info_full = synthesize_order(archive, spec, 3, PERIOD, dt)
-        capped, info_capped = synthesize_order(
-            archive, spec, 3, PERIOD, dt,
-            max_tuples=info_full.n_tuples // 2)
-        assert info_capped.n_tuples == info_full.n_tuples // 2
-        assert 0 < info_capped.dropped_tuple_fraction < 1
-        again, _ = synthesize_order(
-            archive, spec, 3, PERIOD, dt,
-            max_tuples=info_full.n_tuples // 2)
-        np.testing.assert_array_equal(capped.samples, again.samples)
-
-    @pytest.mark.parametrize("cap", [777, 1001, 5000, 12345])
-    def test_tuple_cap_keeps_conjugate_pairs(self, archive, cap):
-        spec, _ = spectrum_of(pulse(), PERIOD, max_bins_per_side=40)
-        _, info = synthesize_order(archive, spec, 3, PERIOD, PERIOD / 128,
-                                   max_tuples=cap)
-        assert cap - 1 <= info.n_tuples <= cap
-        assert info.imag_residue <= 1e-10
-
     def test_non_integral_steps_per_period_rejected(self, tmp_path, capsys):
         archive = oracle_archive(orders=(1,))
         spec, _ = spectrum_of(pulse(), PERIOD)
@@ -296,24 +290,21 @@ def _dense_reference(archive, spectrum, order, duration, dt):
     return (np.exp(2j * np.pi * np.outer(t, out_hz)) @ contrib).real
 
 
-def _full_sum_order(archive, spectrum, order, duration, dt, max_tuples):
-    """Reference: every kept bin tuple, both members of each mirror pair,
-    summed in one pass; returns (samples, n_tuples, dropped fraction)."""
+def _full_sum_order(archive, spectrum, order, duration, dt):
+    """Reference: every bin tuple, both members of each mirror pair,
+    summed in one pass; returns (samples, n_tuples)."""
     n_period = int(round(spectrum.period_s / dt))
     frozen = archive.frozen(order)
     reach = frozen.in_band(spectrum.freqs_hz)
     bins, coeffs = spectrum.bins[reach], spectrum.coeffs[reach]
     rows = _ascending_rows(len(bins), order)
-    dropped = 0.0
-    if len(rows) > max_tuples:
-        rows, dropped = _cap_tuples(rows, np.abs(coeffs), max_tuples)
     contrib = (frozen.query_comb(spectrum.freqs_hz[reach], rows)
                * coeffs[rows].prod(axis=1) * _repetition_weights(rows))
     slot = bins[rows].sum(axis=1) % n_period
     y_spec = (np.bincount(slot, contrib.real, n_period)
               + 1j * np.bincount(slot, contrib.imag, n_period))
     y = np.resize(n_period * np.fft.ifft(y_spec), int(round(duration / dt)))
-    return y.real, len(rows), dropped
+    return y.real, len(rows)
 
 
 def _random_hermitian(period, n_side, with_dc, seed):
@@ -335,25 +326,20 @@ class TestMirrorPairSum:
     full sum over every tuple to rounding."""
 
     @pytest.mark.parametrize("chunk", [None, 7])
-    @pytest.mark.parametrize("capped", [False, True])
     @pytest.mark.parametrize("with_dc", [True, False])
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_matches_full_sum(self, archive, monkeypatch, order, with_dc,
-                              capped, chunk):
+                              chunk):
         if chunk is not None:
             monkeypatch.setattr(volkit.synthesis, "TUPLE_CHUNK", chunk)
         spec = _random_hermitian(PERIOD, 11, with_dc, seed=order)
         nb = 22 + with_dc  # every bin is in band
-        cap = math.comb(nb + order - 1, order) // 3 if capped else 5_000_000
         dt = PERIOD / 160
-        want, n_tuples, dropped = _full_sum_order(archive, spec, order,
-                                                  1.5 * PERIOD, dt, cap)
-        got, info = synthesize_order(archive, spec, order, 1.5 * PERIOD, dt,
-                                     max_tuples=cap)
+        want, n_tuples = _full_sum_order(archive, spec, order, 1.5 * PERIOD,
+                                         dt)
+        got, info = synthesize_order(archive, spec, order, 1.5 * PERIOD, dt)
         assert info.n_bins_used == nb
-        assert (info.n_tuples, info.dropped_tuple_fraction) == (n_tuples,
-                                                                dropped)
-        assert (n_tuples < math.comb(nb + order - 1, order)) == capped
+        assert info.n_tuples == n_tuples == math.comb(nb + order - 1, order)
         assert got.samples.shape == want.shape
         assert (np.abs(got.samples - want).max()
                 <= 1e-13 * np.abs(want).max())
