@@ -217,7 +217,7 @@ def cmd_probe(args) -> int:
               file=sys.stderr)
         return EXIT_INPUT
     out = _outdir(args)
-    path = os.path.join(out, "dataset.json")
+    path = os.path.join(out, "dataset.npz")
     save_dataset(path, ds, config_hash(_options(args, "plan")))
     print(f"wrote {path}: {ds.n_runs} operating points, "
           f"{len(ds.indices)} indices each, "
@@ -231,12 +231,12 @@ def cmd_probe(args) -> int:
 
 def cmd_extract(args) -> int:
     if args.dataset is None:
-        raise CliError("extract needs --dataset <dataset.json>")
+        raise CliError("extract needs --dataset <dataset.npz>")
     ds = load_dataset(args.dataset)
     options = _options(args, "dataset")
     archive, report = extract(ds, **options)
     out = _outdir(args)
-    path = os.path.join(out, "archive.json")
+    path = os.path.join(out, "archive.npz")
     cfg = config_hash(options)
     save_archive(path, archive, cfg)
     report_doc = {
@@ -279,7 +279,7 @@ def _pulse(spec: str | None, sys_obj=None) -> TrapezoidPulse:
 
 def cmd_synthesize(args) -> int:
     if args.archive is None:
-        raise CliError("synthesize needs --archive <archive.json>")
+        raise CliError("synthesize needs --archive <archive.npz>")
     archive = load_archive(args.archive)
     pulse = _pulse(args.pulse)
     period = 4.0 * pulse.support if args.period_s is None else args.period_s
@@ -373,7 +373,7 @@ def _scaling_audit(archive, spectrum, per_order, duration, dt):
 
 def cmd_validate(args) -> int:
     if args.archive is None:
-        raise CliError("validate needs --archive <archive.json>")
+        raise CliError("validate needs --archive <archive.npz>")
     archive = load_archive(args.archive)
     system_name = "benchmark" if args.system is None else args.system
     sys_obj = make_system(system_name)
@@ -506,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="separate kernels from a dataset")
     common(p)
-    p.add_argument("--dataset")
+    p.add_argument("--dataset", help="dataset.npz, or lsop_blocks JSON")
     p.add_argument("--truncation", type=int)
     p.add_argument("--min-success-fraction", dest="min_success_fraction",
                    type=float)
@@ -514,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="pulse response from an archive")
     common(p)
-    p.add_argument("--archive")
+    p.add_argument("--archive", help="archive.npz")
     p.add_argument("--pulse", help="v0,t_rise,t_width,t_fall (seconds)")
     p.add_argument("--period-s", dest="period_s", type=float)
     p.add_argument("--duration-s", dest="duration_s", type=float)
@@ -523,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="audit an archive against its system")
     common(p)
-    p.add_argument("--archive")
+    p.add_argument("--archive", help="archive.npz")
     p.add_argument("--system",
                    choices=("benchmark", "benchmark-linear", "amplifier"))
     p.add_argument("--pulse")

@@ -1,26 +1,30 @@
-"""File formats: versioned JSON for plans, datasets, archives, and reports.
+"""File formats: versioned plans, datasets, kernel archives and reports.
 
-A dataset stores its (triplets x amplitudes x indices) phasor tensor in one
-of two layouts.  ``save_dataset`` writes the array layout: the tensor as one
-base64 little-endian complex128 string, ``phasors_b64``.  The per-block
-layout, ``lsop_blocks``, holds one block per large-signal operating point
-with phasors keyed by the index vector string and stored as [re, im] pairs,
-so externally measured multi-tone spectra can be hand-written or exported
-into it and fed to the extractor.  Both layouts load through one check, and
-NaN (an absent key in a block) marks a missing entry.  Kernel archives
-store each grid's coordinate, sum and count arrays as base64 little-endian
-int64, complex128 (as interleaved float64) and int64.  Every file embeds
-the format version and a config hash; readers reject unknown major
+Plans and reports are JSON.  Datasets and archives are uncompressed numpy
+``.npz`` zips of ``.npy`` members, no pickles: ``header``, the JSON
+envelope and configuration as uint8, plus little-endian arrays.  A dataset
+holds its (triplets x amplitudes x indices) complex128 ``phasors``; an
+archive, per order n, canonical coordinates ``coords_n`` (int64, points x
+n, in units of ``df_hz``), complex128 ``sums_n`` and int64 ``counts_n``.
+Readers go by the file's first bytes: a zip is binary, anything else JSON.
+The one JSON dataset layout is ``lsop_blocks``, one block per large-signal
+operating point with phasors keyed by the index vector string as [re, im]
+pairs, so measured spectra can be hand-written or exported into it.  NaN
+(or an absent key) marks a missing entry.  The base64 layouts of format
+1.0 (``phasors_b64`` and ``*_b64`` grids) are retired.  A member is read
+only once its size, dtype and shape match the header and the file.  Files
+embed the format version and a config hash; readers reject unknown major
 versions, and a file that does not match its schema raises FormatError.
 """
 
 from __future__ import annotations
 
-import base64
-import functools
 import hashlib
 import json
+import math
 import os
+import struct
+import zipfile
 from dataclasses import asdict
 
 import numpy as np
@@ -29,8 +33,14 @@ from volkit.kernels import KernelArchive, KernelGrid
 from volkit.probing import CaptureInfo, SpectralDataset, Waveform
 from volkit.sweeps import SweepPlan
 
-FORMAT_VERSION = "1.0"
+FORMAT_VERSION = "1.1"
 _MISSING = complex(np.nan, np.nan)  # a dataset entry with no value
+# what a file that does not match its schema, or a damaged zip, raises
+_MALFORMED = (AttributeError, EOFError, IndexError, KeyError, OverflowError,
+              NotImplementedError, OSError, RuntimeError, TypeError,
+              ValueError, struct.error, zipfile.BadZipFile)
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
 
 
 class FormatError(ValueError):
@@ -38,7 +48,12 @@ class FormatError(ValueError):
 
 
 def config_hash(obj) -> str:
-    """Stable sha256 over the canonical JSON form of a config mapping."""
+    """Stable sha256 over the canonical JSON form of a config mapping.
+
+    A file saved without an explicit hash gets the hash of its header
+    payload, which is configuration only: a plan; a dataset's plan, ``k``,
+    ``source`` and ``capture``; an archive's metadata, ``df_hz``, grid
+    lattices and point counts.  No phasor or grid array is hashed."""
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -65,33 +80,95 @@ def _check_envelope(doc: dict, kind: str) -> None:
         raise FormatError(f"unsupported major version {version!r}")
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to a temporary file and rename it over ``path``, so a
-    reader never sees a partial file."""
+def _write_atomic(path: str, write) -> None:
+    """Run ``write`` on a temporary binary file, then rename it over
+    ``path``: a reader never sees a partial file, and the name is kept."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        write(fh)
     os.replace(tmp, path)
 
 
 def write_json(path: str, doc: dict) -> None:
     """Atomic write with stable key order and a trailing newline."""
-    _write_atomic(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    _write_atomic(path, lambda fh: fh.write(text.encode()))
 
 
-def read_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _write_npz(path: str, doc: dict, arrays: dict) -> None:
+    """``header`` (``doc`` as JSON) and ``arrays`` as one uncompressed zip,
+    each entry dated 1980-01-01 as in ``np.savez``, so equal content gives
+    equal bytes."""
+    header = np.frombuffer(json.dumps(doc, sort_keys=True).encode(), np.uint8)
+
+    def write(fh):
+        with zipfile.ZipFile(fh, "w") as zf:
+            for name, arr in {"header": header, **arrays}.items():
+                info = zipfile.ZipInfo(f"{name}.npy", (1980, 1, 1, 0, 0, 0))
+                with zf.open(info, "w", force_zip64=True) as out:
+                    np.lib.format.write_array(out, arr, allow_pickle=False)
+    _write_atomic(path, write)
 
 
-def encode_array(arr, dtype: str) -> str:
-    """Base64 of the array's bytes as ``dtype`` (for example ``"<i8"``)."""
-    return base64.b64encode(
-        np.ascontiguousarray(arr, dtype=dtype).tobytes()).decode()
+def _member(zf: zipfile.ZipFile, name: str, dtype: str, shape,
+            file_bytes: int) -> np.ndarray:
+    """Member ``name`` as an array of its own, allocated only once its
+    stored size, dtype and shape (None: any 1-D) check out, so a header
+    that claims more than the file holds allocates nothing."""
+    info = zf.getinfo(f"{name}.npy")
+    if info.compress_type != zipfile.ZIP_STORED \
+            or not info.compress_size == info.file_size <= file_bytes:
+        raise FormatError(f"member {name} is compressed or outgrows the file")
+    with zf.open(info) as fh:
+        got, fortran, got_dtype = _NPY_HEADERS[
+            np.lib.format.read_magic(fh)](fh)
+        size = info.file_size - fh.tell()
+        want = got[:1] if shape is None else tuple(shape)
+        if (got_dtype != np.dtype(dtype) or fortran or got != want
+                or size != math.prod(got) * got_dtype.itemsize):
+            raise FormatError(f"member {name} holds {got_dtype} {got} in "
+                              f"{size} bytes, not {np.dtype(dtype)} {want}")
+        out = np.empty(got, got_dtype)
+        # in np.load's step, which stays in cache; a short member raises
+        buf, step = out.reshape(-1).view(np.uint8), np.lib.format.BUFFER_SIZE
+        for at in range(0, size, step):
+            fh.readinto(buf[at:at + step])
+    return out
 
 
-def decode_array(blob: str, dtype: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(blob), dtype=dtype)
+def _load(path: str, kind: str, from_dict):
+    """``from_dict(doc, read)`` of the file at ``path``.  For a zip,
+    ``doc`` is its header and ``read(name, dtype, shape)`` a checked array
+    member, and every member must be read; otherwise ``doc`` is the JSON
+    document and ``read`` None.  Any malformation raises FormatError."""
+    with open(path, "rb") as fh:
+        try:
+            zipped = fh.read(4) == b"PK\x03\x04"
+            file_bytes = fh.seek(0, os.SEEK_END)
+            fh.seek(0)
+            if not zipped:
+                doc = json.load(fh)
+                _check_envelope(doc, kind)
+                return from_dict(doc, None)
+            with np.load(fh, allow_pickle=False) as npz:
+                names = []
+
+                def read(name, dtype, shape):
+                    names.append(f"{name}.npy")
+                    return _member(npz.zip, name, dtype, shape, file_bytes)
+
+                doc = json.loads(read("header", "|u1", None).tobytes())
+                _check_envelope(doc, kind)
+                out = from_dict(doc, read)
+                if sorted(npz.zip.namelist()) != sorted(names):
+                    raise FormatError(f"{kind} members "
+                                      f"{npz.zip.namelist()} are not {names}")
+                return out
+        except FormatError:
+            raise
+        except _MALFORMED as err:
+            raise FormatError(
+                f"malformed {kind}: {type(err).__name__}: {err}") from err
 
 
 def _integer(value, name: str) -> int:
@@ -102,24 +179,6 @@ def _integer(value, name: str) -> int:
             or isinstance(value, float) and value.is_integer()):
         raise FormatError(f"{name} must be an integer, not {value!r}")
     return int(value)
-
-
-def _schema(from_dict):
-    """Make ``<kind>_from_dict`` report any missing key, bad value or bad
-    shape as a FormatError."""
-    kind = from_dict.__name__.split("_")[0]
-
-    @functools.wraps(from_dict)
-    def checked(d):
-        try:
-            return from_dict(d)
-        except FormatError:
-            raise
-        except (AttributeError, IndexError, KeyError, OverflowError,
-                TypeError, ValueError) as err:
-            raise FormatError(
-                f"malformed {kind}: {type(err).__name__}: {err}") from err
-    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +196,6 @@ def plan_to_dict(plan: SweepPlan) -> dict:
     }
 
 
-@_schema
 def plan_from_dict(d: dict) -> SweepPlan:
     return SweepPlan(
         axes_hz=tuple(tuple(a) for a in d["axes_hz"]),
@@ -154,9 +212,7 @@ def save_plan(path: str, plan: SweepPlan, cfg_hash: str | None = None) -> None:
 
 
 def load_plan(path: str) -> SweepPlan:
-    doc = read_json(path)
-    _check_envelope(doc, "plan")
-    return plan_from_dict(doc)
+    return _load(path, "plan", lambda doc, read: plan_from_dict(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -201,31 +257,28 @@ def _phasors_from_blocks(blocks, plan: SweepPlan, indices,
     return phasors
 
 
-@_schema
-def dataset_from_dict(d: dict) -> SpectralDataset:
-    if ("phasors_b64" in d) == ("lsop_blocks" in d):
-        raise FormatError("a dataset holds exactly one of phasors_b64 and "
-                          "lsop_blocks")
+def dataset_from_dict(d: dict, read) -> SpectralDataset:
+    """The dataset of a binary header and its ``phasors`` member, or of a
+    JSON document in the ``lsop_blocks`` layout (``read`` is None)."""
+    if "phasors_b64" in d or read and "lsop_blocks" in d:
+        raise FormatError("a dataset file is binary .npz or lsop_blocks "
+                          "JSON; phasors_b64, the base64 layout of format "
+                          "1.0, is retired")
     plan = plan_from_dict(d["plan"])
     indices = tuple(tuple(_integer(v, "k entry") for v in k) for k in d["k"])
     shape = (plan.n_triplets, len(plan.schedule), len(indices))
-    if "lsop_blocks" in d:
+    if read is None:
         phasors = _phasors_from_blocks(d["lsop_blocks"], plan, indices, shape)
     else:
-        phasors = decode_array(d["phasors_b64"], "<c16")
-        if phasors.size != np.prod(shape):
-            raise FormatError(f"phasors_b64 holds {phasors.size} values, not "
-                              f"the {' x '.join(map(str, shape))} of the plan "
-                              "and k")
-        # a writable array of the dataset's own, not a view of the text
-        phasors = phasors.reshape(shape).copy()
+        phasors = read("phasors", "<c16", shape)
     # an entry is a value or missing: both parts finite, or both NaN
-    bad = ~(np.isfinite(phasors)
-            | (np.isnan(phasors.real) & np.isnan(phasors.imag)))
-    if bad.any():
-        t, a, i = np.argwhere(bad)[0]
-        raise FormatError(f"non-finite phasor {_index_key(indices[i])} in "
-                          f"block (triplet {t}, amplitude {a})")
+    if not np.isfinite(phasors.view(float)).all():
+        bad = ~(np.isfinite(phasors)
+                | (np.isnan(phasors.real) & np.isnan(phasors.imag)))
+        if bad.any():
+            t, a, i = np.argwhere(bad)[0]
+            raise FormatError(f"non-finite phasor {_index_key(indices[i])} "
+                              f"in block (triplet {t}, amplitude {a})")
     capture = None
     if d.get("capture"):
         samples = _integer(d["capture"]["samples_per_record"],
@@ -238,7 +291,7 @@ def dataset_from_dict(d: dict) -> SpectralDataset:
 
 def save_dataset(path: str, ds: SpectralDataset,
                  cfg_hash: str | None = None) -> None:
-    """Write ``ds`` in the array layout; every entry that is not finite is
+    """Write ``ds`` as a binary dataset; every entry that is not finite is
     written as the one ``_MISSING`` value, so equal datasets give equal
     bytes."""
     payload = {
@@ -246,41 +299,51 @@ def save_dataset(path: str, ds: SpectralDataset,
         "k": [list(k) for k in ds.indices],
         "source": ds.source,
         "capture": asdict(ds.capture) if ds.capture else None,
-        "phasors_b64": encode_array(
-            np.where(np.isfinite(ds.phasors), ds.phasors, _MISSING), "<c16"),
     }
-    write_json(path, _envelope("dataset", payload, cfg_hash))
+    phasors = np.where(np.isfinite(ds.phasors), ds.phasors, _MISSING)
+    _write_npz(path, _envelope("dataset", payload, cfg_hash),
+               {"phasors": phasors.astype("<c16", copy=False)})
 
 
 def load_dataset(path: str) -> SpectralDataset:
-    doc = read_json(path)
-    _check_envelope(doc, "dataset")
-    return dataset_from_dict(doc)
+    return _load(path, "dataset", dataset_from_dict)
 
 
 # ---------------------------------------------------------------------------
 # kernel archives
 
+_GRID_ARRAYS = (("coords", "<i8"), ("sums", "<c16"), ("counts", "<i8"))
 
-def archive_to_dict(archive: KernelArchive) -> dict:
-    grids = {
-        str(order): {
-            "lattice_units": list(grid.lattice_units),
-            "n_points": grid.n_points,
-            "coords_b64": encode_array(grid.coords, "<i8"),
-            "sums_b64": encode_array(grid.sums, "<c16"),
-            "counts_b64": encode_array(grid.counts, "<i8"),
-        } for order, grid in archive.grids.items()
-    }
-    return {
+
+def _archive_parts(archive: KernelArchive) -> tuple[dict, dict]:
+    """The header payload of an archive file and its array members."""
+    header = {
         "metadata": dict(archive.metadata),
         "df_hz": next(iter(archive.grids.values())).df_hz,
-        "grids": grids,
+        "grids": {str(order): {"lattice_units": list(grid.lattice_units),
+                               "n_points": grid.n_points}
+                  for order, grid in archive.grids.items()},
     }
+    arrays = {f"{name}_{order}": np.ascontiguousarray(getattr(grid, name),
+                                                      dtype)
+              for order, grid in archive.grids.items()
+              for name, dtype in _GRID_ARRAYS}
+    return header, arrays
 
 
-@_schema
-def archive_from_dict(d: dict) -> KernelArchive:
+def archive_to_dict(archive: KernelArchive) -> dict:
+    """The archive's stored content as plain values, the header fields and
+    each array member's raw bytes: equal dicts mean equal stored content."""
+    header, arrays = _archive_parts(archive)
+    return {**header, **{name: arr.tobytes() for name, arr in arrays.items()}}
+
+
+def archive_from_dict(d: dict, read) -> KernelArchive:
+    """The archive of a binary header and its grid members."""
+    if read is None:
+        raise FormatError("JSON archives (coords_b64, sums_b64 and "
+                          "counts_b64, the base64 layout of format 1.0) are "
+                          "retired: an archive file is binary .npz")
     df = float(d["df_hz"])
     if not (np.isfinite(df) and df > 0):
         raise FormatError(f"df_hz must be finite and positive, not {df}")
@@ -291,29 +354,24 @@ def archive_from_dict(d: dict) -> KernelArchive:
         order = _integer(int(order_s) if order_s.isdecimal() else order_s,
                          "grid order key")
         n = _integer(g["n_points"], "n_points")
-        coords = decode_array(g["coords_b64"], "<i8")
-        if n < 0 or len(coords) != n * order:
-            raise FormatError(f"order-{order} grid: {len(coords)} coordinates "
-                              f"do not fit n_points={n}")
+        shapes = {"coords": (n, order), "sums": (n,), "counts": (n,)}
         grids[order] = KernelGrid(
             order=order, df_hz=df,
             lattice_units=tuple(_integer(u, "lattice_units entry")
                                 for u in g["lattice_units"]),
-            coords=coords.reshape(n, order),
-            sums=decode_array(g["sums_b64"], "<c16"),
-            counts=decode_array(g["counts_b64"], "<i8"))
+            **{name: read(f"{name}_{order}", dtype, shapes[name])
+               for name, dtype in _GRID_ARRAYS})
     return KernelArchive(grids=grids, metadata=d.get("metadata", {}))
 
 
 def save_archive(path: str, archive: KernelArchive,
                  cfg_hash: str | None = None) -> None:
-    write_json(path, _envelope("archive", archive_to_dict(archive), cfg_hash))
+    header, arrays = _archive_parts(archive)
+    _write_npz(path, _envelope("archive", header, cfg_hash), arrays)
 
 
 def load_archive(path: str) -> KernelArchive:
-    doc = read_json(path)
-    _check_envelope(doc, "archive")
-    return archive_from_dict(doc)
+    return _load(path, "archive", archive_from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +382,12 @@ def save_waveform_csv(path: str, total: Waveform,
                       per_order: dict[int, Waveform] | None = None) -> None:
     per_order = per_order or {}
     orders = sorted(per_order)
-    header = ["t"] + [f"y{n}" for n in orders] + ["y_total"]
-    lines = [",".join(header)]
-    t = total.times()
-    for i in range(len(total.samples)):
-        row = [f"{t[i]:.17g}"]
-        row += [f"{per_order[n].samples[i]:.17g}" for n in orders]
-        row.append(f"{total.samples[i]:.17g}")
-        lines.append(",".join(row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    header = ",".join(["t", *(f"y{n}" for n in orders), "y_total"])
+    cols = [total.times(), *(per_order[n].samples for n in orders),
+            total.samples]
+    _write_atomic(path, lambda fh: np.savetxt(
+        fh, np.column_stack(cols), fmt="%.17g", delimiter=",",
+        header=header, comments=""))
 
 
 def save_report(path: str, kind: str, payload: dict,

@@ -1,9 +1,14 @@
 import argparse
 import base64
+import contextlib
+import io
 import json
 import math
 import os
 import re
+import tracemalloc
+import warnings
+import zipfile
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
@@ -20,13 +25,12 @@ from volkit.kernels import KernelArchive, KernelGrid
 from volkit.probing import CaptureInfo, SpectralDataset
 from volkit.storage import (
     FormatError,
-    decode_array,
-    encode_array,
+    archive_to_dict,
+    config_hash,
     load_archive,
     load_dataset,
     load_plan,
     plan_to_dict,
-    read_json,
     save_archive,
     save_dataset,
     save_plan,
@@ -78,12 +82,66 @@ def dataset_to_dict(ds):
     }
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def read_doc(path):
+    """A volkit file as one mutable dict: a zip's header fields and its
+    array members by name, or a JSON file's document."""
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":
+            return read_json(path)
+    with np.load(path, allow_pickle=False) as npz:
+        doc = {name: npz[name] for name in npz.files}
+    return {**json.loads(doc.pop("header").tobytes()), **doc}
+
+
+def npy_bytes(arr):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr)
+    return buf.getvalue()
+
+
+def write_npz(path, doc):
+    """``read_doc``'s inverse for a zip: the array and bytes values of
+    ``doc`` become members (bytes as a member's raw content), after a
+    ``header`` member that holds the other fields as JSON unless ``doc``
+    gives ``header`` itself."""
+    members = {k: v for k, v in doc.items()
+               if isinstance(v, (np.ndarray, bytes))}
+    fields = {k: v for k, v in doc.items() if k not in members}
+    members.setdefault("header",
+                       np.frombuffer(json.dumps(fields).encode(), np.uint8))
+    with zipfile.ZipFile(path, "w") as zf:
+        for name in ["header", *(k for k in members if k != "header")]:
+            value = members[name]
+            zf.writestr(f"{name}.npy", value if isinstance(value, bytes)
+                        else npy_bytes(value))
+
+
 def save_blocks(path, ds):
     """``save_dataset``'s envelope around the per-block layout."""
     save_dataset(path, ds)
-    doc = read_json(path)
-    del doc["phasors_b64"]
+    doc = read_doc(path)
+    del doc["phasors"]
     write_json(path, {**doc, **dataset_to_dict(ds)})
+
+
+def retired_b64(doc):
+    """A binary document in the base64 JSON layout of format 1.0."""
+    def b64(arr):
+        return base64.b64encode(arr.tobytes()).decode()
+
+    out = {k: v for k, v in doc.items() if not isinstance(v, np.ndarray)}
+    out["version"] = "1.0"
+    if "phasors" in doc:
+        out["phasors_b64"] = b64(doc["phasors"])
+    for order, grid in out.get("grids", {}).items():
+        for name in ("coords", "sums", "counts"):
+            grid[f"{name}_b64"] = b64(doc[f"{name}_{order}"])
+    return out
 
 
 class TestRoundTrips:
@@ -148,6 +206,16 @@ class TestRoundTrips:
         assert back.sums.tobytes() == grid.sums.tobytes()
         np.testing.assert_array_equal(back.coords, grid.coords)
 
+    def test_archive_to_dict_compares_stored_content(self, tmp_path):
+        # the benchmark compares archives with == on these dicts
+        archive = extract(analytic_dataset(CASCADE_KERNEL, tiny_plan(), 3))[0]
+        save_archive(tmp_path / "a.npz", archive)
+        same = archive_to_dict(load_archive(tmp_path / "a.npz"))
+        assert (same == archive_to_dict(archive)) is True
+        assert not any(isinstance(v, np.ndarray) for v in same.values())
+        archive.grids[3].sums[-1] += 1.0
+        assert same != archive_to_dict(archive)
+
     def test_dataset_missing_entries_become_nan(self, tmp_path):
         plan = tiny_plan()
         ds = analytic_dataset(CASCADE_KERNEL, plan, 3)
@@ -183,6 +251,33 @@ class TestRoundTrips:
         path = tmp_path / "plan.json"
         save_plan(path, tiny_plan(), "abc123")
         assert read_json(path)["config_hash"] == "abc123"
+
+    def test_config_hash_covers_configuration_only(self, tmp_path):
+        ds = analytic_dataset(CASCADE_KERNEL, tiny_plan(), 3)
+        hashes = []
+        for change in ({}, {"phasors": 2 * ds.phasors}, {"source": "lab"}):
+            for key, value in change.items():
+                setattr(ds, key, value)
+            save_dataset(tmp_path / "ds.npz", ds)
+            hashes.append(read_doc(tmp_path / "ds.npz")["config_hash"])
+        assert hashes[0] == hashes[1] != hashes[2]
+        doc = read_doc(tmp_path / "ds.npz")
+        assert hashes[2] == config_hash(
+            {key: doc[key] for key in ("plan", "k", "source", "capture")})
+
+    def test_binary_files_keep_the_given_name(self, tmp_path):
+        ds = analytic_dataset(CASCADE_KERNEL, tiny_plan(), 3)
+        save_dataset(tmp_path / "ds.json", ds)
+        save_archive(tmp_path / "ar", extract(ds)[0])
+        assert sorted(os.listdir(tmp_path)) == ["ar", "ds.json"]
+        for name in ("ar", "ds.json"):
+            with zipfile.ZipFile(tmp_path / name) as zf:
+                assert all(info.compress_type == zipfile.ZIP_STORED
+                           and info.date_time == (1980, 1, 1, 0, 0, 0)
+                           for info in zf.infolist())
+        assert load_archive(tmp_path / "ar").grid(1).n_points > 0
+        with pytest.raises(FormatError, match="expected volkit/dataset"):
+            load_dataset(tmp_path / "ar")
 
 
 def _drop_plan(doc):
@@ -250,34 +345,39 @@ def _two_tone_index(doc):
         block["B"]["[1,0]"] = [1.0, 0.0]
 
 
-def _phasor_bytes(fn):
+def _member(name, fn):
+    """Replace array member ``name`` with ``fn`` of it."""
     def mutate(doc):
-        raw = base64.b64decode(doc["phasors_b64"])
-        doc["phasors_b64"] = base64.b64encode(fn(raw)).decode()
+        doc[name] = fn(doc[name])
     return mutate
 
 
 def _phasor_entry(value, at=37):
     def mutate(doc):
-        phasors = decode_array(doc["phasors_b64"], "<c16").copy()
-        phasors[at] = value
-        doc["phasors_b64"] = encode_array(phasors, "<c16")
+        doc["phasors"].reshape(-1)[at] = value
     return mutate
 
 
 def _grid_field(key, fn):
-    def mutate(doc):
-        grid = doc["grids"]["2"]
-        arr = decode_array(grid[key], "<i8").copy()
-        grid[key] = encode_array(fn(arr), "<i8")
-    return mutate
+    return _member(f"{key}_2", fn)
 
 
 def _non_finite_sum(doc):
-    grid = doc["grids"]["2"]
-    sums = decode_array(grid["sums_b64"], "<c16").copy()
-    sums[0] = complex(np.inf, 0.0)
-    grid["sums_b64"] = encode_array(sums, "<c16")
+    doc["sums_2"][0] = complex(np.inf, 0.0)
+
+
+def _drop(key):
+    def mutate(doc):
+        del doc[key]
+    return mutate
+
+
+def _header_bytes(text):
+    return _set("header", value=np.frombuffer(text, np.uint8))
+
+
+def _keep(doc):
+    pass
 
 
 def _grid_points_plus_one(doc):
@@ -285,7 +385,7 @@ def _grid_points_plus_one(doc):
 
 
 def _off_lattice(arr):
-    arr[0] += 1
+    arr.flat[0] += 1
     return arr
 
 
@@ -294,8 +394,9 @@ def _zero_count(arr):
     return arr
 
 
-# kind "dataset" is the array layout save_dataset writes, kind "blocks" the
-# per-block layout of the reference writer
+# kinds "dataset" and "archive" are the binary files save_dataset and
+# save_archive write, "blocks" the per-block layout of the reference writer,
+# and "dataset-b64" and "archive-b64" the retired base64 layouts
 MALFORMED = {
     "dataset without plan": ("dataset", _drop_plan),
     "dataset unknown index key": ("blocks", _unknown_index_key),
@@ -314,12 +415,30 @@ MALFORMED = {
     "dataset index of wrong length": ("blocks", _two_tone_index),
     "dataset array index of wrong length": ("dataset",
                                             _set("k", 5, value=[1, 0])),
-    "dataset invalid base64": ("dataset",
+    "dataset invalid base64": ("dataset-b64",
                                _set("phasors_b64", value="not base64!")),
-    "dataset phasor bytes not whole values": ("dataset",
-                                              _phasor_bytes(lambda b: b[:-8])),
-    "dataset phasor count off the plan": ("dataset",
-                                          _phasor_bytes(lambda b: b[:-16])),
+    "dataset retired base64 layout": ("dataset-b64", _keep),
+    "dataset phasor bytes not whole values": (
+        "dataset", _member("phasors", lambda a: npy_bytes(a)[:-8])),
+    "dataset phasor count off the plan": (
+        "dataset", _member("phasors", lambda a: a.reshape(-1)[:-1])),
+    "dataset phasors of wrong shape": (
+        "dataset", _member("phasors", lambda a: a.reshape(12, 8, 32))),
+    "dataset float phasors": ("dataset", _member("phasors",
+                                                 lambda a: a.real.copy())),
+    "dataset object phasors": ("dataset", _member(
+        "phasors", lambda a: a.astype(object))),
+    "dataset big-endian phasors": ("dataset", _member(
+        "phasors", lambda a: a.astype(">c16"))),
+    "dataset Fortran-order phasors": ("dataset", _member(
+        "phasors", np.asfortranarray)),
+    "dataset without phasors member": ("dataset", _drop("phasors")),
+    "dataset extra member": ("dataset", _set("extra", value=np.zeros(3))),
+    "dataset header not JSON": ("dataset", _header_bytes(b"{not JSON")),
+    "dataset header not an object": ("dataset", _header_bytes(b"[1, 2]")),
+    "dataset header of wrong dtype": ("dataset", _set(
+        "header", value=np.zeros(8, "<i4"))),
+    "dataset major version 2": ("dataset", _set("version", value="2.0")),
     "dataset infinite phasor": ("dataset",
                                 _phasor_entry(complex(np.inf, 0.0))),
     "dataset half-NaN phasor": ("dataset",
@@ -353,12 +472,22 @@ MALFORMED = {
                                                       value=3.7)),
     "archive n_points mismatch": ("archive", _grid_points_plus_one),
     "archive coordinate off lattice": ("archive",
-                                       _grid_field("coords_b64", _off_lattice)),
+                                       _grid_field("coords", _off_lattice)),
     "archive count below one": ("archive",
-                                _grid_field("counts_b64", _zero_count)),
+                                _grid_field("counts", _zero_count)),
     "archive truncated counts": ("archive",
-                                 _grid_field("counts_b64", lambda a: a[:-1])),
+                                 _grid_field("counts", lambda a: a[:-1])),
     "archive non-finite sum": ("archive", _non_finite_sum),
+    "archive retired base64 layout": ("archive-b64", _keep),
+    "archive without sums member": ("archive", _drop("sums_2")),
+    "archive extra member": ("archive", _set("sums_9", value=np.zeros(2))),
+    "archive float coordinates": ("archive", _member(
+        "coords_3", lambda a: a.astype(float))),
+    "archive coordinates of wrong shape": ("archive", _member(
+        "coords_3", lambda a: a.T.copy())),
+    "archive object counts": ("archive", _member(
+        "counts_1", lambda a: a.astype(object))),
+    "archive major version 2": ("archive", _set("version", value="2.0")),
     "archive negative df_hz": ("archive", _set("df_hz", value=-1e6)),
     "archive without grids": ("archive", _set("grids", value={})),
     "archive fractional grid order key": ("archive", _rename_grid("3", "3.5")),
@@ -369,57 +498,84 @@ MALFORMED = {
 }
 
 
+# each kind's file, its command and its loader
+FILES = {"plan": "plan.json", "dataset": "dataset.npz",
+         "blocks": "blocks.json", "archive": "archive.npz",
+         "dataset-b64": "dataset-b64.json", "archive-b64": "archive-b64.json"}
+COMMANDS = {
+    "plan": ["probe", "--plan"],
+    "dataset": ["extract", "--dataset"],
+    "blocks": ["extract", "--dataset"],
+    "dataset-b64": ["extract", "--dataset"],
+    "archive": ["synthesize", "--archive"],
+    "archive-b64": ["synthesize", "--archive"],
+}
+LOADERS = {"plan": load_plan, "dataset": load_dataset, "blocks": load_dataset,
+           "dataset-b64": load_dataset, "archive": load_archive,
+           "archive-b64": load_archive}
+
+
+def write_kind(kind, path, doc):
+    (write_npz if kind in ("dataset", "archive") else write_json)(path, doc)
+
+
+def assert_input_error(kind, path, out):
+    """``path`` raises FormatError, and its command exits 3 with one
+    ``error:`` line, no traceback and no output file."""
+    with pytest.raises(FormatError):
+        LOADERS[kind](path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main([*COMMANDS[kind], str(path), "--out", str(out)]) == 3
+    assert err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()
+    assert not os.path.exists(out)  # nothing written
+
+
 @pytest.fixture(scope="module")
 def tiny_files(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny")
     plan = tiny_plan()
     ds = analytic_dataset(CASCADE_KERNEL, plan, 3)
     save_plan(out / "plan.json", plan)
-    save_dataset(out / "dataset.json", ds)
+    save_dataset(out / "dataset.npz", ds)
     save_blocks(out / "blocks.json", ds)
-    save_archive(out / "archive.json", extract(ds, plan)[0])
+    save_archive(out / "archive.npz", extract(ds, plan)[0])
+    for kind in ("dataset", "archive"):
+        write_json(out / FILES[f"{kind}-b64"],
+                   retired_b64(read_doc(out / FILES[kind])))
     return out
 
 
 class TestMalformedFiles:
     """Every malformed input file ends in exit code 3 with no traceback."""
 
-    COMMANDS = {
-        "plan": ["probe", "--plan"],
-        "dataset": ["extract", "--dataset"],
-        "blocks": ["extract", "--dataset"],
-        "archive": ["synthesize", "--archive"],
-    }
-
     @pytest.mark.parametrize("case", sorted(MALFORMED))
-    def test_exit_code_3(self, case, tiny_files, tmp_path, capsys):
+    def test_exit_code_3(self, case, tiny_files, tmp_path):
         kind, mutate = MALFORMED[case]
-        doc = read_json(tiny_files / f"{kind}.json")
+        doc = read_doc(tiny_files / FILES[kind])
         mutate(doc)
-        path = tmp_path / f"{kind}.json"
-        write_json(path, doc)
-        assert main([*self.COMMANDS[kind], str(path),
-                     "--out", str(tmp_path)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
-        assert os.listdir(tmp_path) == [path.name]  # nothing written
-        with pytest.raises(FormatError):
-            {"plan": load_plan, "dataset": load_dataset,
-             "blocks": load_dataset, "archive": load_archive}[kind](path)
+        path = tmp_path / FILES[kind]
+        write_kind(kind, path, doc)
+        assert_input_error(kind, path, tmp_path / "out")
+
+    @pytest.mark.parametrize("kind, layout", [
+        ("dataset-b64", "phasors_b64"), ("archive-b64", "coords_b64")])
+    def test_retired_layout_is_named(self, kind, layout, tiny_files):
+        with pytest.raises(FormatError, match=f"{layout}.*retired"):
+            LOADERS[kind](tiny_files / FILES[kind])
 
     @pytest.mark.parametrize("command", ["synthesize", "validate"])
     def test_unfreezable_archive_exit_code_3(self, command, tiny_files,
                                              tmp_path, capsys):
         # a well-formed archive whose order-3 grid holds no samples loads,
         # but cannot be frozen for synthesis
-        doc = read_json(tiny_files / "archive.json")
-        grid = doc["grids"]["3"]
-        grid["n_points"] = 0
-        for key, dtype in (("coords_b64", "<i8"), ("sums_b64", "<c16"),
-                           ("counts_b64", "<i8")):
-            grid[key] = encode_array(np.zeros(0, dtype), dtype)
-        path = tmp_path / "archive.json"
-        write_json(path, doc)
+        doc = read_doc(tiny_files / "archive.npz")
+        doc["grids"]["3"]["n_points"] = 0
+        doc.update(coords_3=np.zeros((0, 3), "<i8"),
+                   sums_3=np.zeros(0, "<c16"), counts_3=np.zeros(0, "<i8"))
+        path = tmp_path / "archive.npz"
+        write_npz(path, doc)
         assert load_archive(path).grid(3).n_points == 0
         assert main([command, "--archive", str(path),
                      "--out", str(tmp_path)]) == 3
@@ -429,28 +585,28 @@ class TestMalformedFiles:
 
     def test_truncation_below_one_is_input_error(self, tiny_files, tmp_path,
                                                  capsys):
-        assert main(["extract", "--dataset", str(tiny_files / "dataset.json"),
+        assert main(["extract", "--dataset", str(tiny_files / "dataset.npz"),
                      "--truncation", "0", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: truncation") and "Traceback" not in err
 
     def test_unmodified_files_load(self, tiny_files):
         load_plan(tiny_files / "plan.json")
-        load_dataset(tiny_files / "dataset.json")
+        load_dataset(tiny_files / "dataset.npz")
         load_dataset(tiny_files / "blocks.json")
-        load_archive(tiny_files / "archive.json")
+        load_archive(tiny_files / "archive.npz")
 
     @pytest.mark.parametrize("kind", ["dataset", "blocks"])
     def test_non_finite_message_names_entry(self, kind, tiny_files, tmp_path):
-        ds = load_dataset(tiny_files / "dataset.json")
+        ds = load_dataset(tiny_files / "dataset.npz")
         key = _index_key(ds.indices[3])
-        doc = read_json(tiny_files / f"{kind}.json")
+        doc = read_doc(tiny_files / FILES[kind])
         if kind == "dataset":
             at = np.ravel_multi_index((1, 2, 3), ds.phasors.shape)
             _phasor_entry(complex(0.5, np.inf), at)(doc)
         else:
             doc["lsop_blocks"][1 * 12 + 2]["B"][key] = [0.5, float("inf")]
-        write_json(tmp_path / "ds.json", doc)
+        write_kind(kind, tmp_path / "ds.json", doc)
         with pytest.raises(FormatError, match=re.escape(
                 f"non-finite phasor {key} in block (triplet 1, amplitude 2)")):
             load_dataset(tmp_path / "ds.json")
@@ -461,6 +617,65 @@ class TestMalformedFiles:
         with pytest.raises(ValueError, match=r"index \[1, 0\] has 2 entries "
                                              r"for the plan's 3 tones"):
             SpectralDataset(plan=ds.plan, indices=indices, phasors=ds.phasors)
+
+
+def _rezip(raw, compression=zipfile.ZIP_STORED, drop=None, twice=None):
+    """The zip ``raw`` rewritten: with ``compression``, without member
+    ``drop``, or with member ``twice`` stored twice."""
+    out = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(raw)) as src, \
+            zipfile.ZipFile(out, "w", compression) as dst, \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # duplicate name
+        for name in src.namelist():
+            if name != drop:
+                dst.writestr(name, src.read(name))
+            if name == twice:
+                dst.writestr(name, src.read(name))
+    return out.getvalue()
+
+
+def _flip(raw, at):
+    return raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1:]
+
+
+# whole-file damage to a binary dataset or archive
+DAMAGED = {
+    "truncated to half": lambda raw: raw[:len(raw) // 2],
+    "truncated before the end record": lambda raw: raw[:-10],
+    "zip signature only": lambda raw: raw[:4],
+    "flipped data byte": lambda raw: _flip(raw, len(raw) // 2),
+    "deflated members": partial(_rezip, compression=zipfile.ZIP_DEFLATED),
+    "header stored twice": partial(_rezip, twice="header.npy"),
+    "header dropped": partial(_rezip, drop="header.npy"),
+}
+
+
+@pytest.mark.parametrize("kind", ["dataset", "archive"])
+@pytest.mark.parametrize("case", sorted(DAMAGED))
+def test_damaged_zip_exit_code_3(case, kind, tiny_files, tmp_path):
+    path = tmp_path / FILES[kind]
+    path.write_bytes(DAMAGED[case]((tiny_files / FILES[kind]).read_bytes()))
+    assert_input_error(kind, path, tmp_path / "out")
+
+
+def test_huge_member_claim_allocates_nothing(tiny_files, tmp_path):
+    # a .npy header that claims 10^12 complex values before 16 data bytes
+    doc = read_doc(tiny_files / "dataset.npz")
+    header = {"descr": "<c16", "fortran_order": False,
+              "shape": (10**4, 10**4, 10**4)}
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, header)
+    doc["phasors"] = buf.getvalue() + bytes(16)
+    write_npz(tmp_path / "ds.npz", doc)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="member phasors holds"):
+            load_dataset(tmp_path / "ds.npz")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.fixture
@@ -486,7 +701,7 @@ def amp_chain(tmp_path_factory):
                  "--amp-limit-v", "0.07", "--out", str(out)]) == 0
     assert main(["probe", "--plan", str(out / "plan.json"),
                  "--system", "amplifier", "--out", str(out)]) == 0
-    assert main(["extract", "--dataset", str(out / "dataset.json"),
+    assert main(["extract", "--dataset", str(out / "dataset.npz"),
                  "--out", str(out)]) == 0
     return out
 
@@ -520,18 +735,18 @@ class TestCli:
                      "--out", out]) == 0
         assert main(["probe", "--plan", f"{out}/plan.json",
                      "--system", "benchmark", "--out", out]) == 0
-        assert main(["extract", "--dataset", f"{out}/dataset.json",
+        assert main(["extract", "--dataset", f"{out}/dataset.npz",
                      "--out", out]) == 0
-        assert main(["synthesize", "--archive", f"{out}/archive.json",
+        assert main(["synthesize", "--archive", f"{out}/archive.npz",
                      "--pulse", "1.0,1e-9,5e-9,1e-9", "--out", out]) == 0
         csv = (tmp_path / "waveform.csv").read_text().splitlines()
         assert csv[0] == "t,y1,y2,y3,y_total"
         assert len(csv) == 4097
         # strict threshold fails (exit 2), generous threshold passes (exit 0)
-        assert main(["validate", "--archive", f"{out}/archive.json",
+        assert main(["validate", "--archive", f"{out}/archive.npz",
                      "--system", "benchmark", "--total-nrmse-limit", "1e-9",
                      "--out", out]) == 2
-        assert main(["validate", "--archive", f"{out}/archive.json",
+        assert main(["validate", "--archive", f"{out}/archive.npz",
                      "--system", "benchmark", "--total-nrmse-limit", "1.0",
                      "--out", out]) == 0
         report = read_json(tmp_path / "validation_report.json")
@@ -541,7 +756,7 @@ class TestCli:
 
     def test_synthesize_report_counts_every_tuple(self, tiny_files,
                                                   tmp_path):
-        archive = str(tiny_files / "archive.json")
+        archive = str(tiny_files / "archive.npz")
         assert main(["synthesize", "--archive", archive,
                      "--out", str(tmp_path)]) == 0
         orders = read_json(tmp_path / "synthesis_report.json")["orders"]
@@ -561,7 +776,7 @@ class TestCli:
                          "benchmark", "--out", out, *extra]) == 0
             line = capsys.readouterr().out
             assert line.endswith(f", {n} samples per record\n")
-            assert load_dataset(f"{out}/dataset.json").capture \
+            assert load_dataset(f"{out}/dataset.npz").capture \
                 .samples_per_record == n
 
     def test_usage_error_is_input_error(self, tmp_path, capsys):
@@ -597,12 +812,12 @@ class TestCli:
 
     def test_default_validate_passes_on_amplifier(self, amp_chain, tmp_path):
         # the default pulse peaks at the amplifier's saturation limit
-        assert main(["validate", "--archive", str(amp_chain / "archive.json"),
+        assert main(["validate", "--archive", str(amp_chain / "archive.npz"),
                      "--system", "amplifier", "--out", str(tmp_path)]) == 0
         report = read_json(tmp_path / "validation_report.json")
         assert report["time_domain"]["total_nrmse"] <= 0.10
         assert report["checks"]["zero_kernel_leakage"]["ok"]
-        archive = load_archive(amp_chain / "archive.json")
+        archive = load_archive(amp_chain / "archive.npz")
         assert {n: v["n_checked"]
                 for n, v in report["kernel_error_table"].items()} == {
             str(n): grid.n_points for n, grid in archive.grids.items()}
@@ -613,20 +828,20 @@ class TestCli:
         assert main(["plan", "--points-per-axis", "3", "--out", out]) == 0
         assert main(["probe", "--plan", f"{out}/plan.json",
                      "--system", "benchmark-linear", "--out", out]) == 0
-        assert main(["extract", "--dataset", f"{out}/dataset.json",
+        assert main(["extract", "--dataset", f"{out}/dataset.npz",
                      "--out", out]) == 0
         # the zero phasors of orders 2 and 3 hold only rounding noise
         extraction = read_json(tmp_path / "extraction_report.json")
         assert extraction["warnings"] == []
         assert extraction["max_relative_residual"] <= RESIDUAL_TOL
-        assert main(["validate", "--archive", f"{out}/archive.json",
+        assert main(["validate", "--archive", f"{out}/archive.npz",
                      "--system", "benchmark-linear", "--out", out]) == 0
         checks = read_json(tmp_path / "validation_report.json")["checks"]
         assert checks["h2_h3_vs_oracle"]["value"] == 0.0
         assert checks["zero_kernel_leakage"]["value"] <= 1e-12
 
     def test_validate_fails_on_even_order_leakage(self, amp_chain, tmp_path):
-        archive = load_archive(amp_chain / "archive.json")
+        archive = load_archive(amp_chain / "archive.npz")
         odd_peak = max(abs(v) for n in (1, 3)
                        for _, v in archive.grid(n).items())
         h2 = archive.grid(2)
@@ -679,7 +894,7 @@ class TestCli:
                                                    synth_calls):
         # RK4 at 4 ns on the benchmark system grows past the blow-up limit,
         # which the reference run finds before any synthesis
-        assert main(["validate", "--archive", str(tiny_files / "archive.json"),
+        assert main(["validate", "--archive", str(tiny_files / "archive.npz"),
                      "--system", "benchmark", "--dt-s", "4e-9",
                      "--period-s", "2e-7", "--duration-s", "1e-7",
                      "--out", str(tmp_path)]) == 3
@@ -691,7 +906,7 @@ class TestCli:
     def test_validate_synthesizes_each_order_twice(self, tiny_files,
                                                    tmp_path, synth_calls):
         # the full-scale responses come from the one synthesize_total call
-        assert main(["validate", "--archive", str(tiny_files / "archive.json"),
+        assert main(["validate", "--archive", str(tiny_files / "archive.npz"),
                      "--system", "benchmark", "--total-nrmse-limit", "1.0",
                      "--out", str(tmp_path)]) == 0
         assert sorted(synth_calls) == [1, 1, 2, 2, 3, 3]
@@ -725,9 +940,9 @@ class TestCli:
                          "--out", str(out)]) == 0
             assert main(["probe", "--plan", f"{out}/plan.json",
                          "--system", "benchmark", "--out", str(out)]) == 0
-            assert main(["extract", "--dataset", f"{out}/dataset.json",
+            assert main(["extract", "--dataset", f"{out}/dataset.npz",
                          "--out", str(out)]) == 0
-        for name in ("plan.json", "dataset.json", "archive.json"):
+        for name in ("plan.json", "dataset.npz", "archive.npz"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
@@ -805,7 +1020,7 @@ class TestConfig:
         assert main(["plan", "--config", str(files / "plan-cfg.json")]) == 0
         assert main(["probe", "--config", str(files / "probe-cfg.json"),
                      "--out", str(files)]) == 0
-        for name in ("plan.json", "dataset.json"):
+        for name in ("plan.json", "dataset.npz"):
             assert (flags / name).read_bytes() == (files / name).read_bytes()
 
     @pytest.mark.parametrize("command", sorted(next(
@@ -838,7 +1053,7 @@ def _exact_cascade_dataset(points, seed):
 
 
 class TestDatasetLayouts:
-    """The array layout save_dataset writes and the per-block layout load
+    """The binary file save_dataset writes and the per-block layout load
     to the same dataset."""
 
     def test_layouts_agree_at_scale(self, tmp_path):
@@ -846,6 +1061,7 @@ class TestDatasetLayouts:
         ds.phasors[100, 5, ds.index_position((1, 1, -1))] = np.nan
         save_dataset(tmp_path / "array.json", ds)
         save_blocks(tmp_path / "blocks.json", ds)
+        assert (tmp_path / "array.json").read_bytes()[:4] == b"PK\x03\x04"
         array = load_dataset(tmp_path / "array.json")
         blocks = load_dataset(tmp_path / "blocks.json")
         assert array.phasors.tobytes() == blocks.phasors.tobytes()
@@ -859,10 +1075,20 @@ class TestDatasetLayouts:
                          str(tmp_path / f"{name}.json"),
                          "--out", str(out)]) == 0
             outputs.append([(out / f).read_bytes() for f in
-                            ("archive.json", "extraction_report.json")])
+                            ("archive.npz", "extraction_report.json")])
         assert outputs[0] == outputs[1]
         assert read_json(tmp_path / "out-array" /
                          "extraction_report.json")["n_failures"] == 1
+
+    def test_format_1_0_blocks_file_loads(self):
+        # lsop_blocks_1_0.json was written by the format 1.0 writer
+        doc = read_json(GOLDEN.parent / "lsop_blocks_1_0.json")
+        assert doc["version"] == "1.0" and "lsop_blocks" in doc
+        ds = load_dataset(GOLDEN.parent / "lsop_blocks_1_0.json")
+        want = analytic_dataset(CASCADE_KERNEL, standard_sweep_plan(
+            points_per_axis=1, plan_id="lsop-1.0"), 3)
+        assert (ds.plan, ds.indices) == (want.plan, want.indices)
+        assert ds.phasors.tobytes() == want.phasors.tobytes()
 
     def test_cli_extract_same_from_either_layout(self, tmp_path):
         out = str(tmp_path)
@@ -870,27 +1096,27 @@ class TestDatasetLayouts:
                      "--out", out]) == 0
         assert main(["probe", "--plan", f"{out}/plan.json",
                      "--system", "benchmark", "--out", out]) == 0
-        assert "phasors_b64" in read_json(tmp_path / "dataset.json")
-        ds = load_dataset(tmp_path / "dataset.json")
+        assert sorted(read_doc(tmp_path / "dataset.npz")) == [
+            "capture", "config_hash", "format", "k", "phasors", "plan",
+            "source", "version"]
+        ds = load_dataset(tmp_path / "dataset.npz")
         save_blocks(tmp_path / "blocks.json", ds)
         outputs = []
-        for name in ("dataset", "blocks"):
+        for name in ("dataset.npz", "blocks.json"):
             sub = tmp_path / f"out-{name}"
-            assert main(["extract", "--dataset", f"{out}/{name}.json",
+            assert main(["extract", "--dataset", f"{out}/{name}",
                          "--out", str(sub)]) == 0
             outputs.append([(sub / f).read_bytes() for f in
-                            ("archive.json", "extraction_report.json")])
+                            ("archive.npz", "extraction_report.json")])
         assert outputs[0] == outputs[1]
 
 
-B64_CHARS = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-             "= !")
 RETYPED = (None, 0, -1, 2.5, float("nan"), float("inf"), "x", [], {}, True)
 
 
 def _mutate(data, doc):
-    """Apply one drawn mutation to a dataset document in either layout;
-    every draw is valid for the document by construction."""
+    """Apply one drawn mutation to a document of any layout, read with
+    ``read_doc``; every draw is valid for the document by construction."""
     draw = data.draw
 
     def pick(n):
@@ -899,56 +1125,82 @@ def _mutate(data, doc):
     blocks = doc.get("lsop_blocks")
     block = blocks[pick(len(blocks))] if blocks else None
     kind = draw(st.sampled_from(["key", "phasor", "id"] if blocks
-                                else ["key", "truncate", "flip", "entry"]))
+                                else ["key", "entry"]))
     if kind == "key":
         owner = draw(st.sampled_from(
-            [o for o in (doc, doc["plan"], block) if o is not None]))
+            [o for o in (doc, doc.get("plan"), block, *doc.get(
+                "grids", {}).values()) if isinstance(o, dict)]))
         key = draw(st.sampled_from(sorted(owner)))
         if draw(st.booleans()):
             del owner[key]
         else:
             owner[key] = draw(st.sampled_from(RETYPED))
-    elif kind == "truncate":
-        blob = doc["phasors_b64"]
-        doc["phasors_b64"] = blob[:pick(len(blob))]
-    elif kind == "flip":
-        blob, at = doc["phasors_b64"], pick(len(doc["phasors_b64"]))
-        doc["phasors_b64"] = (blob[:at] + draw(st.sampled_from(B64_CHARS))
-                              + blob[at + 1:])
     elif kind == "id":
         block[draw(st.sampled_from(["triplet_id", "amp_id"]))] = draw(
             st.integers(min_value=-2, max_value=20))
     else:
         value = complex(draw(st.floats()), draw(st.floats()))
         if kind == "entry":
-            n = len(decode_array(doc["phasors_b64"], "<c16"))
-            _phasor_entry(value, pick(n))(doc)
+            name = draw(st.sampled_from(sorted(
+                k for k, v in doc.items() if isinstance(v, np.ndarray))))
+            flat = doc[name].reshape(-1)
+            if len(flat):
+                flat[pick(len(flat))] = (value if flat.dtype.kind == "c"
+                                         else draw(st.integers(-2, 9)))
         else:
             key = draw(st.sampled_from(sorted(block["B"])))
             block["B"][key] = [value.real, value.imag]
+
+
+def _damage(data, raw):
+    """Truncate ``raw`` at a drawn byte, flip a drawn byte or drop a drawn
+    member."""
+    draw = data.draw
+    kind = draw(st.sampled_from(["truncate", "flip", "drop"]))
+    at = draw(st.integers(min_value=0, max_value=len(raw) - 1))
+    if kind == "truncate":
+        return raw[:at]
+    if kind == "flip":
+        return raw[:at] + bytes([raw[at] ^ draw(st.integers(1, 255))]) \
+            + raw[at + 1:]
+    with zipfile.ZipFile(io.BytesIO(raw)) as zf:
+        names = zf.namelist()
+    return _rezip(raw, drop=draw(st.sampled_from(names)))
 
 
 @pytest.fixture(scope="module")
 def mutation_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("mutate")
     ds = analytic_dataset(CASCADE_KERNEL, tiny_plan(), 3)
-    save_dataset(out / "dataset.json", ds)
+    save_dataset(out / "dataset.npz", ds)
     save_blocks(out / "blocks.json", ds)
+    save_archive(out / "archive.npz", extract(ds)[0])
     return out
 
 
-@pytest.mark.parametrize("layout", ["dataset", "blocks"])
+@pytest.mark.parametrize("layout", ["dataset", "blocks", "archive"])
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_mutated_dataset_loads_or_raises_format_error(layout, mutation_dir,
                                                       data):
-    doc = json.loads((mutation_dir / f"{layout}.json").read_text())
-    _mutate(data, doc)
-    path = mutation_dir / "mutated.json"
-    path.write_text(json.dumps(doc))
+    # binary files are damaged byte by byte or edited member by member
+    source = mutation_dir / FILES[layout]
+    path = mutation_dir / f"mutated-{FILES[layout]}"
+    if layout != "blocks" and data.draw(st.booleans()):
+        path.write_bytes(_damage(data, source.read_bytes()))
+    else:
+        doc = read_doc(source)
+        _mutate(data, doc)
+        write_kind(layout, path, doc)
     try:
-        values = load_dataset(path).phasors
+        loaded = LOADERS[layout](path)
     except FormatError:
+        assert_input_error(layout, path, mutation_dir / "out")
         return
+    if layout == "archive":
+        for grid in loaded.grids.values():
+            assert np.isfinite(grid.sums).all() and (grid.counts >= 1).all()
+        return
+    values = loaded.phasors
     assert (np.isfinite(values)
             | (np.isnan(values.real) & np.isnan(values.imag))).all()
