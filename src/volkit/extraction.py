@@ -2,17 +2,15 @@
 
 At every canonical output index the phasor is a sum of kernel values, one
 per contributing term, each weighted by a known amplitude monomial of the
-schedule row.  ``analytic_dataset`` evaluates that sum from closed-form
-kernels; ``extract`` inverts it, one overdetermined linear system per
-index whose unknowns are the kernel values, and scatters the solutions
-through their argument layouts into one kernel grid per order.
-
-The coefficient matrix depends only on the schedule, so one orthogonal
-factorization per index serves every triplet (stacked right-hand sides).
+schedule row.  ``analytic_dataset`` evaluates that map from closed-form
+kernels.  ``extract`` inverts it, factoring each distinct coefficient matrix
+once for every index that shares it, and scatters the solved kernel values
+through their argument layouts into one grid per order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +18,7 @@ import numpy as np
 from volkit.kernels import KernelArchive, KernelGrid
 from volkit.mixing import (
     FrequencyIndex,
-    MixTerm,
     enumerate_output_indices,
-    input_coefficient,
     unknowns_at_index,
 )
 from volkit.probing import SpectralDataset
@@ -35,27 +31,44 @@ class ExtractionError(RuntimeError):
     """Too few kernel points could be resolved."""
 
 
-def _coefficients(terms: list[MixTerm], schedule) -> np.ndarray:
-    """(n_amps, n_terms) amplitude coefficients of ``terms`` per schedule row."""
-    return np.array([[input_coefficient(term, amps) for term in terms]
-                     for amps in schedule])
+def _phasor_map(plan: SweepPlan, indices, truncation: int):
+    """Per index: its unknown terms (by order, r), their (amplitudes, terms)
+    coefficient matrix and each term's (triplets, order) signed arguments.
+    Powers are taken per (row, tone, exponent) as ``input_coefficient``
+    takes them (numpy's vectorised power can be an ulp off) and divided in
+    tone by tone, so the two agree bit for bit."""
+    terms = [unknowns_at_index(k, truncation) for k in indices]
+    k_r = np.array([t.k + t.r for ts in terms for t in ts], int).reshape(
+        -1, 2, plan.m_tones)
+    powers = np.array([[[(0.5 * v) ** e for e in range(truncation + 1)]
+                        for v in amps] for amps in plan.schedule])
+    fact = np.array([math.factorial(i) for i in range(truncation + 1)], float)
+    coeffs = np.ones((len(plan.schedule), len(k_r)))
+    for m, (k, r) in enumerate(zip(np.abs(k_r[:, 0].T), k_r[:, 1].T)):
+        coeffs = coeffs * powers[:, m, k + 2 * r] / (fact[k + r] * fact[r])
+    trips = np.array(plan.triplets(), dtype=float)
+    tones = [[np.array(t.argument_tones()) for t in ts] for ts in terms]
+    ends = np.cumsum([len(ts) for ts in terms])[:-1]
+    return terms, np.split(coeffs, ends, axis=1), [
+        [np.sign(t) * trips[:, np.abs(t) - 1] for t in ts] for ts in tones]
 
 
-def _argument_rows(term: MixTerm, trips: np.ndarray) -> np.ndarray:
-    """(n_triplets, order) signed kernel arguments of ``term`` for each
-    row of per-tone frequencies ``trips``."""
-    tones = np.array(term.argument_tones())
-    return np.sign(tones) * trips[:, np.abs(tones) - 1]
-
-
-def _lstsq_scaled(a: np.ndarray, b: np.ndarray):
-    """Minimum-norm least squares via SVD on unit-norm columns."""
+def _scaled_pinv(a: np.ndarray):
+    """Pseudo-inverse of ``a`` from one SVD of its unit-norm columns, with
+    their rank and condition.  The solve runs in complex, as a direct solve
+    on the complex phasors does, so rank and condition match that solve's."""
     scales = np.linalg.norm(a, axis=0)
     scales[scales == 0.0] = 1.0
-    x, _, rank, sv = np.linalg.lstsq(a / scales, b, rcond=None)
-    x = (x.T / scales).T
+    pinv, _, rank, sv = np.linalg.lstsq(
+        a / scales, np.eye(len(a), dtype=complex), rcond=None)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    return x, int(rank), cond
+    return pinv.real / scales[:, None], int(rank), cond
+
+
+def _norms(blocks: np.ndarray) -> np.ndarray:
+    """Column 2-norms of real-viewed (blocks, amplitudes, 2 triplets)."""
+    squares = np.einsum("kat,kat->kt", blocks, blocks)
+    return np.sqrt(squares[:, 0::2] + squares[:, 1::2])
 
 
 def analytic_dataset(kernel_fn, plan: SweepPlan,
@@ -69,17 +82,13 @@ def analytic_dataset(kernel_fn, plan: SweepPlan,
     """
     indices = enumerate_output_indices(plan.m_tones, plan.max_mixing_order,
                                        include_dc=True)
-    trips = np.array(plan.triplets(), dtype=float)
-    phasors = np.zeros((len(trips), len(plan.schedule), len(indices)),
+    phasors = np.zeros((plan.n_triplets, len(plan.schedule), len(indices)),
                        dtype=complex)
-    for ki, k in enumerate(indices):
-        terms = unknowns_at_index(k, truncation)
-        coeffs = _coefficients(terms, plan.schedule)
-        for term, column in zip(terms, coeffs.T):
-            values = np.array(
-                [kernel_fn(tuple(row), term.order)
-                 for row in _argument_rows(term, trips).tolist()],
-                dtype=complex)
+    terms, coeffs, rows = _phasor_map(plan, indices, truncation)
+    for ki, index_terms in enumerate(terms):
+        for term, column, args in zip(index_terms, coeffs[ki].T, rows[ki]):
+            values = np.array([kernel_fn(tuple(row), term.order)
+                               for row in args.tolist()], dtype=complex)
             phasors[:, :, ki] += values[:, None] * column
     return SpectralDataset(plan=plan, indices=tuple(indices), phasors=phasors,
                            capture=None, source="analytic")
@@ -117,8 +126,10 @@ def extract(dataset: SpectralDataset, plan: SweepPlan | None = None,
         raise ValueError(
             f"truncation order {truncation} is outside 1.."
             f"{plan.max_mixing_order}, the plan's mixing order")
-    widest = max(
-        len(unknowns_at_index(k, truncation)) for k in dataset.indices)
+    if not dataset.indices:
+        raise ValueError("dataset has no output indices to extract from")
+    terms, coeffs, rows = _phasor_map(plan, dataset.indices, truncation)
+    widest = max(map(len, terms))
     if len(plan.schedule) < widest:
         raise ValueError(
             f"schedule has {len(plan.schedule)} amplitude vectors but the "
@@ -126,52 +137,65 @@ def extract(dataset: SpectralDataset, plan: SweepPlan | None = None,
     lattice = tuple(int(round(f / plan.df_hz)) for f in plan.lattice_hz())
     grids = {n: KernelGrid(order=n, lattice_units=lattice, df_hz=plan.df_hz)
              for n in range(1, truncation + 1)}
-    trips = np.array(plan.triplets(), dtype=float)
     report = ExtractionReport(n_indices=len(dataset.indices),
-                              n_triplets=len(trips))
+                              n_triplets=plan.n_triplets)
+    # (index, amplitude, triplet): each index's right-hand sides are the
+    # columns of one contiguous block
+    phasors = dataset.phasors.transpose(2, 1, 0).copy()
+    finite = np.isfinite(phasors)
+    good = finite.all(axis=1)
+    if not good.all():
+        phasors[~finite] = 0.0   # a missing entry drops out of its index only
     # An index whose true phasor is zero holds only rounding noise, which
     # no model fits, so residuals are measured against at least 1e-5 of the
     # largest phasor: rounding (about 1e-15 of it) then stays in tolerance.
-    finite = dataset.phasors[np.isfinite(dataset.phasors)]
-    rhs_floor = max(1e-5 * np.abs(finite).max(initial=0.0), 1e-300)
-    # per order: argument arrays and values in solve order, inserted at once
-    samples = {n: ([], []) for n in grids}
+    rhs_floor = max(1e-5 * np.abs(phasors).max(initial=0.0), 1e-300)
+    blocks = phasors.view(float)  # real products act on both parts at once
+    rhs_norm = np.maximum(_norms(blocks), rhs_floor)
+    resid = np.zeros(good.shape)  # zero where nothing is solved
+    groups: dict[bytes, list[int]] = {}  # indices by coefficient matrix
+    for pos, a in enumerate(coeffs):
+        if a.shape[1]:
+            groups.setdefault(a.tobytes(), []).append(pos)
+    solutions, rank_failures = {}, {}
+    for group in groups.values():
+        a = coeffs[group[0]]
+        solve, rank, cond = _scaled_pinv(a)
+        if rank < a.shape[1]:
+            why = f"rank {rank} < {a.shape[1]} unknowns (condition {cond:.3g})"
+            rank_failures.update(
+                (pos, f"index {dataset.indices[pos]}: {why}") for pos in group)
+            continue
+        b = blocks[group]
+        r = (np.eye(len(a)) - a @ solve) @ b
+        resid[group] = _norms(r)
+        # one step of iterative refinement takes most of the pseudo-
+        # inverse's rounding back out of the solutions
+        solutions.update(zip(group, (solve @ b + solve @ r).view(complex)))
+    del phasors, blocks  # free the copy before the grids grow
+    report.max_relative_residual = float(
+        np.where(good, resid / rhs_norm, 0.0).max(initial=0.0))
+    bad = good & (resid > RESIDUAL_TOL * rhs_norm)
 
-    for k in dataset.indices:
-        unknowns = unknowns_at_index(k, truncation)
-        if not unknowns:
+    samples = {n: ([], []) for n in grids}
+    for pos, (k, ok) in enumerate(zip(dataset.indices, good)):
+        if not terms[pos]:
             continue
-        block = dataset.phasors[:, :, dataset.index_position(k)]
-        finite = np.isfinite(block)
-        good = finite.all(axis=1)
-        report.failures.extend(
-            (int(t), k, f"missing phasor at amplitude {np.argmin(finite[t])}")
-            for t in np.nonzero(~good)[0])
-        good_ids = np.nonzero(good)[0]
-        if not len(good_ids):
+        report.failures.extend((int(t), k, "missing phasor at amplitude "
+                                f"{np.argmin(finite[pos, :, t])}")
+                               for t in np.nonzero(~ok)[0])
+        if pos in rank_failures:
+            report.failures.extend((int(t), k, rank_failures[pos])
+                                   for t in np.nonzero(ok)[0])
             continue
-        a = _coefficients(unknowns, plan.schedule)
-        b = block[good_ids].T  # (amps, triplets): one column per triplet
-        x, rank, cond = _lstsq_scaled(a, b)
-        if rank < len(unknowns):
-            reason = (f"index {k}: rank {rank} < {len(unknowns)} unknowns "
-                      f"(condition {cond:.3g})")
-            report.failures.extend((int(t), k, reason) for t in good_ids)
-            continue
-        resid = np.linalg.norm(b - a @ x, axis=0)
-        rhs_norm = np.maximum(np.linalg.norm(b, axis=0), rhs_floor)
-        bad = resid > RESIDUAL_TOL * rhs_norm
-        if bad.any():
+        if bad[pos].any():
             report.warnings.append(
                 f"index {k}: residual above tolerance for "
-                f"{int(bad.sum())}/{b.shape[1]} right-hand sides")
-        report.max_relative_residual = max(report.max_relative_residual,
-                                           float((resid / rhs_norm).max()))
-        freqs = trips[good_ids]
-        for term, vals in zip(unknowns, x):
-            args, vals_list = samples[term.order]
-            args.append(_argument_rows(term, freqs))
-            vals_list.append(vals)
+                f"{bad[pos].sum()}/{ok.sum()} right-hand sides")
+        keep = slice(None) if ok.all() else ok
+        for term, args, vals in zip(terms[pos], rows[pos], solutions[pos]):
+            samples[term.order][0].append(args[keep])
+            samples[term.order][1].append(vals[keep])
 
     for n, (args, vals) in samples.items():
         if args:
@@ -185,6 +209,6 @@ def extract(dataset: SpectralDataset, plan: SweepPlan | None = None,
         "plan_id": plan.plan_id,
         "source": dataset.source,
         "truncation": truncation,
-        "n_triplets": len(trips),
+        "n_triplets": plan.n_triplets,
     }
     return KernelArchive(grids=grids, metadata=meta), report

@@ -21,7 +21,7 @@ their canonical index.  The DC phasor is the record mean (real).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +89,6 @@ class SpectralDataset:
     phasors: np.ndarray
     capture: CaptureInfo | None = None
     source: str = "simulated"
-    _index_pos: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.phasors = np.asarray(self.phasors, dtype=complex)
@@ -103,14 +102,11 @@ class SpectralDataset:
         if wrong is not None:
             raise ValueError(f"index {list(wrong)} has {len(wrong)} entries "
                              f"for the plan's {self.plan.m_tones} tones")
-        self._index_pos = {k: i for i, k in enumerate(self.indices)}
-        if len(self._index_pos) != len(self.indices):
+        position = {k: i for i, k in enumerate(self.indices)}
+        if len(position) != len(self.indices):
             repeated = next(k for i, k in enumerate(self.indices)
-                            if self._index_pos[k] != i)
+                            if position[k] != i)
             raise ValueError(f"index {repeated} appears more than once")
-
-    def index_position(self, k: FrequencyIndex) -> int:
-        return self._index_pos[tuple(k)]
 
     @property
     def n_runs(self) -> int:

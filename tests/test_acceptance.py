@@ -168,8 +168,8 @@ def test_criterion_6_order_scaling(bench_system, bench_archive, unit_pulse):
         axes_hz=((7e6,), (41e6,), (87e6,)), df_hz=1e6, max_mixing_order=3,
         schedule=(base, tuple(alpha * v for v in base)), plan_id="scaling")
     ds = simulate_dataset(bench_system, plan)
-    b2 = ds.phasors[0, :, ds.index_position((1, 1, 0))]
-    b3 = ds.phasors[0, :, ds.index_position((1, 1, 1))]
+    b2 = ds.phasors[0, :, ds.indices.index((1, 1, 0))]
+    b3 = ds.phasors[0, :, ds.indices.index((1, 1, 1))]
     drop2 = 20.0 * np.log10(abs(b2[0]) / abs(b2[1]))
     drop3 = 20.0 * np.log10(abs(b3[0]) / abs(b3[1]))
     assert abs(drop2 - 6.0) <= 0.1

@@ -393,8 +393,8 @@ class TestSimulatedDataset:
         for ti in range(plan.n_triplets):
             for ai in range(len(plan.schedule)):
                 for k in sim.indices:
-                    got = sim.phasors[ti, ai, sim.index_position(k)]
-                    ref = ana.phasors[ti, ai, ana.index_position(k)]
+                    got = sim.phasors[ti, ai, sim.indices.index(k)]
+                    ref = ana.phasors[ti, ai, ana.indices.index(k)]
                     if sum(map(abs, k)) == 1:
                         assert abs(got - ref) / abs(ref) < 5e-3
                     else:
@@ -407,8 +407,8 @@ class TestSimulatedDataset:
         down = tuple(alpha * v for v in base)
         plan = small_plan(schedule=(base, down))
         ds = simulate_dataset(sys, plan)
-        b2 = ds.phasors[0, :, ds.index_position((1, 1, 0))]
-        b3 = ds.phasors[0, :, ds.index_position((1, 1, 1))]
+        b2 = ds.phasors[0, :, ds.indices.index((1, 1, 0))]
+        b3 = ds.phasors[0, :, ds.indices.index((1, 1, 1))]
         drop2 = 20 * np.log10(abs(b2[0]) / abs(b2[1]))
         drop3 = 20 * np.log10(abs(b3[0]) / abs(b3[1]))
         assert drop2 == pytest.approx(6.0206, abs=0.1)
@@ -694,7 +694,7 @@ class TestAnalyticDataset:
         trip = plan.triplets()[0]
         v3 = plan.schedule[0][2]
         h1 = lowpass_ladder().transfer_hz(trip[2])
-        got = ds.phasors[0, 0, ds.index_position((0, 0, 1))]
+        got = ds.phasors[0, 0, ds.indices.index((0, 0, 1))]
         assert got == pytest.approx(0.5 * v3 * complex(h1))
 
     def test_fundamental_includes_compression_and_desensitization(self):
@@ -710,7 +710,7 @@ class TestAnalyticDataset:
             + v3 * v2**2 / 8 * kernel_oracle(sys, (w2, -w2, w3), 3)
             + v3 * v1**2 / 8 * kernel_oracle(sys, (w1, -w1, w3), 3)
         )
-        got = ds.phasors[0, 0, ds.index_position((0, 0, 1))]
+        got = ds.phasors[0, 0, ds.indices.index((0, 0, 1))]
         assert got == pytest.approx(expect)
 
     def test_difference_product_single_term(self):
@@ -720,7 +720,7 @@ class TestAnalyticDataset:
         w1, w2, w3 = plan.triplets()[0]
         v1, v2, v3 = plan.schedule[0]
         expect = v2 * v3**2 / 16 * kernel_oracle(sys, (w2, -w3, -w3), 3)
-        got = ds.phasors[0, 0, ds.index_position((0, 1, -2))]
+        got = ds.phasors[0, 0, ds.indices.index((0, 1, -2))]
         assert got == pytest.approx(expect)
 
     def test_matches_input_coefficient_helper(self):

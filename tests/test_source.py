@@ -17,7 +17,10 @@ CORPUS = sorted(p for part in ("src", "perfbench")
                 for p in (REPO / part).rglob("*.py")
                 if p.name != "__init__.py")
 # public names kept only as references that tests compare against
-REFERENCE_APIS = {"query"}  # FrozenKernelGrid.query, bitwise for query_comb
+REFERENCE_APIS = {
+    "query",              # FrozenKernelGrid.query, bitwise for query_comb
+    "input_coefficient",  # per term, bitwise for the vectorised phasor map
+}
 
 
 def unused_imports(source: str) -> list[str]:

@@ -225,7 +225,7 @@ class TestRoundTrips:
         removed = doc["lsop_blocks"][5]["B"].pop("[0,1,-2]")
         write_json(path, doc)
         back = load_dataset(path)
-        kpos = back.index_position((0, 1, -2))
+        kpos = back.indices.index((0, 1, -2))
         t, a = doc["lsop_blocks"][5]["triplet_id"], doc["lsop_blocks"][5]["amp_id"]
         assert not np.isfinite(back.phasors[t, a, kpos])
         assert removed is not None
@@ -1058,7 +1058,7 @@ class TestDatasetLayouts:
 
     def test_layouts_agree_at_scale(self, tmp_path):
         ds = _exact_cascade_dataset(8, 7)
-        ds.phasors[100, 5, ds.index_position((1, 1, -1))] = np.nan
+        ds.phasors[100, 5, ds.indices.index((1, 1, -1))] = np.nan
         save_dataset(tmp_path / "array.json", ds)
         save_blocks(tmp_path / "blocks.json", ds)
         assert (tmp_path / "array.json").read_bytes()[:4] == b"PK\x03\x04"
@@ -1089,6 +1089,21 @@ class TestDatasetLayouts:
             points_per_axis=1, plan_id="lsop-1.0"), 3)
         assert (ds.plan, ds.indices) == (want.plan, want.indices)
         assert ds.phasors.tobytes() == want.phasors.tobytes()
+
+    def test_extract_without_indices_names_the_cause(self, tmp_path):
+        doc = read_json(GOLDEN.parent / "lsop_blocks_1_0.json")
+        doc["k"] = []
+        for block in doc["lsop_blocks"]:
+            block["B"] = {}
+        write_json(tmp_path / "no-indices.json", doc)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["extract", "--dataset",
+                         str(tmp_path / "no-indices.json"),
+                         "--out", str(tmp_path / "out")]) == 3
+        assert err.getvalue() == (
+            "error: dataset has no output indices to extract from\n")
+        assert not os.path.exists(tmp_path / "out")
 
     def test_cli_extract_same_from_either_layout(self, tmp_path):
         out = str(tmp_path)
