@@ -319,8 +319,8 @@ def cmd_synthesize(args) -> int:
 def _stored_points(grid) -> tuple[np.ndarray, np.ndarray]:
     """A grid's (P, order) canonical arguments in Hz and its P stored
     averaged values."""
-    return (grid.coords * grid.df_hz,
-            np.array([v for _, v in grid.items()], dtype=complex))
+    args = grid.coords * grid.df_hz
+    return args, grid.query_exact(args)
 
 
 def _kernel_error_table(archive: KernelArchive, sys_obj):

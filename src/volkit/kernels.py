@@ -13,21 +13,26 @@ For synthesis the sparse canonical samples are frozen into a dense tensor
 over the signed sweep lattice.  Probing never co-sweeps some coordinate
 combinations (for example two different points of the same source comb),
 which leaves structured holes.  Freezing fills them on the canonical wedge
-only, one entry per symmetry class, pass by pass: a hole takes the mean of
+only, one entry per symmetry class (``_canonical_walk``, which also gives
+synthesis its bin tuples), pass by pass: a hole takes the mean of
 the interpolants, linear in magnitude and in shortest-step phase, along
 every axis whose line brackets it, and goes to all its images, so the
 tensor is exactly symmetric.  Freezing records which entries are measured
-versus filled.  Off-lattice queries then interpolate multilinearly in
-(magnitude, unwrapped phase), hold the band-edge sample for half a lattice
-step, and return zero beyond that band, ``FrozenKernelGrid.in_band``.
+versus filled; a grid keeps its frozen form until its next insert.
+Off-lattice queries then interpolate multilinearly in (magnitude,
+unwrapped phase), hold the band-edge sample for half a lattice step, and
+return zero beyond that band, ``FrozenKernelGrid.in_band``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+TUPLE_CHUNK = 16_384  # canonical rows per step of a walk over an index cube
 
 
 class OffLatticeError(ValueError):
@@ -79,6 +84,7 @@ class KernelGrid:
         if (self.sums.shape, self.counts.shape) != ((n,), (n,)) \
                 or (self.counts < 1).any() or not np.isfinite(self.sums).all():
             raise ValueError("need one finite sum and one count >= 1 per point")
+        self._frozen = None
 
     # -- coordinate handling -------------------------------------------------
 
@@ -158,6 +164,7 @@ class KernelGrid:
         pos = slot[inverse[later]]
         np.add.at(self.sums, pos, values[later])
         np.add.at(self.counts, pos, 1)
+        self._frozen = None
 
     def _means(self, rows=slice(None)) -> np.ndarray:
         """Averaged values of all points or of ``rows``.  Each component is
@@ -192,9 +199,12 @@ class KernelGrid:
         return zip(map(tuple, args), self._means().tolist())
 
     def freeze(self) -> "FrozenKernelGrid":
+        """The dense frozen grid, built once and kept until an insert."""
         if not self.n_points:
             raise EmptyGridError(f"order-{self.order} grid has no samples")
-        return FrozenKernelGrid._build(self)
+        if self._frozen is None:
+            self._frozen = FrozenKernelGrid._build(self)
+        return self._frozen
 
 
 def canonical_rows(
@@ -255,13 +265,30 @@ def _prepend_firsts(cols: np.ndarray, firsts: np.ndarray) -> np.ndarray:
     return np.vstack([np.repeat(firsts, count), np.take(cols, tail, axis=1)])
 
 
-def _wedge_rows(size: int, order: int) -> np.ndarray:
-    """The canonical wedge of the (size,)*order index cube of a signed
-    lattice, one row per symmetry class: the descending rows that are not
-    lexically below their mirror ``size-1-row[::-1]``, the row of the
-    negated arguments.  These are the rows ``canonical_rows`` keeps."""
-    desc = size - 1 - _ascending_rows(size, order)
-    return desc[~_mirror_side(desc, size - 1)[0]]
+def _canonical_walk(size: int, order: int):
+    """One row per symmetry class of the (size,)*order index cube of a
+    signed lattice or comb, the rows ``canonical_rows`` keeps, reversed:
+    each ascending row whose reverse is not lexically below its mirror
+    ``size-1-row``, the row of the negated points.  Yields them in lexical
+    order, column-major (order, Q), with their self-mirror flags (Q,), at
+    most TUPLE_CHUNK at a time, so no array grows with the row count."""
+    tail = _ascending_rows(size, order - 1).T
+    # rows that start with a: a, then an ascending row of range(a, size)
+    count = np.array([math.comb(size - a + order - 2, order - 1)
+                      for a in range(size)], dtype=np.int64)
+    cum = np.concatenate([[0], np.cumsum(count)])
+    a = 0
+    while a < size:
+        b = max(a + 1, int(np.searchsorted(cum, cum[a] + TUPLE_CHUNK,
+                                           side="right")) - 1)
+        rows = _prepend_firsts(tail, np.arange(a, b))
+        for lo in range(0, rows.shape[1], TUPLE_CHUNK):
+            cols = rows[:, lo:lo + TUPLE_CHUNK]
+            flip, tie = _mirror_side(cols[::-1].T, size - 1)
+            if not flip.all():
+                keep = ~flip
+                yield cols.compress(keep, axis=1), tie[keep]
+        a = b
 
 
 def _scatter_images(vals: np.ndarray, rows: np.ndarray,
@@ -384,7 +411,9 @@ class FrozenKernelGrid:
         _scatter_images(vals, np.searchsorted(signed, grid.coords),
                         grid._means())
         known = ~np.isnan(vals)
-        wedge = _wedge_rows(size, n)
+        # the wedge as descending rows, one per symmetry class
+        wedge = np.concatenate(
+            [cols for cols, _ in _canonical_walk(size, n)], axis=1)[::-1].T
         # interpolate while any hole is bracketed; hold flat only when none is
         while (_fill_pass(vals, wedge, axis_hz, hold=False)
                or _fill_pass(vals, wedge, axis_hz, hold=True)):
@@ -416,35 +445,27 @@ class FrozenKernelGrid:
         out = self._interpolate(cell, w, inside.all(axis=1), conj, self_conj)
         return complex(out[0]) if scalar else out
 
-    def query_comb(self, comb_hz, rows) -> np.ndarray:
-        """Kernel values at the tuples ``comb_hz[rows]``, bit for bit what
-        ``query`` returns for them.
+    def comb_walk(self, comb_hz):
+        """Yields each ``_canonical_walk`` chunk (cols, self_mirror) of the
+        comb's indices as (cols, values, self_mirror), with ``values`` bit
+        for bit what ``query`` returns at ``comb_hz[cols.T]``.
 
-        ``comb_hz`` is a strictly ascending comb that is its own negation
-        (``comb_hz[nb-1-i] == -comb_hz[i]``), such as the bins of a
-        Hermitian spectrum, and ``rows`` a (Q, order) array of ascending
-        indices into it.  Each comb point's lattice cell and weight are
-        computed once, and a row's canonical form is the reversed row or
-        its mirror ``nb-1-row``, whichever ``_mirror_side`` finds larger.
+        ``comb_hz`` is a strictly ascending comb that is its own negation,
+        such as the bins of a Hermitian spectrum; each of its points'
+        lattice cell and weight is computed once per call.
         """
         comb = np.asarray(comb_hz, dtype=float)
-        rows = np.asarray(rows, dtype=np.intp).reshape(-1, self.order)
-        nb = len(comb)
         if not (np.array_equal(comb[::-1], -comb)
                 and (np.diff(comb) > 0).all()):
             raise ValueError("comb must be strictly ascending and symmetric")
-        if len(rows) and not (0 <= rows[:, 0].min() and rows[:, -1].max() < nb
-                              and (rows[:, 1:] >= rows[:, :-1]).all()):
-            raise ValueError(f"rows must be ascending indices below {nb}")
-        desc = rows[:, ::-1]
-        flip, self_conj = _mirror_side(desc, nb - 1)
-        canon = np.where(flip[:, None], nb - 1 - rows, desc)
         cell, w, inside = self._stencil(comb)
-        # rows are ascending and the band is an interval about zero, so a
-        # row lies inside when its first and last points do
-        return self._interpolate(cell[canon], w[canon],
-                                 inside[rows[:, 0]] & inside[rows[:, -1]],
-                                 flip, self_conj)
+        for cols, tie in _canonical_walk(len(comb), self.order):
+            desc = cols[::-1].T  # F-order: each column gathers contiguously
+            # rows are ascending and the band is an interval about zero, so
+            # a row lies inside when its first and last points do
+            yield cols, self._interpolate(
+                cell[desc], w[desc], inside[cols[0]] & inside[cols[-1]],
+                False, tie), tie
 
     def _stencil(self, pts_hz: np.ndarray):
         """Lattice cell, weight in the cell and in-band flag per entry."""
@@ -510,7 +531,6 @@ class KernelArchive:
 
     grids: dict[int, KernelGrid]
     metadata: dict = field(default_factory=dict)
-    _frozen: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         orders = sorted(self.grids)
@@ -521,6 +541,4 @@ class KernelArchive:
         return self.grids[order]
 
     def frozen(self, order: int) -> FrozenKernelGrid:
-        if order not in self._frozen:
-            self._frozen[order] = self.grids[order].freeze()
-        return self._frozen[order]
+        return self.grids[order].freeze()

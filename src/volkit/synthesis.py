@@ -14,11 +14,12 @@ window longer than the period repeats it.
 A tuple's mirror, the tuple of the negated bins, adds the exact conjugate
 term at the negated output bin: kernel queries conjugate sign-flipped
 arguments exactly, and the spectrum's coefficients are exactly Hermitian.
-So only the member of each pair that ``query_comb`` does not flip is
-summed (a self-mirror tuple at half weight), and the order's output is
-twice the real part of the inverse FFT.  Every tuple is summed; they are
-generated, queried and binned TUPLE_CHUNK at a time, so no array grows
-with the tuple count, and ``spectrum_of``'s bin limits bound the work.
+So only the canonical member of each pair is summed (a self-mirror tuple
+at half weight), and the order's output is twice the real part of the
+inverse FFT.  Every tuple is summed; ``FrozenKernelGrid.comb_walk`` hands
+them over with their kernel values ``kernels.TUPLE_CHUNK`` at a time, and
+they are weighted and binned chunk by chunk, so no array grows with the
+tuple count, and ``spectrum_of``'s bin limits bound the work.
 Because the output is real by construction, the check is on the input:
 the largest Hermitian skew of the in-band coefficients over their peak,
 reported as ``imag_residue``.
@@ -31,16 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from volkit.kernels import (
-    KernelArchive,
-    _ascending_rows,
-    _mirror_side,
-    _prepend_firsts,
-)
+from volkit.kernels import KernelArchive
 from volkit.probing import Waveform
 
 IMAG_RESIDUE_LIMIT = 1e-6  # largest in-band Hermitian skew / peak coefficient
-TUPLE_CHUNK = 16_384  # bin tuples queried, weighted and binned per step
 
 
 class SynthesisError(RuntimeError):
@@ -55,6 +50,12 @@ class TrapezoidPulse:
     t_rise: float = 1e-9
     t_width: float = 5e-9
     t_fall: float = 1e-9
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.v0) and math.isfinite(self.support)
+                and self.t_rise > 0 and self.t_fall > 0 and self.t_width >= 0):
+            raise ValueError("a pulse needs finite values, positive rise and "
+                             "fall times and a nonnegative width")
 
     @property
     def support(self) -> float:
@@ -227,16 +228,12 @@ def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
 
     # fold the output spectrum modulo N: exact at the sample times
     z_re, z_im = np.zeros(n_period), np.zeros(n_period)
-    for rows in _ascending_chunks(nb, order):
+    for cols, values, tie in frozen.comb_walk(comb):
         # a row and its mirror add conjugate terms at negated output bins:
-        # sum the canonical member, and half of a self-mirror row
-        flip, tie = _mirror_side(rows[:, ::-1], nb - 1)
-        keep = ~flip
-        cols = rows.T.compress(keep, axis=1)  # one contiguous row per column
+        # the walk gives one member, and a self-mirror row counts half
         weight = _repetition_weights(cols.T)
-        weight[tie[keep]] *= 0.5
-        contrib = (frozen.query_comb(comb, cols.T)
-                   * coeffs[cols].prod(axis=0) * weight)
+        weight[tie] *= 0.5
+        contrib = values * coeffs[cols].prod(axis=0) * weight
         slot = bins[cols].sum(axis=0) % n_period
         z_re += np.bincount(slot, contrib.real, n_period)
         z_im += np.bincount(slot, contrib.imag, n_period)
@@ -245,26 +242,6 @@ def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
                      n_bins_used=nb, imag_residue=residue)
     return Waveform(samples=np.resize(y, int(round(duration / dt))), dt=dt,
                     t0=0.0), info
-
-
-def _ascending_chunks(nb: int, order: int):
-    """Every ascending ``order``-row of indices below ``nb``, in lexical
-    order, in chunks of at most TUPLE_CHUNK rows.  Each chunk is built from
-    a run of first indices whose rows fit, or from one first index, whose
-    rows are then split; no array grows with the total row count."""
-    tail = _ascending_rows(nb, order - 1).T
-    # rows that start with a: a, then an ascending row of range(a, nb)
-    count = np.array([math.comb(nb - a + order - 2, order - 1)
-                      for a in range(nb)], dtype=np.int64)
-    cum = np.concatenate([[0], np.cumsum(count)])
-    a = 0
-    while a < nb:
-        b = max(a + 1, int(np.searchsorted(cum, cum[a] + TUPLE_CHUNK,
-                                           side="right")) - 1)
-        rows = _prepend_firsts(tail, np.arange(a, b)).T
-        for lo in range(0, len(rows), TUPLE_CHUNK):
-            yield rows[lo:lo + TUPLE_CHUNK]
-        a = b
 
 
 def _repetition_weights(combos: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ from volkit.kernels import (
     KernelArchive,
     KernelGrid,
     OffLatticeError,
+    _canonical_walk,
     _unwrap,
-    _wedge_rows,
     canonical_rows,
 )
 from volkit.systems import MultiplierCascade, kernel_oracle, lowpass_ladder
@@ -517,10 +517,16 @@ class TestFreezeMatchesReference:
         for size in range(2, 10):
             cube = np.array(list(itertools.product(range(size), repeat=n)))
             signed = 2 * cube - (size - 1)
-            own = (canonical_rows(signed)[0] == signed).all(axis=1)
-            got = _wedge_rows(size, n)
+            canon, conj, self_conj = canonical_rows(signed)
+            own = (canon == signed).all(axis=1)
+            walk = list(_canonical_walk(size, n))
+            got = np.concatenate([cols for cols, _ in walk], axis=1)[::-1].T
+            ties = np.concatenate([tie for _, tie in walk])
             np.testing.assert_array_equal(np.unique(got, axis=0), cube[own])
             assert len(got) == own.sum()
+            at = np.ravel_multi_index(got.T, (size,) * n)
+            np.testing.assert_array_equal(ties, self_conj[at])
+            assert not conj[at].any()
 
 
 def frozen_grids(bench_archive):
@@ -612,6 +618,16 @@ class TestArchive:
         assert max(archive.grids) == 1
         v = archive.frozen(1).query((100e6,))
         assert isinstance(v, complex)
+
+    def test_frozen_grid_sees_a_later_insert(self):
+        grid = KernelGrid(order=1, lattice_units=(7, 41), df_hz=1e6)
+        grid.insert([(7e6,), (41e6,)], [1.0, 2.0])
+        archive = KernelArchive(grids={1: grid})
+        assert archive.frozen(1).query((41e6,)) == 2.0
+        grid.insert((41e6,), 4.0)
+        assert dict(grid.items())[(41e6,)] == 3.0
+        assert archive.frozen(1).query((41e6,)) == 3.0
+        assert archive.frozen(1) is grid.freeze()
 
 
 class TestExtractedGridInterpolation:

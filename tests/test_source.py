@@ -2,6 +2,10 @@
 
 import ast
 import functools
+import importlib
+import inspect
+import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -18,7 +22,7 @@ CORPUS = sorted(p for part in ("src", "perfbench")
                 if p.name != "__init__.py")
 # public names kept only as references that tests compare against
 REFERENCE_APIS = {
-    "query",              # FrozenKernelGrid.query, bitwise for query_comb
+    "query",              # FrozenKernelGrid.query, bitwise for comb_walk
     "input_coefficient",  # per term, bitwise for the vectorised phasor map
 }
 
@@ -129,3 +133,52 @@ def test_checker_finds_dead_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_names(path):
     assert dead_names(path.read_text(), corpus_names()) == []
+
+
+def self_attributes(cls: type) -> set[str]:
+    """The names a class's methods assign on ``self``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
+def resolves(obj, names: list[str]) -> bool:
+    """Whether the dotted ``names`` lead from ``obj`` to an attribute: a
+    class's own, a dataclass field, or one its methods set on ``self``."""
+    for i, name in enumerate(names):
+        if hasattr(obj, name):
+            obj = getattr(obj, name)
+        elif isinstance(obj, type) and i == len(names) - 1:
+            fields = getattr(obj, "__dataclass_fields__", {})
+            return name in fields or name in self_attributes(obj)
+        else:
+            return False
+    return True
+
+
+def readme_references() -> list[str]:
+    """Backticked dotted names in README.md, apart from file names."""
+    text = (REPO / "README.md").read_text()
+    return [name for name in re.findall(r"`(\w+(?:\.\w+)+)`", text)
+            if not name.endswith(".py")]
+
+
+def test_readme_names_resolve():
+    modules = {p.stem: importlib.import_module(f"volkit.{p.stem}")
+               for p in MODULES}
+    classes = {name: obj for module in modules.values()
+               for name, obj in vars(module).items()
+               if isinstance(obj, type)
+               and obj.__module__ == module.__name__}
+    heads = modules | classes
+    checked = [name for name in readme_references()
+               if name.split(".")[0] in heads]
+    assert {"KernelGrid.insert", "kernels._mirror_side"} <= set(checked)
+    unresolved = []
+    for name in checked:
+        head, *rest = name.split(".")
+        if not resolves(heads[head], rest):
+            unresolved.append(name)
+    assert unresolved == []

@@ -767,6 +767,18 @@ class TestCli:
             assert row["tuples"] == math.comb(
                 row["bins_in_band"] + int(n) - 1, int(n))
 
+    @pytest.mark.parametrize("pulse", ["nan,1e-9,5e-9,1e-9",
+                                       "inf,1e-9,5e-9,1e-9",
+                                       "1,-1e-9,5e-9,-1e-9"])
+    def test_synthesize_rejects_malformed_pulse(self, tiny_files, tmp_path,
+                                                capsys, pulse):
+        archive = str(tiny_files / "archive.npz")
+        assert main(["synthesize", "--archive", archive, "--pulse", pulse,
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "waveform.csv").exists()
+
     def test_probe_reports_samples_per_record(self, tmp_path, capsys):
         out = str(tmp_path)
         assert main(["plan", "--points-per-axis", "3", "--out", out]) == 0

@@ -7,9 +7,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import volkit.synthesis
+import volkit.kernels
 from volkit.cli import main
-from volkit.kernels import KernelArchive, KernelGrid
+from volkit.kernels import (
+    KernelArchive,
+    KernelGrid,
+    _ascending_rows,
+    _canonical_walk,
+    canonical_rows,
+)
 from volkit.probing import Waveform
 from volkit.synthesis import (
     DiscreteSpectrum,
@@ -17,7 +23,6 @@ from volkit.synthesis import (
     TrapezoidPulse,
     nrmse,
     spectrum_of,
-    _ascending_rows,
     _repetition_weights,
     synthesize_order,
     synthesize_total,
@@ -298,7 +303,7 @@ def _full_sum_order(archive, spectrum, order, duration, dt):
     reach = frozen.in_band(spectrum.freqs_hz)
     bins, coeffs = spectrum.bins[reach], spectrum.coeffs[reach]
     rows = _ascending_rows(len(bins), order)
-    contrib = (frozen.query_comb(spectrum.freqs_hz[reach], rows)
+    contrib = (frozen.query(spectrum.freqs_hz[reach][rows])
                * coeffs[rows].prod(axis=1) * _repetition_weights(rows))
     slot = bins[rows].sum(axis=1) % n_period
     y_spec = (np.bincount(slot, contrib.real, n_period)
@@ -331,7 +336,7 @@ class TestMirrorPairSum:
     def test_matches_full_sum(self, archive, monkeypatch, order, with_dc,
                               chunk):
         if chunk is not None:
-            monkeypatch.setattr(volkit.synthesis, "TUPLE_CHUNK", chunk)
+            monkeypatch.setattr(volkit.kernels, "TUPLE_CHUNK", chunk)
         spec = _random_hermitian(PERIOD, 11, with_dc, seed=order)
         nb = 22 + with_dc  # every bin is in band
         dt = PERIOD / 160
@@ -388,13 +393,20 @@ class TestTupleRows:
     @pytest.mark.parametrize("chunk", [1, 7, 50])
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_chunks_split_the_rows_in_order(self, monkeypatch, order, chunk):
-        monkeypatch.setattr(volkit.synthesis, "TUPLE_CHUNK", chunk)
+        """The walk's chunks are the canonical ascending rows, in lexical
+        order: those whose reverse is not below its mirror."""
+        monkeypatch.setattr(volkit.kernels, "TUPLE_CHUNK", chunk)
         for nb in range(13):
-            parts = list(volkit.synthesis._ascending_chunks(nb, order))
-            assert all(0 < len(p) <= chunk for p in parts)
-            got = (np.concatenate(parts) if parts
+            parts = list(_canonical_walk(nb, order))
+            assert all(0 < cols.shape[1] <= chunk for cols, _ in parts)
+            assert all(cols.flags.c_contiguous for cols, _ in parts)
+            got = (np.concatenate([cols.T for cols, _ in parts]) if parts
                    else np.zeros((0, order), dtype=int))
-            np.testing.assert_array_equal(got, _ascending_rows(nb, order))
+            rows = _ascending_rows(nb, order)
+            mirror = nb - 1 - rows
+            keep = [tuple(r[::-1]) >= tuple(m) for r, m in
+                    zip(rows.tolist(), mirror.tolist())]
+            np.testing.assert_array_equal(got, rows[keep])
 
 
 class TestStencilQueries:
@@ -407,9 +419,12 @@ class TestStencilQueries:
             reach = (np.abs(spectrum.freqs_hz)
                      <= frozen.band_edge_hz + frozen.margin_hz)
             comb = spectrum.freqs_hz[reach]
-            rows = _ascending_rows(len(comb), order)
-            got = frozen.query_comb(comb, rows)
-            assert got.tobytes() == frozen.query(comb[rows]).tobytes()
+            parts = list(frozen.comb_walk(comb))
+            assert parts
+            for cols, values, tie in parts:
+                args = comb[cols.T]
+                assert values.tobytes() == frozen.query(args).tobytes()
+                np.testing.assert_array_equal(tie, canonical_rows(args)[2])
 
     def test_oracle_archive(self, archive):
         spec, _ = spectrum_of(pulse(), PERIOD, max_bins_per_side=40)
@@ -421,15 +436,12 @@ class TestStencilQueries:
         spec, _ = spectrum_of(unit_pulse, PULSE_PERIOD)
         self._check(bench_archive, spec)
 
-    def test_rejects_asymmetric_comb_and_unsorted_rows(self, archive):
+    def test_rejects_asymmetric_comb(self, archive):
         frozen = archive.frozen(2)
         comb = np.array([-2.0, -1.0, 1.0, 2.0]) / PERIOD
-        with pytest.raises(ValueError, match="symmetric"):
-            frozen.query_comb(comb[:-1], [[0, 1]])
-        with pytest.raises(ValueError, match="ascending"):
-            frozen.query_comb(comb, [[1, 0]])
-        with pytest.raises(ValueError, match="ascending"):
-            frozen.query_comb(comb, [[0, 4]])
+        for bad in (comb[:-1], comb[::-1]):
+            with pytest.raises(ValueError, match="symmetric"):
+                list(frozen.comb_walk(bad))
 
 
 class TestFftEvaluation:
