@@ -4,10 +4,14 @@ A kernel value is stored once per symmetry class: argument tuples are
 sorted, and sign-flipped (conjugated) when ``_mirror_side`` finds their
 negation lexically larger, the one comparison every symmetry test asks.
 Permuted queries so return the identical stored complex number and
-sign-flipped ones its exact conjugate.  A grid holds sorted unique
+sign-flipped ones its exact conjugate.  A self-conjugate point, whose
+argument multiset is its own negation, such as (f, -f), holds a value and
+its conjugate at once, so ``insert`` adds only the real part there and a
+restored grid must hold a real sum there.  A grid holds sorted unique
 canonical integer coordinates (P, order), complex128 sums (P,) and int64
-counts (P,); it keeps the coordinates' sorted keys too (their flat indices
-in the signed-lattice cube), and ``insert`` merges new points into both.
+counts (P,), all read-only; it keeps the coordinates' sorted keys too
+(their flat indices in the signed-lattice cube), and ``insert`` merges new
+points into both.
 
 For synthesis the sparse canonical samples are frozen into a dense tensor
 over the signed sweep lattice.  Probing never co-sweeps some coordinate
@@ -76,7 +80,7 @@ class KernelGrid:
         self.coords = np.array(self.coords, dtype=np.int64)
         self.sums = np.array(self.sums, dtype=complex)
         self.counts = np.array(self.counts, dtype=np.int64)
-        canon, self._stored, _ = self._canonical(self.coords * self.df_hz)
+        canon, self._stored, _, real = self._canonical(self.coords * self.df_hz)
         if not (np.array_equal(canon, self.coords)
                 and (np.diff(self._stored) > 0).all()):
             raise ValueError("coordinates are not sorted unique canonical rows")
@@ -84,13 +88,23 @@ class KernelGrid:
         if (self.sums.shape, self.counts.shape) != ((n,), (n,)) \
                 or (self.counts < 1).any() or not np.isfinite(self.sums).all():
             raise ValueError("need one finite sum and one count >= 1 per point")
+        if (self.sums.imag[real] != 0).any():
+            raise ValueError("a sum at a self-conjugate point is not real")
+        self._seal()
+
+    def _seal(self) -> None:
+        """Make the stored arrays read-only and drop the frozen form, so a
+        frozen grid always reflects the stored points."""
+        for arr in (self.coords, self.sums, self.counts):
+            arr.flags.writeable = False
         self._frozen = None
 
     # -- coordinate handling -------------------------------------------------
 
     def _canonical(self, args_hz):
-        """Canonical integer coordinates (Q, order), their keys (Q,) and
-        the conjugate flags (Q,) of one tuple or a (Q, order) array.
+        """Canonical integer coordinates (Q, order), their keys (Q,), the
+        conjugate flags (Q,) and the self-conjugate flags (Q,) of one tuple
+        or a (Q, order) array.
 
         A key is the row's flat index in the signed-lattice cube, so keys
         sort as the rows do; ValueError if int64 cannot index the cube.
@@ -117,22 +131,25 @@ class KernelGrid:
             raise OffLatticeError(
                 axis, f, f"axis {axis}: {f} Hz is not on the {grid}")
         size = len(self._signed)
-        canon, conj, _ = canonical_rows(2 * at - (size - 1))
+        canon, conj, real = canonical_rows(2 * at - (size - 1))
         at = (canon + (size - 1)) >> 1
         # an empty set of rows needs no key: an empty grid builds on any cube
         keys = (np.ravel_multi_index(at.T, (size,) * self.order) if len(at)
                 else np.zeros(0, dtype=np.int64))
-        return np.take(self._signed, at), keys, conj
+        return np.take(self._signed, at), keys, conj, real
 
     def insert(self, args_hz, value) -> None:
         """Add one argument tuple and value, or (Q, order) arguments and Q
         values.  Each point adds to the sum at its canonical coordinates,
-        conjugated when the canonical form is the sign flip."""
-        canon, new_keys, conj = self._canonical(args_hz)
+        conjugated when the canonical form is the sign flip, and only its
+        real part at a self-conjugate point, whose class holds the value
+        and its conjugate."""
+        canon, new_keys, conj, real = self._canonical(args_hz)
         values = np.asarray(value, dtype=complex).reshape(-1)
         if len(values) != len(canon):
             raise ValueError(f"{len(canon)} argument rows, {len(values)} values")
         values = np.where(conj, np.conj(values), values)
+        values.imag[real] = 0.0
         keys, first, inverse = np.unique(
             new_keys, return_index=True, return_inverse=True)
         # merge the distinct new keys into the sorted stored ones: each
@@ -164,7 +181,7 @@ class KernelGrid:
         pos = slot[inverse[later]]
         np.add.at(self.sums, pos, values[later])
         np.add.at(self.counts, pos, 1)
-        self._frozen = None
+        self._seal()
 
     def _means(self, rows=slice(None)) -> np.ndarray:
         """Averaged values of all points or of ``rows``.  Each component is
@@ -178,7 +195,7 @@ class KernelGrid:
         """Stored averaged values at one argument tuple or (Q, order) rows,
         conjugated where the canonical form is the sign flip.  An absent
         tuple gives None, an absent row of an array NaN."""
-        _, want, conj = self._canonical(args_hz)
+        _, want, conj, _ = self._canonical(args_hz)
         keys = self._stored
         at = np.searchsorted(keys, want)
         hit = np.searchsorted(keys, want, side="right") > at

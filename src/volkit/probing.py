@@ -159,8 +159,11 @@ def transient(sys, drive, duration: float, dt: float) -> Waveform:
     step j.  After the first step of every CHECK_INTERVAL block and after
     the last, a state magnitude that is not within BLOWUP_FACTOR * (1 +
     peak input magnitude) raises TransientBlowupError; overflow inside a
-    block raises no numpy warning, only that error.
+    block raises no numpy warning, only that error.  A duration that is
+    not finite and nonnegative raises ValueError.
     """
+    if not (math.isfinite(duration) and duration >= 0):
+        raise ValueError("duration must be finite and nonnegative")
     blocks, first = _input_blocks(sys)
     stepped = {i: blocks[i] for i in first}           # distinct input blocks
     if sys.output_block is not None:

@@ -13,16 +13,15 @@ window longer than the period repeats it.
 
 A tuple's mirror, the tuple of the negated bins, adds the exact conjugate
 term at the negated output bin: kernel queries conjugate sign-flipped
-arguments exactly, and the spectrum's coefficients are exactly Hermitian.
-So only the canonical member of each pair is summed (a self-mirror tuple
-at half weight), and the order's output is twice the real part of the
-inverse FFT.  Every tuple is summed; ``FrozenKernelGrid.comb_walk`` hands
-them over with their kernel values ``kernels.TUPLE_CHUNK`` at a time, and
-they are weighted and binned chunk by chunk, so no array grows with the
-tuple count, and ``spectrum_of``'s bin limits bound the work.
-Because the output is real by construction, the check is on the input:
-the largest Hermitian skew of the in-band coefficients over their peak,
-reported as ``imag_residue``.
+arguments exactly, and the spectrum's coefficients are exactly Hermitian,
+as ``DiscreteSpectrum`` makes them on construction and keeps them, its
+arrays being read-only.  So only the canonical member of each pair is
+summed (a self-mirror tuple at half weight), and the order's output is
+twice the real part of the inverse FFT.  Every tuple is summed;
+``FrozenKernelGrid.comb_walk`` hands them over with their kernel values
+``kernels.TUPLE_CHUNK`` at a time, and they are weighted and binned chunk
+by chunk, so no array grows with the tuple count, and ``spectrum_of``'s
+bin limits bound the work.
 """
 
 from __future__ import annotations
@@ -34,13 +33,6 @@ import numpy as np
 
 from volkit.kernels import KernelArchive
 from volkit.probing import Waveform
-
-IMAG_RESIDUE_LIMIT = 1e-6  # largest in-band Hermitian skew / peak coefficient
-
-
-class SynthesisError(RuntimeError):
-    pass
-
 
 @dataclass(frozen=True)
 class TrapezoidPulse:
@@ -68,22 +60,28 @@ class TrapezoidPulse:
         return self.v0 * (up - down)
 
     def fourier_transform(self, f) -> np.ndarray:
-        """Exact continuous-time transform (requires t_rise == t_fall)."""
-        if abs(self.t_rise - self.t_fall) > 1e-15:
-            raise ValueError("closed form requires equal rise and fall times")
+        """Exact continuous-time transform.  The pulse's derivative is a
+        box of height v0/a on the rise and one of -v0/b on the fall, so
+        X(f) = v0 [e^{-j pi f a} sinc(f a) - e^{-j 2 pi f (a + w + b/2)}
+        sinc(f b)] / (j 2 pi f), and X(0) = v0 (w + (a + b)/2), for rise
+        a, width w and fall b."""
         f = np.asarray(f, dtype=float)
-        span = self.t_width + self.t_rise
-        centre = 0.5 * (self.t_rise + self.t_width + self.t_fall)
-        mag = self.v0 * span * np.sinc(f * span) * np.sinc(f * self.t_rise)
-        return mag * np.exp(-2j * np.pi * f * centre)
+        a, w, b = self.t_rise, self.t_width, self.t_fall
+        edges = (np.exp(-1j * np.pi * f * a) * np.sinc(f * a)
+                 - np.exp(-2j * np.pi * f * (a + w + 0.5 * b)) * np.sinc(f * b))
+        dc = f == 0
+        x = self.v0 * edges / (2j * np.pi * np.where(dc, 1.0, f))
+        return np.where(dc, self.v0 * (w + 0.5 * (a + b)), x)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteSpectrum:
     """Two-sided line spectrum of a T-periodic signal.
 
-    ``bins`` are signed harmonic numbers (frequency = bin / period);
-    Hermitian symmetry c[-k] = conj(c[k]) is enforced on construction.
+    ``bins`` are signed harmonic numbers (frequency = bin / period).
+    Construction sorts the bins and makes the coefficients exactly
+    Hermitian, c[-k] = conj(c[k]); both arrays are then read-only, so the
+    symmetry holds for the spectrum's life.
     """
 
     period_s: float
@@ -91,39 +89,37 @@ class DiscreteSpectrum:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        self.bins = np.asarray(self.bins, dtype=np.int64)
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.bins.shape != self.coeffs.shape:
+        bins = np.asarray(self.bins, dtype=np.int64)
+        c = np.asarray(self.coeffs, dtype=complex)
+        if bins.shape != c.shape:
             raise ValueError("bins and coeffs must align")
-        if len(np.unique(self.bins)) != len(self.bins):
+        if len(np.unique(bins)) != len(bins):
             raise ValueError("duplicate bins")
-        order = np.argsort(self.bins)
-        self.bins = self.bins[order]
-        self.coeffs = c = self.coeffs[order]
-        twin = np.searchsorted(self.bins, -self.bins).clip(max=len(c) - 1)
+        order = np.argsort(bins)
+        bins, c = bins[order], c[order]
+        twin = np.searchsorted(bins, -bins).clip(max=len(c) - 1)
         scale = np.abs(c).max() if len(c) else 0.0
-        lacks = self.bins[twin] != -self.bins
+        lacks = bins[twin] != -bins
         skewed = np.abs(np.conj(c[twin]) - c) > 1e-9 * scale
         bad = np.nonzero(lacks | skewed)[0]
         if len(bad):
-            b = self.bins[bad[0]]
+            b = bins[bad[0]]
             if lacks[bad[0]]:
                 raise ValueError(f"bin {b} lacks its Hermitian twin")
             raise ValueError(f"coefficients at +/-{abs(b)} are not conjugate")
         # enforce exact Hermitian symmetry so real projection is clean
-        pos, dc = self.bins > 0, self.bins == 0
+        pos, dc = bins > 0, bins == 0
         avg = 0.5 * (c[pos] + np.conj(c[twin[pos]]))
         c[pos] = avg
         c[twin[pos]] = np.conj(avg)
         c[dc] = c[dc].real
+        for name, arr in (("bins", bins), ("coeffs", c)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def freqs_hz(self) -> np.ndarray:
         return self.bins / self.period_s
-
-    def scaled(self, alpha: float) -> "DiscreteSpectrum":
-        return DiscreteSpectrum(self.period_s, self.bins.copy(),
-                                alpha * self.coeffs)
 
 
 @dataclass
@@ -139,6 +135,8 @@ def spectrum_of(source, period_s: float, bin_cap: float = 1e-4,
     Bins below ``bin_cap`` times the peak coefficient are dropped (in
     conjugate pairs); the report carries the dropped power fraction.
     """
+    if not (math.isfinite(period_s) and period_s > 0):
+        raise ValueError("period must be finite and positive")
     if isinstance(source, TrapezoidPulse):
         if source.support > period_s:
             raise ValueError("period must cover the pulse support")
@@ -183,7 +181,6 @@ class OrderInfo:
     order: int
     n_tuples: int
     n_bins_used: int
-    imag_residue: float
     # always 0.0, since every tuple is summed; perfbench still reads it
     dropped_tuple_fraction: float = 0.0
 
@@ -205,6 +202,8 @@ def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
     """
     if order not in archive.grids:
         raise KeyError(f"archive has no order-{order} grid")
+    if not (math.isfinite(duration) and duration >= 0):
+        raise ValueError("duration must be finite and nonnegative")
     if not dt > 0:
         raise ValueError("time step must be positive")
     n_period = int(round(spectrum.period_s / dt))
@@ -216,16 +215,6 @@ def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
     coeffs = spectrum.coeffs[reach]
     comb = spectrum.freqs_hz[reach]
     nb = len(bins)
-    # the output is real by construction, so the spectrum's own Hermitian
-    # skew is what can reveal an inconsistent input
-    scale = np.abs(coeffs).max(initial=0.0)
-    skew = np.abs(coeffs[::-1] - np.conj(coeffs)).max(initial=0.0)
-    residue = float(skew / scale) if scale > 0 else 0.0
-    if residue > IMAG_RESIDUE_LIMIT:
-        raise SynthesisError(
-            f"order-{order} Hermitian residue {residue:.2e}; the spectrum's "
-            "coefficients are not conjugate pairs")
-
     # fold the output spectrum modulo N: exact at the sample times
     z_re, z_im = np.zeros(n_period), np.zeros(n_period)
     for cols, values, tie in frozen.comb_walk(comb):
@@ -239,7 +228,7 @@ def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
         z_im += np.bincount(slot, contrib.imag, n_period)
     y = 2.0 * (n_period * np.fft.ifft(z_re + 1j * z_im)).real
     info = OrderInfo(order=order, n_tuples=math.comb(nb + order - 1, order),
-                     n_bins_used=nb, imag_residue=residue)
+                     n_bins_used=nb)
     return Waveform(samples=np.resize(y, int(round(duration / dt))), dt=dt,
                     t0=0.0), info
 

@@ -28,6 +28,7 @@ from volkit.sweeps import (
     validate_plan,
 )
 from volkit.synthesis import (
+    DiscreteSpectrum,
     nrmse,
     spectrum_of,
     synthesize_order,
@@ -176,11 +177,13 @@ def test_criterion_6_order_scaling(bench_system, bench_archive, unit_pulse):
     assert abs(drop3 - 9.0) <= 0.1
 
     spectrum, _ = spectrum_of(unit_pulse, PULSE_PERIOD)
+    halved = DiscreteSpectrum(spectrum.period_s, spectrum.bins,
+                              0.5 * spectrum.coeffs)
     dev = 0.0
     for order in (1, 2, 3):
         full, _ = synthesize_order(bench_archive, spectrum, order,
                                    PULSE_WINDOW, 5e-11)
-        half, _ = synthesize_order(bench_archive, spectrum.scaled(0.5), order,
+        half, _ = synthesize_order(bench_archive, halved, order,
                                    PULSE_WINDOW, 5e-11)
         scale = np.abs(full.samples).max()
         dev = max(dev, np.abs(half.samples - 0.5**order * full.samples).max()

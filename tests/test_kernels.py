@@ -61,6 +61,19 @@ class TestStore:
         grid.insert((-7e6, 41e6), 4.0 - 4.0j)  # conjugate coordinates
         assert grid.query_exact((7e6, -41e6)) == pytest.approx(3.0 + 3.0j)
 
+    def test_self_conjugate_point_stores_the_real_part(self):
+        # (f, -f) is its own negation: its class holds a value and its
+        # conjugate, so only the real part is stored there
+        grid = KernelGrid(order=2, lattice_units=(7, 41), df_hz=1e6)
+        signed = np.array([-41e6, -7e6, 7e6, 41e6])
+        cube = np.array(list(itertools.product(signed, repeat=2)))
+        grid.insert(cube, np.ones(len(cube)))
+        grid.insert((7e6, -7e6), 1 + 2e-3j)
+        got = grid.query_exact((7e6, -7e6))
+        assert got == 1.0 and got.imag == 0.0
+        assert grid.freeze().query((7e6, -7e6)) == got
+        assert grid.query_exact((-7e6, 7e6)) == got
+
     def test_absent_point_returns_none(self):
         grid = KernelGrid(order=1, lattice_units=(7, 41), df_hz=1e6)
         grid.insert((7e6,), 1.0)
@@ -250,6 +263,14 @@ class TestBulkInsert:
             KernelGrid(order=2, lattice_units=(7, 41), df_hz=1e6,
                        coords=coords, sums=np.ones(len(counts)),
                        counts=counts)
+
+    def test_restored_self_conjugate_sum_must_be_real(self):
+        coords = [[7, -7], [41, -7]]
+        KernelGrid(order=2, lattice_units=(7, 41), df_hz=1e6, coords=coords,
+                   sums=[2.0, 1j], counts=[1, 1])
+        with pytest.raises(ValueError, match="self-conjugate"):
+            KernelGrid(order=2, lattice_units=(7, 41), df_hz=1e6,
+                       coords=coords, sums=[2.0 + 1e-3j, 1j], counts=[1, 1])
 
 
 def cross_coverage_grid():
@@ -628,6 +649,21 @@ class TestArchive:
         assert dict(grid.items())[(41e6,)] == 3.0
         assert archive.frozen(1).query((41e6,)) == 3.0
         assert archive.frozen(1) is grid.freeze()
+
+    def test_stored_arrays_are_read_only(self):
+        # a frozen grid cannot go stale through an in-place write
+        grid = KernelGrid(order=1, lattice_units=(7, 41), df_hz=1e6)
+        grid.insert([(7e6,), (41e6,)], [1.0, 2.0])
+        restored = KernelGrid(order=1, lattice_units=(7, 41), df_hz=1e6,
+                              coords=grid.coords, sums=grid.sums,
+                              counts=grid.counts)
+        frozen = grid.freeze()
+        for g in (grid, restored):
+            for arr in (g.coords, g.sums, g.counts):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[1] = 4
+        assert grid.freeze() is frozen
+        assert grid.query_exact((41e6,)) == frozen.query((41e6,)) == 2.0
 
 
 class TestExtractedGridInterpolation:

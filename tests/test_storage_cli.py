@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import volkit.cli
 import volkit.synthesis
 from volkit.cli import build_parser, main
 from volkit.kernels import KernelArchive, KernelGrid
@@ -213,7 +212,11 @@ class TestRoundTrips:
         same = archive_to_dict(load_archive(tmp_path / "a.npz"))
         assert (same == archive_to_dict(archive)) is True
         assert not any(isinstance(v, np.ndarray) for v in same.values())
-        archive.grids[3].sums[-1] += 1.0
+        g = archive.grids[3]
+        sums = g.sums.copy()
+        sums[-1] += 1.0
+        archive.grids[3] = KernelGrid(g.order, g.lattice_units, g.df_hz,
+                                      g.coords, sums, g.counts)
         assert same != archive_to_dict(archive)
 
     def test_dataset_missing_entries_become_nan(self, tmp_path):
@@ -680,15 +683,14 @@ def test_huge_member_claim_allocates_nothing(tiny_files, tmp_path):
 
 @pytest.fixture
 def synth_calls(monkeypatch):
-    """The order of every synthesize_order call, direct or through
-    synthesize_total."""
+    """The order of every synthesize_order call, through
+    synthesize_total or not."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args[2])
         return synthesize_order(*args, **kwargs)
 
-    monkeypatch.setattr(volkit.cli, "synthesize_order", counted)
     monkeypatch.setattr(volkit.synthesis, "synthesize_order", counted)
     return calls
 
@@ -762,7 +764,7 @@ class TestCli:
         orders = read_json(tmp_path / "synthesis_report.json")["orders"]
         assert sorted(orders) == ["1", "2", "3"]
         for n, row in orders.items():
-            assert sorted(row) == ["bins_in_band", "imag_residue", "tuples"]
+            assert sorted(row) == ["bins_in_band", "tuples"]
             assert row["bins_in_band"] > 0
             assert row["tuples"] == math.comb(
                 row["bins_in_band"] + int(n) - 1, int(n))
@@ -857,7 +859,10 @@ class TestCli:
         odd_peak = max(abs(v) for n in (1, 3)
                        for _, v in archive.grid(n).items())
         h2 = archive.grid(2)
-        h2.sums[0] = 1e-2 * odd_peak * h2.counts[0]
+        sums = h2.sums.copy()
+        sums[0] = 1e-2 * odd_peak * h2.counts[0]
+        archive.grids[2] = KernelGrid(2, h2.lattice_units, h2.df_hz,
+                                      h2.coords, sums, h2.counts)
         save_archive(tmp_path / "archive.json", archive)
         assert main(["validate", "--archive", str(tmp_path / "archive.json"),
                      "--system", "amplifier", "--out", str(tmp_path)]) == 2
@@ -915,13 +920,62 @@ class TestCli:
         assert "Traceback" not in err
         assert synth_calls == []
 
-    def test_validate_synthesizes_each_order_twice(self, tiny_files,
-                                                   tmp_path, synth_calls):
-        # the full-scale responses come from the one synthesize_total call
+    def test_validate_refuses_non_real_self_conjugate_sum(self, tiny_files,
+                                                          tmp_path, capsys):
+        # (f, -f) is its own negation, so its kernel value is real
+        doc = read_doc(tiny_files / "archive.npz")
+        coords = doc["coords_2"]
+        doc["sums_2"][coords[:, 0] == -coords[:, 1]] += 1e-3j
+        path, out = tmp_path / "archive.npz", tmp_path / "out"
+        write_npz(path, doc)
+        with pytest.raises(FormatError, match="self-conjugate"):
+            load_archive(path)
+        assert main(["validate", "--archive", str(path),
+                     "--system", "benchmark", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("synthesize", ["--period-s", "inf"]),
+        ("synthesize", ["--duration-s", "inf"]),
+        ("synthesize", ["--period-s", "nan"]),
+        ("validate", ["--period-s", "inf"]),
+        ("validate", ["--duration-s", "inf"]),
+        ("validate", ["--period-s", "nan"]),
+    ])
+    def test_non_finite_timing_is_input_error(self, tiny_files, tmp_path,
+                                              capsys, command, flags):
+        out = tmp_path / "out"
+        system = ["--system", "benchmark"] if command == "validate" else []
+        assert main([command, "--archive", str(tiny_files / "archive.npz"),
+                     *system, *flags, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unequal_edge_pulse_synthesizes_and_validates(self, tiny_files,
+                                                          tmp_path):
+        archive = str(tiny_files / "archive.npz")
+        pulse = ["--pulse", "1.0,1e-9,5e-9,2e-9"]
+        assert main(["synthesize", "--archive", archive, *pulse,
+                     "--out", str(tmp_path)]) == 0
+        assert main(["validate", "--archive", archive, "--system",
+                     "benchmark", *pulse, "--out", str(tmp_path)]) == 0
+        report = read_json(tmp_path / "validation_report.json")
+        assert report["passed"] is True
+        assert sorted(report["checks"]) == [
+            "h1_vs_oracle", "h2_h3_vs_oracle", "total_nrmse",
+            "zero_kernel_leakage"]
+
+    def test_validate_synthesizes_each_order_once(self, tiny_files,
+                                                  tmp_path, synth_calls):
+        # the one synthesize_total call gives every response validate uses
         assert main(["validate", "--archive", str(tiny_files / "archive.npz"),
                      "--system", "benchmark", "--total-nrmse-limit", "1.0",
                      "--out", str(tmp_path)]) == 0
-        assert sorted(synth_calls) == [1, 1, 2, 2, 3, 3]
+        assert synth_calls == [1, 2, 3]
 
     def test_missing_input_is_input_error(self, tmp_path):
         assert main(["extract", "--dataset", str(tmp_path / "nope.json"),
