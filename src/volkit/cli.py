@@ -217,9 +217,11 @@ def cmd_probe(args) -> int:
     out = _outdir(args)
     path = os.path.join(out, "dataset.npz")
     save_dataset(path, ds, config_hash(_options(args, "plan")))
+    floor = ds.capture.alias_floor
     print(f"wrote {path}: {ds.n_runs} operating points, "
           f"{len(ds.indices)} indices each, "
-          f"{ds.capture.samples_per_record} samples per record")
+          f"{ds.capture.samples_per_record} samples per record"
+          + ("" if floor is None else f" (alias floor {floor:.2g})"))
     return EXIT_OK
 
 
@@ -356,6 +358,9 @@ def cmd_validate(args) -> int:
 
     # the reference first: a step too coarse for the system fails at once
     reference = transient(sys_obj, pulse, duration, dt)
+    if not len(reference.samples):
+        raise CliError(f"the validation window of {duration:g} s holds no "
+                       f"time step of {dt:g} s")
     kernel_table, leakage = _kernel_error_table(archive, sys_obj)
     spectrum, _ = spectrum_of(pulse, period)
     resp = synthesize_total(archive, spectrum, duration, dt)

@@ -7,6 +7,11 @@ bin: no settle, no time stepping, no leakage.  ``simulate_dataset`` is the
 one steady-state routine: a system declares LTI ``input_blocks``, a
 ``static`` nonlinearity and an ``output_block`` (or None), and each
 distinct plan tone is filtered once per block and superposed per run.
+The record's sample count is exact for a system that declares its
+``polynomial_degree``; for one that does not, it is the shortest whose
+measured alias floor (the change of the loudest runs' phasors when the
+record is doubled) is at most ALIAS_TOL, and never longer than the
+NYQUIST_HEADROOM record.
 ``transient`` integrates a drive from rest with fixed-step RK4 through
 the same declared blocks, stepping each block's state: the time-domain
 reference, independent of the probe's superposition.
@@ -28,7 +33,8 @@ import numpy as np
 from volkit.mixing import FrequencyIndex, enumerate_output_indices
 from volkit.sweeps import SweepPlan, validate_plan
 
-NYQUIST_HEADROOM = 0.4        # undeclared degree: top product at 0.4 of Nyquist
+ALIAS_TOL = 1e-9              # undeclared degree: alias floor a record must meet
+NYQUIST_HEADROOM = 0.4        # its longest record: top product at 0.4 of Nyquist
 BLOWUP_FACTOR = 1e6           # state limit over (1 + peak input magnitude)
 CHECK_INTERVAL = 2048         # steps between blow-up checks
 RUN_CHUNK = 16                # probe runs whose records are held at once
@@ -67,12 +73,16 @@ class Waveform:
 @dataclass(frozen=True)
 class CaptureInfo:
     """How a dataset was captured.  ``settle_s`` is the time from rest to
-    the record; the steady-state probe writes 0.0, older files 2e-7."""
+    the record; the steady-state probe writes 0.0, older files 2e-7.
+    ``alias_floor`` is the largest change of a probed phasor from this
+    record to one twice as long, over the peak phasor, for a system whose
+    record was chosen by that measure; None where none was measured."""
 
     sample_rate_hz: float
     record_s: float
     settle_s: float
     samples_per_record: int
+    alias_floor: float | None = None
 
 
 @dataclass
@@ -160,10 +170,13 @@ def transient(sys, drive, duration: float, dt: float) -> Waveform:
     the last, a state magnitude that is not within BLOWUP_FACTOR * (1 +
     peak input magnitude) raises TransientBlowupError; overflow inside a
     block raises no numpy warning, only that error.  A duration that is
-    not finite and nonnegative raises ValueError.
+    not finite and nonnegative, or a step that is not finite and
+    positive, raises ValueError.
     """
     if not (math.isfinite(duration) and duration >= 0):
         raise ValueError("duration must be finite and nonnegative")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("time step must be positive")
     blocks, first = _input_blocks(sys)
     stepped = {i: blocks[i] for i in first}           # distinct input blocks
     if sys.output_block is not None:
@@ -233,27 +246,54 @@ def _step_block(m, x, s):
 # dataset generation
 
 
-def _capture_info(sys, plan: SweepPlan, samples_per_record: int | None
-                  ) -> CaptureInfo:
+def _pow2_above(x: int) -> int:
+    """The least power of two >= 256 that is strictly above ``x``."""
+    return 1 << max(8, x.bit_length())
+
+
+def _capture_info(sys, plan: SweepPlan, samples_per_record: int | None,
+                  ladder=None) -> CaptureInfo:
     """The one-period record of ``plan`` for ``sys``.
 
-    ``samples_per_record`` defaults to the least power of two >= 256 that
-    captures ``sys`` exactly when it declares a ``polynomial_degree`` D.
     With M the plan's mixing order and f_top its highest tone, a record of
-    n > (D + M) f_top / df samples folds no product of degree <= D onto a
-    claimed bin, and n > 2 M f_top / df keeps every claimed bin below
-    Nyquist.  A system without a declared degree gets the record that puts
-    the top product at NYQUIST_HEADROOM of Nyquist.
+    n > 2 M f_top / df samples keeps every claimed bin below Nyquist.  An
+    explicit ``samples_per_record`` is used as given.  Otherwise n is the
+    least power of two >= 256 that captures ``sys`` exactly when it
+    declares a ``polynomial_degree`` D: at n > (D + M) f_top / df no
+    product of degree <= D folds onto a claimed bin.
+
+    A system without a declared degree folds harmonics from above Nyquist
+    at any record, so the fold is measured: ``ladder(n)`` gives the
+    claimed phasors of the loudest run of each triplet at an n-sample
+    record.  From the least power of two >= 256 above 2 M f_top / df the
+    record doubles until the alias floor, the largest change of a phasor
+    from n to 2n samples over the peak phasor, is at most ALIAS_TOL.  It
+    stops at the record that puts the top product at NYQUIST_HEADROOM of
+    Nyquist, whatever the floor there.  ``alias_floor`` is the floor at
+    the chosen n, or None where none was measured.
     """
     record = 1.0 / plan.df_hz
     degree = getattr(sys, "polynomial_degree", None)
-    if samples_per_record is None and degree is None:
-        need = plan.max_product_hz * record / NYQUIST_HEADROOM * 2.0
-        samples_per_record = 1 << max(8, math.ceil(math.log2(need)))
+    m, top = plan.max_mixing_order, int(plan.triplet_units().max())
+    floor = None
+    if samples_per_record is None and degree is not None:
+        samples_per_record = _pow2_above(max(degree + m, 2 * m) * top)
     elif samples_per_record is None:
-        m, top = plan.max_mixing_order, int(plan.triplet_units().max())
-        need = max(degree + m, 2 * m) * top + 1     # strictly above both
-        samples_per_record = 1 << max(8, (need - 1).bit_length())
+        need = plan.max_product_hz * record / NYQUIST_HEADROOM * 2.0
+        cap = 1 << max(8, math.ceil(math.log2(need)))
+        n = _pow2_above(2 * m * top)
+        short = ladder(n)
+        while True:
+            long = ladder(2 * n)
+            peak = np.abs(long).max()
+            floor = float(np.abs(long - short).max() / peak) if peak else 0.0
+            if not math.isfinite(floor):
+                raise ValueError(f"the system's output at {n} samples per "
+                                 "record is not finite")
+            if floor <= ALIAS_TOL or n >= cap:
+                break
+            n, short = 2 * n, long
+        samples_per_record = n
     if samples_per_record < 1:
         raise ValueError(f"samples_per_record must be >= 1, not "
                          f"{samples_per_record}")
@@ -262,6 +302,7 @@ def _capture_info(sys, plan: SweepPlan, samples_per_record: int | None
         record_s=record,
         settle_s=0.0,
         samples_per_record=samples_per_record,
+        alias_floor=floor,
     )
 
 
@@ -273,69 +314,103 @@ def simulate_dataset(sys, plan: SweepPlan,
     declared structure: ``input_blocks`` filter the drive, ``static`` acts
     on their samples, ``output_block`` (if any) filters the result.  The
     blocks are LTI, so each distinct block (by identity) filters each
-    distinct plan tone once, in one irfft, and a run's block output is its
-    amplitudes times those tone responses; RUN_CHUNK runs at a time then
-    pass through ``static`` and one rfft, and only the product bins are
-    read.  Exact up to rounding for a system that declares its
-    ``polynomial_degree`` (a static nonlinearity without one keeps
-    harmonics folded from above Nyquist); deterministic for a fixed
-    ``samples_per_record``.  The DC index is captured too.
+    distinct plan tone once per record length, in one irfft, and a run's
+    block output is its amplitudes times those tone responses; RUN_CHUNK
+    runs at a time then pass through ``static`` and one rfft, and only the
+    product bins are read.  Exact up to rounding for a system that
+    declares its ``polynomial_degree``; for one that does not, the record
+    is chosen by probing the loudest run of each triplet at doubling
+    lengths (see ``_capture_info``), and the dataset keeps an alias floor
+    of at most ALIAS_TOL unless the longest record was reached.
+    Deterministic for a fixed ``samples_per_record``.  The DC index is
+    captured too.
     """
     blocks, first = _input_blocks(sys)
     report = validate_plan(plan, domain="ball")
     if not report.ok:
         raise PlanInvalidError(str(report))
-    info = _capture_info(sys, plan, samples_per_record)
 
     trip_units = plan.triplet_units()                 # (T, M), df units
-    sched = plan.schedule
+    sched = np.asarray(plan.schedule, dtype=float)
     n_t, n_a = len(trip_units), len(sched)
     indices = enumerate_output_indices(plan.m_tones, plan.max_mixing_order,
                                        include_dc=True)
-    n_rec = info.samples_per_record
-    dt = info.record_s / n_rec
-    bin_hz = 1.0 / (n_rec * dt)                       # rfftfreq's bin step
-
     # signed mixing sums per triplet, in df units
     ks = np.array(indices, dtype=np.int64)            # (K, M)
     sums = trip_units @ ks.T                          # (T, K)
+
+    # one row per run: tone positions and amplitudes in, product bins out
+    tones, tone_of = np.unique(trip_units, return_inverse=True)
+    run_tones = np.repeat(tone_of.reshape(n_t, -1), n_a, axis=0)  # (R, M)
+    amps = np.tile(sched, (n_t, 1))
+    product_bins = np.repeat(np.abs(sums), n_a, axis=0)  # (R, K)
+
+    # transfers at any record length: each distinct input block's at each
+    # distinct tone, and the output block's (if any) where bins are read
+    record_s = 1.0 / plan.df_hz
+    bin_hz = 1.0 / record_s                           # rfftfreq's bin step
+    tone_h = {i: blocks[i].transfer_hz(tones * bin_hz)
+              for i in dict.fromkeys(first)}
+    out_block = sys.output_block
+    if out_block is not None:
+        prods = np.unique(product_bins)
+        h_out = np.zeros(prods[-1] + 1, dtype=complex)
+        h_out[prods] = out_block.transfer_hz(prods * bin_hz)
+
+    def probe(n_rec, rows, shifted=False):
+        """Product-bin phasors of the runs ``rows`` from an n_rec-sample
+        record, its samples half a step late if ``shifted``."""
+        # each block's response to each tone: one line of 0.5*n*H per row,
+        # so a unit amplitude gives the filtered cosine
+        lines = np.zeros((len(tones), n_rec // 2 + 1), dtype=complex)
+        delay = np.exp(1j * np.pi * tones / n_rec) if shifted else 1.0
+        basis = {}
+        for i, h in tone_h.items():
+            lines[np.arange(len(tones)), tones] = 0.5 * n_rec * h * delay
+            basis[i] = np.fft.irfft(lines, n_rec)     # (tones, n)
+        bins = product_bins[rows]
+        b = np.empty(bins.shape, dtype=complex)
+        # every chunk reuses one set of records: fresh ones per chunk cost
+        # about a fifth of the probe in page faults
+        size = min(RUN_CHUNK, len(b))
+        records = {i: np.empty((size, n_rec)) for i in basis}
+        spectra = np.empty((size, n_rec // 2 + 1), dtype=complex)
+        for s in range(0, len(b), RUN_CHUNK):
+            chunk = rows[s:s + RUN_CHUNK]
+            k = len(chunk)
+            w = np.zeros((k, len(tones)))
+            np.put_along_axis(w, run_tones[chunk], amps[chunk], axis=1)
+            outs = {i: np.matmul(w, v, out=records[i][:k])
+                    for i, v in basis.items()}
+            y = np.fft.rfft(sys.static([outs[i] for i in first]),
+                            out=spectra[:k])
+            b[s:s + k] = np.take_along_axis(y, bins[s:s + k], axis=1)
+        if out_block is not None:
+            b *= h_out[bins]
+        b /= n_rec
+        return b
+
+    # the ladder's runs, each triplet at the schedule's loudest row; an n
+    # record's even samples are the n/2 record, its odd ones that record
+    # shifted, so each rung past the first probes one shifted record
+    loudest = np.arange(n_t) * n_a + np.abs(sched).sum(axis=1).argmax()
+    loud = {}                                         # record -> phasors
+
+    def ladder(n):
+        half = n // 2
+        if half in loud:
+            turn = np.exp(-1j * np.pi * product_bins[loudest] / half)
+            loud[n] = 0.5 * (loud[half] + turn * probe(half, loudest, True))
+        else:
+            loud[n] = probe(n, loudest)
+        return loud[n]
+
+    info = _capture_info(sys, plan, samples_per_record, ladder)
     if np.abs(sums).max() * plan.df_hz >= 0.5 * info.sample_rate_hz:
         raise CaptureAlignmentError("mixing products reach Nyquist; "
                                     "increase samples_per_record")
 
-    # each distinct block's response to each distinct tone: one line of
-    # 0.5*n*H per row, so a unit amplitude gives the filtered cosine
-    tones, tone_of = np.unique(trip_units, return_inverse=True)
-    lines = np.zeros((len(tones), n_rec // 2 + 1), dtype=complex)
-    basis = {}
-    for i in dict.fromkeys(first):
-        lines[np.arange(len(tones)), tones] = (
-            0.5 * n_rec * blocks[i].transfer_hz(tones * bin_hz))
-        basis[i] = np.fft.irfft(lines, n_rec)         # (tones, n)
-
-    # one row per run: tone positions and amplitudes in, product bins out
-    run_tones = np.repeat(tone_of.reshape(n_t, -1), n_a, axis=0)  # (R, M)
-    amps = np.tile(np.asarray(sched, dtype=float), (n_t, 1))
-    product_bins = np.repeat(np.abs(sums), n_a, axis=0)  # (R, K)
-
-    out_block = sys.output_block
-    if out_block is not None:                         # its transfer where read
-        prods = np.unique(product_bins)
-        h_out = np.zeros(n_rec // 2 + 1, dtype=complex)
-        h_out[prods] = out_block.transfer_hz(prods * bin_hz)
-
-    b = np.empty(product_bins.shape, dtype=complex)
-    for s in range(0, len(amps), RUN_CHUNK):
-        rows = slice(s, s + RUN_CHUNK)
-        w = np.zeros((len(amps[rows]), len(tones)))
-        np.put_along_axis(w, run_tones[rows], amps[rows], axis=1)
-        outs = {i: w @ v for i, v in basis.items()}
-        y = np.fft.rfft(sys.static([outs[i] for i in first]))
-        b[rows] = np.take_along_axis(y, product_bins[rows], axis=1)
-        if out_block is not None:
-            b[rows] *= h_out[product_bins[rows]]
-    b /= n_rec
-
+    b = probe(info.samples_per_record, np.arange(n_t * n_a))
     b = b.reshape(n_t, n_a, len(indices))
     b = np.where((sums < 0)[:, None, :], np.conj(b), b)
     dc = (ks == 0).all(axis=1)

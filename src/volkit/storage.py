@@ -283,10 +283,27 @@ def dataset_from_dict(d: dict, read) -> SpectralDataset:
     if d.get("capture"):
         samples = _integer(d["capture"]["samples_per_record"],
                            "samples_per_record")
+        floor = d["capture"].get("alias_floor")
+        if floor is not None and (
+                isinstance(floor, bool) or not isinstance(floor, (int, float))
+                or not (math.isfinite(floor) and floor >= 0)):
+            raise FormatError(f"alias_floor must be a finite nonnegative "
+                              f"number, not {floor!r}")
         capture = CaptureInfo(**{**d["capture"],
                                  "samples_per_record": samples})
     return SpectralDataset(plan=plan, indices=indices, phasors=phasors,
                            capture=capture, source=d.get("source", "file"))
+
+
+def _capture_dict(capture: CaptureInfo | None) -> dict | None:
+    """The header's ``capture``; an ``alias_floor`` that was not measured
+    is left out, so such headers read as they did before the field."""
+    if capture is None:
+        return None
+    out = asdict(capture)
+    if out["alias_floor"] is None:
+        del out["alias_floor"]
+    return out
 
 
 def save_dataset(path: str, ds: SpectralDataset,
@@ -298,7 +315,7 @@ def save_dataset(path: str, ds: SpectralDataset,
         "plan": plan_to_dict(ds.plan),
         "k": [list(k) for k in ds.indices],
         "source": ds.source,
-        "capture": asdict(ds.capture) if ds.capture else None,
+        "capture": _capture_dict(ds.capture),
     }
     phasors = np.where(np.isfinite(ds.phasors), ds.phasors, _MISSING)
     _write_npz(path, _envelope("dataset", payload, cfg_hash),

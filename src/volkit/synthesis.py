@@ -204,7 +204,7 @@ def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
         raise KeyError(f"archive has no order-{order} grid")
     if not (math.isfinite(duration) and duration >= 0):
         raise ValueError("duration must be finite and nonnegative")
-    if not dt > 0:
+    if not (math.isfinite(dt) and dt > 0):
         raise ValueError("time step must be positive")
     n_period = int(round(spectrum.period_s / dt))
     if not abs(n_period * dt - spectrum.period_s) <= 1e-9 * spectrum.period_s:

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -7,6 +8,7 @@ from volkit import probing
 from volkit.extraction import analytic_dataset, extract
 from volkit.mixing import MixTerm, enumerate_output_indices, input_coefficient
 from volkit.probing import (
+    ALIAS_TOL,
     CHECK_INTERVAL,
     RUN_CHUNK,
     CaptureAlignmentError,
@@ -15,9 +17,11 @@ from volkit.probing import (
     TransientBlowupError,
     Waveform,
     _capture_info,
+    _pow2_above,
     simulate_dataset,
     transient,
 )
+from volkit.storage import save_dataset
 from volkit.sweeps import SweepPlan, standard_sweep_plan, validate_plan
 from volkit.synthesis import TrapezoidPulse
 from volkit.systems import (
@@ -264,6 +268,11 @@ class TestTransient:
                                match="nan at t=2e-06 s"):
                 transient(sys, constant, 2e-6, 4e-9)
 
+    @pytest.mark.parametrize("dt", [0.0, np.nan, np.inf, -1e-12])
+    def test_step_must_be_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match="^time step must be positive$"):
+            transient(MultiplierCascade(), constant, 1e-9, dt)
+
     def test_waveform_drive_requires_matching_step(self):
         wave = Waveform(samples=np.zeros(16), dt=1e-9)
         with pytest.raises(ValueError, match="solver step"):
@@ -441,16 +450,28 @@ class TestSimulatedDataset:
         assert said[0] == said[1]
 
     def test_auto_record_length_for_standard_plan(self):
-        # the cascade declares degree 3, the amplifier and a plain object
-        # declare none and keep the NYQUIST_HEADROOM record
+        # the cascade declares degree 3; a system that declares none gets
+        # the first record whose ladder floor meets ALIAS_TOL, from the
+        # first one above 2 M f_top / df up to the NYQUIST_HEADROOM record
         plan = standard_sweep_plan()
-        from volkit.probing import _capture_info
-        for system, n in ((MultiplierCascade(), 16384),
-                          (SaturatingAmplifier(), 32768),
-                          (object(), 32768)):
-            info = _capture_info(system, plan, None)
-            assert info.samples_per_record == n
-            assert info.record_s == pytest.approx(1e-6)
+        info = _capture_info(MultiplierCascade(), plan, None)
+        assert info.samples_per_record == 16384
+        assert info.alias_floor is None
+        first = _pow2_above(2 * 3 * int(plan.triplet_units().max()))
+        assert first == 16384
+        for system in (SaturatingAmplifier(), object()):
+            asked = []
+            quiet = _capture_info(system, plan, None,
+                                  lambda n: asked.append(n) or np.ones(3))
+            assert (quiet.samples_per_record, quiet.alias_floor) == (first, 0)
+            assert asked == [first, 2 * first]
+            asked.clear()
+            loud = _capture_info(system, plan, None,
+                                 lambda n: asked.append(n) or np.ones(3) / n)
+            assert loud.samples_per_record == 32768
+            assert loud.alias_floor == pytest.approx(1.0)
+            assert asked == [16384, 32768, 65536]
+            assert loud.record_s == pytest.approx(1e-6)
 
 
 def run_scaled_gap(got, ref):
@@ -537,13 +558,16 @@ class TestRecordLength:
 
     def test_record_follows_declared_degree(self):
         # at mixing order 1 the top tone (247 df) needs n > 2*247 for
-        # Nyquist, n > (3+1)*247 for the cascade's degree-3 products, and
-        # the undeclared rule puts 247 df at 0.4 of Nyquist
+        # Nyquist and n > (3+1)*247 for the cascade's degree-3 products;
+        # the undeclared rule starts at n > 2*247, where the amplifier at
+        # 0.01 V meets ALIAS_TOL, and a hard limiter stops at the record
+        # that puts 247 df at 0.4 of Nyquist
         plan = SweepPlan(axes_hz=((7e6,), (127e6,), (247e6,)), df_hz=1e6,
                          max_mixing_order=1, schedule=((0.01,) * 3,))
         for system, n in ((MultiplierCascade(include_orders=(1,)), 512),
                           (MultiplierCascade(), 1024),
-                          (SaturatingAmplifier(), 2048)):
+                          (SaturatingAmplifier(), 512),
+                          (SaturatingAmplifier(gain=40.0), 2048)):
             ds = simulate_dataset(system, plan)
             assert ds.capture.samples_per_record == n
         linear = MultiplierCascade(include_orders=(1,))
@@ -552,14 +576,83 @@ class TestRecordLength:
         got = simulate_dataset(linear, plan).phasors
         assert run_scaled_gap(got, ana.phasors) <= 1e-13
 
-    @pytest.mark.parametrize("points, n", [(3, 8192), (6, 16384)])
-    def test_amplifier_record_unchanged(self, points, n):
+    @pytest.mark.parametrize("points, n", [(3, 4096), (6, 8192)])
+    def test_amplifier_record_from_alias_floor(self, points, n):
+        # half the NYQUIST_HEADROOM record (8 192 and 16 384) already
+        # meets ALIAS_TOL
         amp = SaturatingAmplifier()
         assert not hasattr(amp, "polynomial_degree")
         plan = standard_sweep_plan(
             points_per_axis=points, levels_dbm=(-30.0, -20.0),
             amp_limit_v=amp.saturation_limit_v, plan_id="amp")
-        assert simulate_dataset(amp, plan).capture.samples_per_record == n
+        capture = simulate_dataset(amp, plan).capture
+        assert capture.samples_per_record == n
+        assert 0.0 <= capture.alias_floor <= ALIAS_TOL
+
+    def test_amplifier_kernels_match_longest_record(self):
+        # the record the amplifier was probed at before the floor was
+        # measured; each order within 1e-9 of its peak (even orders are 0)
+        plan = AMP_PLAN_3
+        amp = SaturatingAmplifier()
+        got, _ = extract(simulate_dataset(amp, plan), plan)
+        want, _ = extract(simulate_dataset(amp, plan, 8192), plan)
+        for order, grid in got.grids.items():
+            ref = want.grids[order]
+            assert np.array_equal(grid.coords, ref.coords)
+            gap = np.abs(grid._means() - ref._means()).max()
+            assert gap <= 1e-9 * np.abs(ref._means()).max(), order
+
+    def test_hard_limiter_keeps_longest_record(self):
+        # at gain 5 no record up to the NYQUIST_HEADROOM one meets
+        # ALIAS_TOL; its floor is the change of the loudest run of each
+        # triplet from that record to one twice as long
+        limiter = SaturatingAmplifier(gain=5.0)
+        plan = AMP_PLAN_3
+        ds = simulate_dataset(limiter, plan)
+        assert ds.capture.samples_per_record == 8192
+        assert ds.capture.alias_floor > ALIAS_TOL
+        loud = np.asarray(plan.schedule).sum(axis=1).argmax()
+        short = ds.phasors[:, loud]
+        long = simulate_dataset(limiter, plan, 16384).phasors[:, loud]
+        floor = np.abs(long - short).max() / np.abs(long).max()
+        assert ds.capture.alias_floor == pytest.approx(floor, rel=1e-6)
+        assert floor == pytest.approx(2.9e-6, rel=0.05)
+
+    def test_non_finite_output_has_no_floor(self):
+        # a floor of NaN would be written into a header no reader accepts
+        @dataclass(frozen=True)
+        class Broken:
+            input_blocks: tuple = (lowpass_ladder(),)
+            output_block: None = None
+
+            def static(self, outs):
+                return np.where(outs[0] > 0, np.nan, outs[0])
+
+        with pytest.raises(ValueError, match="^the system's output at 2048 "
+                                             "samples per record is not "
+                                             "finite$"):
+            simulate_dataset(Broken(), AMP_PLAN_3)
+
+    @pytest.mark.parametrize("points", [3, 6])
+    def test_cascade_dataset_keeps_declared_degree_rule(self, points,
+                                                        tmp_path):
+        # the rule before the alias floor, written out here: its datasets
+        # are the same bytes, and no floor is measured or stored
+        def declared_degree_record(sys, plan):
+            m, top = plan.max_mixing_order, int(plan.triplet_units().max())
+            need = max(sys.polynomial_degree + m, 2 * m) * top + 1
+            return 1 << max(8, (need - 1).bit_length())
+
+        sys = MultiplierCascade()
+        plan = standard_sweep_plan(points_per_axis=points, plan_id="std")
+        got = simulate_dataset(sys, plan)
+        want = simulate_dataset(sys, plan, declared_degree_record(sys, plan))
+        assert got.capture == want.capture
+        assert got.capture.alias_floor is None
+        save_dataset(tmp_path / "got.npz", got)
+        save_dataset(tmp_path / "want.npz", want)
+        assert (tmp_path / "got.npz").read_bytes() == \
+            (tmp_path / "want.npz").read_bytes()
 
     @pytest.mark.parametrize("system", [MultiplierCascade(),
                                         SaturatingAmplifier()],
@@ -569,6 +662,11 @@ class TestRecordLength:
         ds = simulate_dataset(system, plan, samples_per_record=4096)
         assert ds.capture.samples_per_record == 4096
         assert ds.capture.sample_rate_hz == pytest.approx(4096 * plan.df_hz)
+        assert ds.capture.alias_floor is None
+        # shorter than the amplifier's measured choice, and used as given
+        short = simulate_dataset(system, AMP_PLAN_3, samples_per_record=2048)
+        assert short.capture.samples_per_record == 2048
+        assert short.capture.alias_floor is None
 
     def test_shared_block_filtered_once_per_probe(self, monkeypatch):
         # one irfft per distinct input block per call, whatever the chunks
@@ -593,7 +691,7 @@ class TestRecordLength:
         assert phasors[0] == phasors[1]
 
 
-def _dense_spectrum_dataset(sys, plan, samples_per_record=None):
+def _dense_spectrum_dataset(sys, plan, samples_per_record):
     """The probe before tones were superposed, as a reference: per chunk of
     runs a dense rfft spectrum holding each run's tone lines, each distinct
     input block's transfer over every bin and one irfft, the static part,
@@ -656,8 +754,10 @@ class TestSuperposition:
         n = 4096 if case == "explicit-n" else None
         if case.startswith("chunk-"):
             monkeypatch.setattr(probing, "RUN_CHUNK", int(case[6:]))
-        got = simulate_dataset(system, plan, n).phasors
-        ref = _dense_spectrum_dataset(system, plan, n)
+        ds = simulate_dataset(system, plan, n)
+        got = ds.phasors
+        ref = _dense_spectrum_dataset(system, plan,
+                                      ds.capture.samples_per_record)
         if case == "one-run":
             assert got.shape[:2] == (1, 1)
         if case == "shared-tones":
@@ -669,7 +769,8 @@ class TestSuperposition:
             self, amp_system, amp_plan, amp_dataset, amp_archive):
         ref = SpectralDataset(
             plan=amp_plan, indices=amp_dataset.indices,
-            phasors=_dense_spectrum_dataset(amp_system, amp_plan))
+            phasors=_dense_spectrum_dataset(
+                amp_system, amp_plan, amp_dataset.capture.samples_per_record))
         ref_archive, _ = extract(ref, amp_plan)
         for order, grid in amp_archive.grids.items():
             ref_grid = ref_archive.grid(order)

@@ -182,6 +182,27 @@ class TestRoundTrips:
         save_dataset(tmp_path / "ds.json", ds)
         assert load_dataset(tmp_path / "ds.json").capture == ds.capture
 
+    def test_alias_floor_round_trip(self, tmp_path):
+        ds = analytic_dataset(CASCADE_KERNEL, tiny_plan(), 3)
+        ds.capture = CaptureInfo(sample_rate_hz=4.096e9, record_s=1e-6,
+                                 settle_s=0.0, samples_per_record=4096,
+                                 alias_floor=4.218037045616180e-13)
+        save_dataset(tmp_path / "ds.npz", ds)
+        assert read_doc(tmp_path / "ds.npz")["capture"]["alias_floor"] == \
+            ds.capture.alias_floor
+        assert load_dataset(tmp_path / "ds.npz").capture == ds.capture
+
+    def test_unmeasured_alias_floor_is_not_written(self, tmp_path):
+        # a format-1.1 header without the field reads as None, and a
+        # floor that was never measured writes that same header
+        ds = analytic_dataset(CASCADE_KERNEL, tiny_plan(), 3)
+        ds.capture = CaptureInfo(**CAPTURE)
+        assert ds.capture.alias_floor is None
+        save_dataset(tmp_path / "ds.npz", ds)
+        doc = read_doc(tmp_path / "ds.npz")
+        assert doc["capture"] == CAPTURE and doc["version"] == "1.1"
+        assert load_dataset(tmp_path / "ds.npz").capture.alias_floor is None
+
     def test_archive_round_trip_exact(self, tmp_path):
         plan = tiny_plan()
         ds = analytic_dataset(CASCADE_KERNEL, plan, 3)
@@ -454,6 +475,18 @@ MALFORMED = {
     "dataset fractional samples_per_record": (
         "dataset", _set("capture", value={**CAPTURE,
                                           "samples_per_record": 8192.5})),
+    "dataset negative alias_floor": (
+        "dataset", _set("capture", value={**CAPTURE, "alias_floor": -1e-12})),
+    "dataset NaN alias_floor": (
+        "dataset", _set("capture", value={**CAPTURE,
+                                          "alias_floor": float("nan")})),
+    "dataset infinite alias_floor": (
+        "dataset", _set("capture", value={**CAPTURE,
+                                          "alias_floor": float("inf")})),
+    "dataset string alias_floor": (
+        "dataset", _set("capture", value={**CAPTURE, "alias_floor": "1e-13"})),
+    "dataset boolean alias_floor": (
+        "dataset", _set("capture", value={**CAPTURE, "alias_floor": False})),
     "dataset plan fractional max_mixing_order": (
         "dataset", _set("plan", "max_mixing_order", value=3.7)),
     "plan without schedule": ("plan", _plan_drop_schedule),
@@ -793,6 +826,20 @@ class TestCli:
             assert load_dataset(f"{out}/dataset.npz").capture \
                 .samples_per_record == n
 
+    def test_probe_reports_alias_floor(self, tmp_path, capsys):
+        # a system without a declared degree prints the floor it measured
+        out = str(tmp_path)
+        assert main(["plan", "--points-per-axis", "3", "--levels=-30,-20",
+                     "--amp-limit-v", "0.07", "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["probe", "--plan", f"{out}/plan.json", "--system",
+                     "amplifier", "--out", out]) == 0
+        line = capsys.readouterr().out
+        capture = load_dataset(f"{out}/dataset.npz").capture
+        assert capture.alias_floor <= 1e-9
+        assert line.endswith(f", 4096 samples per record (alias floor "
+                             f"{capture.alias_floor:.2g})\n")
+
     def test_usage_error_is_input_error(self, tmp_path, capsys):
         # exit 2 means "validation thresholds failed"; a bad flag is input
         with pytest.raises(SystemExit) as exc:
@@ -954,6 +1001,37 @@ class TestCli:
         assert err.startswith("error: ") and "finite" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dt", ["0", "nan", "inf", "-1e-12"])
+    def test_validate_step_must_be_positive(self, tiny_files, tmp_path,
+                                            capsys, synth_calls, dt):
+        out = tmp_path / "out"
+        assert main(["validate", "--archive", str(tiny_files / "archive.npz"),
+                     "--system", "benchmark", f"--dt-s={dt}",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: time step must be positive\n"
+        assert synth_calls == []
+        assert not out.exists()
+
+    def test_validate_refuses_empty_window(self, tiny_files, tmp_path,
+                                           capsys, synth_calls):
+        out = tmp_path / "out"
+        assert main(["validate", "--archive", str(tiny_files / "archive.npz"),
+                     "--system", "benchmark", "--duration-s", "0",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("error: the validation window of 0 s holds no time "
+                       "step of 5e-12 s\n")
+        assert synth_calls == []
+        assert not out.exists()
+
+    def test_synthesize_writes_empty_window(self, tiny_files, tmp_path):
+        assert main(["synthesize", "--archive",
+                     str(tiny_files / "archive.npz"), "--duration-s", "0",
+                     "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "waveform.csv").read_text().splitlines()
+        assert lines == ["t,y1,y2,y3,y_total"]
 
     def test_unequal_edge_pulse_synthesizes_and_validates(self, tiny_files,
                                                           tmp_path):
