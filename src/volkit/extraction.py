@@ -117,8 +117,10 @@ def extract(dataset: SpectralDataset, plan: SweepPlan | None = None,
     1..``truncation`` are solved for.  Indices are solved independently, so
     one bad index degrades coverage instead of aborting; the report lists
     every failure.  Raises ExtractionError only if the resolved fraction of
-    (triplet, index) systems falls below ``min_success_fraction``.
+    (triplet, index) systems falls below ``min_success_fraction`` (in [0, 1]).
     """
+    if not 0.0 <= min_success_fraction <= 1.0:
+        raise ValueError("min_success_fraction must lie in [0, 1]")
     if plan is not None and plan != dataset.plan:
         raise ValueError("plan differs from the dataset's own plan")
     plan = dataset.plan

@@ -10,8 +10,8 @@ its conjugate at once, so ``insert`` adds only the real part there and a
 restored grid must hold a real sum there.  A grid holds sorted unique
 canonical integer coordinates (P, order), complex128 sums (P,) and int64
 counts (P,), all read-only; it keeps the coordinates' sorted keys too
-(their flat indices in the signed-lattice cube), and ``insert`` merges new
-points into both.
+(their flat indices in the signed-lattice cube), and ``insert`` rebuilds
+both from the stored points followed by the new ones.
 
 For synthesis the sparse canonical samples are frozen into a dense tensor
 over the signed sweep lattice.  Probing never co-sweeps some coordinate
@@ -150,36 +150,23 @@ class KernelGrid:
             raise ValueError(f"{len(canon)} argument rows, {len(values)} values")
         values = np.where(conj, np.conj(values), values)
         values.imag[real] = 0.0
-        keys, first, inverse = np.unique(
-            new_keys, return_index=True, return_inverse=True)
-        # merge the distinct new keys into the sorted stored ones: each
-        # key's row after the merge is its stored rank plus the new keys
-        # merged below it
-        stored = self._stored
-        at = np.searchsorted(stored, keys)
-        fresh = np.searchsorted(stored, keys, side="right") == at
-        slot = at + np.cumsum(fresh) - fresh
-        first, dest = first[fresh], slot[fresh]
-        # each merged row picks a stored row or, past them, a new one
-        pick = np.empty(len(stored) + len(dest), dtype=np.intp)
-        kept = np.ones(len(pick), dtype=bool)
-        kept[dest] = False
-        pick[kept] = np.arange(len(stored))
-        pick[dest] = len(stored) + first
-        self._stored = np.concatenate([stored, new_keys])[pick]
-        self.coords = np.take(np.concatenate([self.coords, canon]), pick,
-                              axis=0)
-        self.sums = np.concatenate([self.sums, values])[pick]
-        self.counts = np.concatenate(
-            [self.counts, np.ones(len(canon), np.int64)])[pick]
-        # A new point's sum starts from its first term, not from zero, and
-        # every other term adds in insertion order: sequential addition
-        # then rounds exactly as one-at-a-time accumulation does, signed
-        # zeros included.
-        later = np.ones(len(canon), dtype=bool)
+        # Rebuild from the stored keys, which are unique, then the new ones.
+        # np.unique indexes each key's first occurrence, so a sum starts
+        # from its stored value or a new point's first term, not from zero,
+        # and every later term adds in insertion order: sums round exactly
+        # as one-at-a-time inserts do, signed zeros included.
+        keys = np.concatenate([self._stored, new_keys])
+        self._stored, first, inverse = np.unique(
+            keys, return_index=True, return_inverse=True)
+        later = np.ones(len(keys), dtype=bool)
         later[first] = False
-        pos = slot[inverse[later]]
-        np.add.at(self.sums, pos, values[later])
+        sums = np.concatenate([self.sums, values])
+        self.coords = np.concatenate([self.coords, canon])[first]
+        self.sums = sums[first]
+        self.counts = np.concatenate(
+            [self.counts, np.ones(len(canon), np.int64)])[first]
+        pos = inverse[later]
+        np.add.at(self.sums, pos, sums[later])
         np.add.at(self.counts, pos, 1)
         self._seal()
 

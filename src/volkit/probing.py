@@ -37,6 +37,7 @@ ALIAS_TOL = 1e-9              # undeclared degree: alias floor a record must mee
 NYQUIST_HEADROOM = 0.4        # its longest record: top product at 0.4 of Nyquist
 BLOWUP_FACTOR = 1e6           # state limit over (1 + peak input magnitude)
 CHECK_INTERVAL = 2048         # steps between blow-up checks
+MAX_WINDOW_SAMPLES = 1 << 22  # most steps in a transient or synthesis window
 RUN_CHUNK = 16                # probe runs whose records are held at once
 
 
@@ -54,11 +55,10 @@ class PlanInvalidError(ValueError):
 
 @dataclass(frozen=True)
 class Waveform:
-    """Uniformly sampled real signal: samples[j] is the value at t0 + j*dt."""
+    """Uniformly sampled real signal: samples[j] is the value at j*dt."""
 
     samples: np.ndarray
     dt: float
-    t0: float = 0.0
 
     def __post_init__(self) -> None:
         s = np.asarray(self.samples, dtype=float)
@@ -67,7 +67,7 @@ class Waveform:
             raise ValueError("waveform samples must be finite")
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.samples))
+        return self.dt * np.arange(len(self.samples))
 
 
 @dataclass(frozen=True)
@@ -170,13 +170,16 @@ def transient(sys, drive, duration: float, dt: float) -> Waveform:
     the last, a state magnitude that is not within BLOWUP_FACTOR * (1 +
     peak input magnitude) raises TransientBlowupError; overflow inside a
     block raises no numpy warning, only that error.  A duration that is
-    not finite and nonnegative, or a step that is not finite and
-    positive, raises ValueError.
+    not finite and nonnegative, a step that is not finite and positive, or
+    a window over MAX_WINDOW_SAMPLES steps raises ValueError at once.
     """
     if not (math.isfinite(duration) and duration >= 0):
         raise ValueError("duration must be finite and nonnegative")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("time step must be positive")
+    if not duration / dt <= MAX_WINDOW_SAMPLES:
+        raise ValueError(f"a window of {duration:g} s holds more than "
+                         f"{MAX_WINDOW_SAMPLES} steps of {dt:g} s")
     blocks, first = _input_blocks(sys)
     stepped = {i: blocks[i] for i in first}           # distinct input blocks
     if sys.output_block is not None:
@@ -206,7 +209,7 @@ def transient(sys, drive, duration: float, dt: float) -> Waveform:
             if not mag <= limit:
                 raise TransientBlowupError(f"state magnitude {mag:.3g}"
                                            f" at t={(j + 1) * dt:.3g} s")
-    return Waveform(samples=y, dt=dt, t0=0.0)
+    return Waveform(samples=y, dt=dt)
 
 
 def _stage_map(blk, dt: float) -> np.ndarray:

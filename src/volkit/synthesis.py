@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from volkit.kernels import KernelArchive
-from volkit.probing import Waveform
+from volkit.probing import MAX_WINDOW_SAMPLES, Waveform
 
 @dataclass(frozen=True)
 class TrapezoidPulse:
@@ -196,7 +196,8 @@ def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
                      order: int, duration: float, dt: float):
     """Order-``order`` time response on a uniform grid; (Waveform, OrderInfo).
 
-    ``dt`` must divide the spectrum's period into a whole number of steps.
+    ``dt`` must divide the spectrum's period into a whole number of steps,
+    and neither the period nor the window may hold over MAX_WINDOW_SAMPLES.
     Bins beyond the archive band edge contribute zero kernels and are
     skipped, which band-limits the prediction to the swept region.
     """
@@ -206,6 +207,10 @@ def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
         raise ValueError("duration must be finite and nonnegative")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("time step must be positive")
+    span = max(duration, spectrum.period_s)
+    if not span / dt <= MAX_WINDOW_SAMPLES:
+        raise ValueError(f"a window or period of {span:g} s holds more than "
+                         f"{MAX_WINDOW_SAMPLES} steps of {dt:g} s")
     n_period = int(round(spectrum.period_s / dt))
     if not abs(n_period * dt - spectrum.period_s) <= 1e-9 * spectrum.period_s:
         raise ValueError("period must be a whole number of time steps")
@@ -229,8 +234,8 @@ def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
     y = 2.0 * (n_period * np.fft.ifft(z_re + 1j * z_im)).real
     info = OrderInfo(order=order, n_tuples=math.comb(nb + order - 1, order),
                      n_bins_used=nb)
-    return Waveform(samples=np.resize(y, int(round(duration / dt))), dt=dt,
-                    t0=0.0), info
+    return Waveform(samples=np.resize(y, int(round(duration / dt))),
+                    dt=dt), info
 
 
 def _repetition_weights(combos: np.ndarray) -> np.ndarray:
@@ -260,7 +265,7 @@ def synthesize_total(archive: KernelArchive, spectrum: DiscreteSpectrum,
         total = wave.samples if total is None else total + wave.samples
     return OrderedResponse(
         per_order=per_order,
-        total=Waveform(samples=total, dt=dt, t0=0.0),
+        total=Waveform(samples=total, dt=dt),
         info=info,
     )
 

@@ -354,6 +354,14 @@ class TestExtract:
         with pytest.raises(ExtractionError, match="resolved"):
             extract(ds, plan)
 
+    @pytest.mark.parametrize("fraction", [np.nan, -1.0, 1.5, np.inf])
+    def test_min_success_fraction_must_lie_in_unit_interval(self, fraction):
+        plan = make_plan()
+        ds = analytic_dataset(CASCADE_KERNEL, plan, truncation=3)
+        ds.phasors[:] = np.nan   # nothing resolves, so no bound could pass
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            extract(ds, plan, min_success_fraction=fraction)
+
     def test_truncation_above_plan_order_rejected(self):
         plan = make_plan()
         ds = analytic_dataset(CASCADE_KERNEL, plan, truncation=3)

@@ -10,6 +10,7 @@ from volkit.mixing import MixTerm, enumerate_output_indices, input_coefficient
 from volkit.probing import (
     ALIAS_TOL,
     CHECK_INTERVAL,
+    MAX_WINDOW_SAMPLES,
     RUN_CHUNK,
     CaptureAlignmentError,
     PlanInvalidError,
@@ -88,7 +89,7 @@ def capture_phasors(
         raise ValueError("waveform shorter than settle + record")
     seg = wave.samples[i0:i0 + n_rec]
     spec = np.fft.rfft(seg) / n_rec
-    t_start = wave.t0 + i0 * wave.dt
+    t_start = i0 * wave.dt
     out = {}
     for k in enumerate_output_indices(len(freqs_hz), max_order,
                                       include_dc=include_dc):
@@ -272,6 +273,34 @@ class TestTransient:
     def test_step_must_be_finite_and_positive(self, dt):
         with pytest.raises(ValueError, match="^time step must be positive$"):
             transient(MultiplierCascade(), constant, 1e-9, dt)
+
+    # a window past the limit must fail before the drive's stage values,
+    # the first array sized by the window, are built
+    @pytest.mark.parametrize("duration, dt", [
+        (1.0, 1e-9), (25e-9, 1e-16), (1e-8, 5e-324),
+        ((MAX_WINDOW_SAMPLES + 1) * 1e-12, 1e-12)])
+    def test_window_is_bounded_before_allocating(self, monkeypatch,
+                                                 duration, dt):
+        def unreachable(*args):
+            raise AssertionError("the window was allocated")
+
+        monkeypatch.setattr(probing, "_drive_stage_values", unreachable)
+        with pytest.raises(ValueError, match=f"more than {MAX_WINDOW_SAMPLES}"
+                                             " steps"):
+            transient(MultiplierCascade(), constant, duration, dt)
+
+    def test_window_at_the_limit_passes_the_check(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(drive, dt, n_steps):
+            assert n_steps == MAX_WINDOW_SAMPLES
+            raise Reached
+
+        monkeypatch.setattr(probing, "_drive_stage_values", reached)
+        with pytest.raises(Reached):
+            transient(MultiplierCascade(), constant,
+                      MAX_WINDOW_SAMPLES * 2.0**-40, 2.0**-40)
 
     def test_waveform_drive_requires_matching_step(self):
         wave = Waveform(samples=np.zeros(16), dt=1e-9)

@@ -1026,6 +1026,41 @@ class TestCli:
         assert synth_calls == []
         assert not out.exists()
 
+    def test_synthesize_refuses_oversized_window(self, tiny_files, tmp_path,
+                                                 capsys):
+        out = tmp_path / "out"
+        assert main(["synthesize", "--archive",
+                     str(tiny_files / "archive.npz"), "--duration-s", "1",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than 4194304 steps" in err
+        assert not out.exists()
+
+    def test_validate_refuses_oversized_window(self, tiny_files, tmp_path,
+                                               capsys, synth_calls):
+        out = tmp_path / "out"
+        assert main(["validate", "--archive", str(tiny_files / "archive.npz"),
+                     "--system", "benchmark", "--dt-s", "1e-16",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than 4194304 steps" in err
+        assert synth_calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fraction", ["nan", "-1", "1.5"])
+    def test_extract_refuses_min_success_fraction(self, tiny_files, tmp_path,
+                                                  capsys, fraction):
+        out = tmp_path / "out"
+        assert main(["extract", "--dataset", str(tiny_files / "dataset.npz"),
+                     f"--min-success-fraction={fraction}",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must lie in [0, 1]" in err
+        assert not out.exists()
+
     def test_synthesize_writes_empty_window(self, tiny_files, tmp_path):
         assert main(["synthesize", "--archive",
                      str(tiny_files / "archive.npz"), "--duration-s", "0",

@@ -16,7 +16,7 @@ from volkit.kernels import (
     _canonical_walk,
     canonical_rows,
 )
-from volkit.probing import Waveform
+from volkit.probing import MAX_WINDOW_SAMPLES, Waveform
 from volkit.synthesis import (
     DiscreteSpectrum,
     TrapezoidPulse,
@@ -263,6 +263,37 @@ class TestSynthesizeOrder:
         spec, _ = spectrum_of(pulse(), PERIOD, max_bins_per_side=40)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             synthesize_order(archive, spec, 1, duration, PERIOD / 128)
+
+    # the window (duration) or the period (the folded spectrum) past the
+    # limit must fail before the frozen grid or any array is built
+    @pytest.mark.parametrize("duration, dt", [
+        (1.0, PERIOD / 128), (PERIOD, 1e-19), (PERIOD, 5e-324),
+        (PERIOD * (MAX_WINDOW_SAMPLES + 1) / 128, PERIOD / 128)])
+    def test_window_is_bounded_before_allocating(self, archive, monkeypatch,
+                                                 duration, dt):
+        spec, _ = spectrum_of(pulse(), PERIOD, max_bins_per_side=40)
+
+        def unreachable(order):
+            raise AssertionError("the grid was frozen")
+
+        monkeypatch.setattr(archive, "frozen", unreachable)
+        with pytest.raises(ValueError, match=f"more than {MAX_WINDOW_SAMPLES}"
+                                             " steps"):
+            synthesize_order(archive, spec, 1, duration, dt)
+
+    def test_window_at_the_limit_passes_the_check(self, archive, monkeypatch):
+        spec, _ = spectrum_of(pulse(), PERIOD, max_bins_per_side=40)
+
+        class Reached(Exception):
+            pass
+
+        def reached(order):
+            raise Reached
+
+        monkeypatch.setattr(archive, "frozen", reached)
+        dt = PERIOD / MAX_WINDOW_SAMPLES   # exact: the limit is a power of 2
+        with pytest.raises(Reached):
+            synthesize_order(archive, spec, 1, PERIOD, dt)
 
     def test_bin_order_shuffle_is_harmless(self, archive):
         spec, _ = spectrum_of(pulse(), PERIOD, max_bins_per_side=40)
