@@ -69,15 +69,12 @@ class CliError(Exception):
     pass
 
 
-def make_system(name: str):
-    if name == "benchmark":
-        return MultiplierCascade()
-    if name == "benchmark-linear":
-        return MultiplierCascade(include_orders=(1,))
-    if name == "amplifier":
-        return SaturatingAmplifier()
-    raise CliError(f"unknown system {name!r}; expected benchmark, "
-                   "benchmark-linear, or amplifier")
+# --system's choices, each with its constructor
+SYSTEMS = {
+    "benchmark": MultiplierCascade,
+    "benchmark-linear": lambda: MultiplierCascade(include_orders=(1,)),
+    "amplifier": SaturatingAmplifier,
+}
 
 
 def _options(args: argparse.Namespace, source: str | None = None) -> dict:
@@ -202,7 +199,7 @@ def cmd_probe(args) -> int:
     if args.plan is None:
         raise CliError("probe needs --plan <plan.json>")
     plan = load_plan(args.plan)
-    sys_obj = make_system("benchmark" if args.system is None else args.system)
+    sys_obj = SYSTEMS["benchmark" if args.system is None else args.system]()
     limit = getattr(sys_obj, "saturation_limit_v", None)
     if limit is not None and plan.max_amplitude_v >= limit:
         raise CliError(
@@ -346,7 +343,7 @@ def cmd_validate(args) -> int:
         raise CliError("validate needs --archive <archive.npz>")
     archive = load_archive(args.archive)
     system_name = "benchmark" if args.system is None else args.system
-    sys_obj = make_system(system_name)
+    sys_obj = SYSTEMS[system_name]()
     pulse = _pulse(args.pulse, sys_obj)
     period = 4.0 * pulse.support if args.period_s is None else args.period_s
     duration = (pulse.support + 20e-9 if args.duration_s is None
@@ -461,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="simulate the plan into a dataset")
     common(p)
     p.add_argument("--plan")
-    p.add_argument("--system",
-                   choices=("benchmark", "benchmark-linear", "amplifier"))
+    p.add_argument("--system", choices=SYSTEMS)
     p.add_argument("--samples-per-record", dest="samples_per_record",
                    type=int)
     p.set_defaults(fn=cmd_probe)
@@ -487,8 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="audit an archive against its system")
     common(p)
     p.add_argument("--archive", help="archive.npz")
-    p.add_argument("--system",
-                   choices=("benchmark", "benchmark-linear", "amplifier"))
+    p.add_argument("--system", choices=SYSTEMS)
     p.add_argument("--pulse")
     p.add_argument("--period-s", dest="period_s", type=float)
     p.add_argument("--duration-s", dest="duration_s", type=float)

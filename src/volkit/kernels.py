@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TUPLE_CHUNK = 16_384  # canonical rows per step of a walk over an index cube
+MAX_DENSE_ENTRIES = 1 << 24  # most entries of a frozen grid's dense cube
 
 
 class OffLatticeError(ValueError):
@@ -203,9 +204,16 @@ class KernelGrid:
         return zip(map(tuple, args), self._means().tolist())
 
     def freeze(self) -> "FrozenKernelGrid":
-        """The dense frozen grid, built once and kept until an insert."""
+        """The dense frozen grid, built once and kept until an insert.  A
+        cube of more than MAX_DENSE_ENTRIES entries raises ValueError
+        before anything is allocated."""
         if not self.n_points:
             raise EmptyGridError(f"order-{self.order} grid has no samples")
+        entries = len(self._signed) ** self.order
+        if entries > MAX_DENSE_ENTRIES:
+            raise ValueError(
+                f"order-{self.order} grid's dense cube of {entries} entries "
+                f"is over MAX_DENSE_ENTRIES ({MAX_DENSE_ENTRIES})")
         if self._frozen is None:
             self._frozen = FrozenKernelGrid._build(self)
         return self._frozen

@@ -13,8 +13,8 @@ measured alias floor (the change of the loudest runs' phasors when the
 record is doubled) is at most ALIAS_TOL, and never longer than the
 NYQUIST_HEADROOM record.
 ``transient`` integrates a drive from rest with fixed-step RK4 through
-the same declared blocks, stepping each block's state: the time-domain
-reference, independent of the probe's superposition.
+the same declared blocks, each block's whole window in one pass: the
+time-domain reference, independent of the probe's superposition.
 
 Phasor convention: ``B`` is the positive-frequency coefficient of the
 two-sided expansion, i.e. the real signal component at f > 0 is
@@ -36,7 +36,6 @@ from volkit.sweeps import SweepPlan, validate_plan
 ALIAS_TOL = 1e-9              # undeclared degree: alias floor a record must meet
 NYQUIST_HEADROOM = 0.4        # its longest record: top product at 0.4 of Nyquist
 BLOWUP_FACTOR = 1e6           # state limit over (1 + peak input magnitude)
-CHECK_INTERVAL = 2048         # steps between blow-up checks
 MAX_WINDOW_SAMPLES = 1 << 22  # most steps in a transient or synthesis window
 RUN_CHUNK = 16                # probe runs whose records are held at once
 
@@ -160,18 +159,18 @@ def transient(sys, drive, duration: float, dt: float) -> Waveform:
     """Fixed-step RK4 simulation from rest; output sampled every dt.
 
     ``drive`` may be a Waveform on the same time step or a callable t -> u
-    accepting arrays.  The system is stepped through its declared
-    structure, CHECK_INTERVAL steps at a time: each distinct input block
-    (by identity) takes the drive at the step's four RK4 stages, ``static``
-    maps all their stage outputs in one call, and the output block (if
-    any) takes those as its own stage inputs.  This is the coupled RK4 of
-    the whole system's state equation; the output at ``t_j`` is stage 1 of
-    step j.  After the first step of every CHECK_INTERVAL block and after
-    the last, a state magnitude that is not within BLOWUP_FACTOR * (1 +
-    peak input magnitude) raises TransientBlowupError; overflow inside a
-    block raises no numpy warning, only that error.  A duration that is
-    not finite and nonnegative, a step that is not finite and positive, or
-    a window over MAX_WINDOW_SAMPLES steps raises ValueError at once.
+    accepting arrays.  The system is run through its declared structure,
+    the whole window at once: each distinct input block (by identity)
+    takes the drive at every step's four RK4 stages, ``static`` maps all
+    their stage outputs in one call, and the output block (if any) takes
+    those as its own stage inputs.  This is the coupled RK4 of the whole
+    system's state equation; the output at ``t_j`` is stage 1 of step j.
+    Then every step's state is checked: the first whose magnitude is not
+    within BLOWUP_FACTOR * (1 + peak input magnitude), NaN included,
+    raises TransientBlowupError; overflow raises no numpy warning, only
+    that error.  A duration that is not finite and nonnegative, a step
+    that is not finite and positive, or a window over MAX_WINDOW_SAMPLES
+    steps raises ValueError before anything is allocated.
     """
     if not (math.isfinite(duration) and duration >= 0):
         raise ValueError("duration must be finite and nonnegative")
@@ -181,35 +180,25 @@ def transient(sys, drive, duration: float, dt: float) -> Waveform:
         raise ValueError(f"a window of {duration:g} s holds more than "
                          f"{MAX_WINDOW_SAMPLES} steps of {dt:g} s")
     blocks, first = _input_blocks(sys)
-    stepped = {i: blocks[i] for i in first}           # distinct input blocks
-    if sys.output_block is not None:
-        stepped["out"] = sys.output_block
-    maps = {k: _stage_map(blk, dt) for k, blk in stepped.items()}
-    states = {k: np.zeros((1, blk.order)) for k, blk in stepped.items()}
-    n = int(round(duration / dt))
-    u = _drive_stage_values(drive, dt, n)
+    maps = {i: _stage_map(blocks[i], dt) for i in first}  # distinct blocks
+    u = _drive_stage_values(drive, dt, int(round(duration / dt)))
     limit = BLOWUP_FACTOR * (1.0 + np.abs(u).max())
-    y = np.empty(n)
-    for j0 in range(0, n, CHECK_INTERVAL):
-        j1 = min(j0 + CHECK_INTERVAL, n)
-        half = u[2 * j0:2 * j1 + 1]
-        s = np.stack([half[0:-1:2], half[1::2], half[1::2], half[2::2]])
-        outs = {}
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for i in dict.fromkeys(first):
-                states[i], outs[i] = _step_block(maps[i], states[i][-1], s)
-            w = sys.static([outs[i] for i in first])      # (4, steps)
-            if "out" in maps:
-                states["out"], w = _step_block(maps["out"],
-                                               states["out"][-1], w)
-        y[j0:j1] = w[0]
-        for j in sorted({j0, n - 1 if j1 == n else j0}):
-            mag = np.abs(np.concatenate(
-                [st[j + 1 - j0] for st in states.values()])).max()
-            if not mag <= limit:
-                raise TransientBlowupError(f"state magnitude {mag:.3g}"
-                                           f" at t={(j + 1) * dt:.3g} s")
-    return Waveform(samples=y, dt=dt)
+    s = np.stack([u[0:-1:2], u[1::2], u[1::2], u[2::2]])  # (4, steps)
+    states, outs = [], {}
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for i, m in maps.items():
+            x, outs[i] = _run_block(m, s)
+            states.append(x)
+        w = sys.static([outs[i] for i in first])
+        if sys.output_block is not None:
+            x, w = _run_block(_stage_map(sys.output_block, dt), w)
+            states.append(x)
+    mag = np.max([np.abs(x).max(axis=1) for x in states], axis=0)
+    bad = np.flatnonzero(~(mag <= limit))             # NaN is never <=
+    if bad.size:
+        raise TransientBlowupError(f"state magnitude {mag[bad[0]]:.3g}"
+                                   f" at t={(bad[0] + 1) * dt:.3g} s")
+    return Waveform(samples=w[0].copy(), dt=dt)  # not a view of all 4 stages
 
 
 def _stage_map(blk, dt: float) -> np.ndarray:
@@ -232,17 +221,22 @@ def _stage_map(blk, dt: float) -> np.ndarray:
     return np.vstack([x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4), outs])
 
 
-def _step_block(m, x, s):
-    """Step a block with stage map ``m`` from state ``x`` through the
-    stage inputs ``s`` (4, steps): its states (steps + 1, n) from ``x`` on
-    and its stage outputs (4, steps)."""
-    n = len(x)
-    p = m[:n, :n]
-    states = [x]
-    for pushed in s.T @ m[:n, n:].T:                  # the inputs' share
-        states.append(p @ states[-1] + pushed)
-    states = np.array(states)
-    return states, m[n:] @ np.vstack([states[:-1].T, s])
+def _run_block(m, s):
+    """Run a block with stage map ``m`` from rest through the stage inputs
+    ``s`` (4, steps): its states after each step (steps, n) and its stage
+    outputs (4, steps).  ``x[j+1] = P x[j] + Q s[j]`` is a doubling scan:
+    after the pass of span k each row holds the inputs' share of its last
+    2k steps, carried through P; each pass reads only earlier rows, as the
+    right-hand side is a new array."""
+    n = len(m) - 4
+    p, x = m[:n, :n], s.T @ m[:n, n:].T               # the inputs' share
+    span = 1
+    while span < len(x):
+        x[span:] += x[:-span] @ p.T
+        p, span = p @ p, 2 * span
+    v = m[n:, n:] @ s
+    v[:, 1:] += m[n:, :n] @ x[:-1].T                  # the state's, from rest
+    return x, v
 
 
 # ---------------------------------------------------------------------------

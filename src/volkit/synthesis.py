@@ -140,8 +140,8 @@ def spectrum_of(source, period_s: float, bin_cap: float = 1e-4,
     if isinstance(source, TrapezoidPulse):
         if source.support > period_s:
             raise ValueError("period must cover the pulse support")
-        n_side = int(np.floor(period_s * 0.5 / 1e-12))  # practically unbounded
-        n_side = min(n_side, 20 * max_bins_per_side)
+        # capped before int(), which overflows on a long period's count
+        n_side = int(min(period_s * 0.5 / 1e-12, 20 * max_bins_per_side))
         k = np.arange(-n_side, n_side + 1)
         coeffs = source.fourier_transform(k / period_s) / period_s
         lost = 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from volkit.kernels import (
+    MAX_DENSE_ENTRIES,
     EmptyGridError,
     FrozenKernelGrid,
     KernelArchive,
@@ -378,6 +379,33 @@ class TestFrozenInterpolation:
         for grid in (inserted, restored):
             assert grid.n_points == 0
             with pytest.raises(EmptyGridError):
+                grid.freeze()
+
+    # lattice units and order: 3 pts/axis at order 5, 12 and 18 pts/axis
+    # at order 3 and a cube of exactly the limit fit; 6 pts/axis at order 5
+    # and 600 units at order 3 do not
+    @pytest.mark.parametrize("units, order, fits", [
+        (9, 5, True), (36, 3, True), (54, 3, True), (128, 3, True),
+        (18, 5, False), (600, 3, False)])
+    def test_dense_cube_is_bounded_before_allocating(self, monkeypatch,
+                                                      units, order, fits):
+        class Reached(Exception):
+            pass
+
+        def full(*args, **kwargs):
+            raise Reached
+
+        grid = KernelGrid(order=order, lattice_units=range(1, units + 1),
+                          df_hz=1e6)
+        grid.insert((1e6,) * order, 1.0)
+        monkeypatch.setattr(np, "full", full)
+        if fits:
+            with pytest.raises(Reached):
+                grid.freeze()
+        else:
+            with pytest.raises(ValueError, match=f"{(2 * units) ** order} "
+                               f"entries is over MAX_DENSE_ENTRIES "
+                               rf"\({MAX_DENSE_ENTRIES}\)$"):
                 grid.freeze()
 
 

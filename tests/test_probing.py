@@ -9,7 +9,6 @@ from volkit.extraction import analytic_dataset, extract
 from volkit.mixing import MixTerm, enumerate_output_indices, input_coefficient
 from volkit.probing import (
     ALIAS_TOL,
-    CHECK_INTERVAL,
     MAX_WINDOW_SAMPLES,
     RUN_CHUNK,
     CaptureAlignmentError,
@@ -193,9 +192,8 @@ class TestTransient:
             drive = Waveform(samples=wave, dt=dt)
         else:
             drive = tone_drive((300e6, 710e6), (0.4, 0.3))
-        # one full check block and a partial last one, and one short run
+        # the scan's last pass reaches back over part of the window only
         for n in (2400, 600):
-            assert n < CHECK_INTERVAL or n % CHECK_INTERVAL
             got = transient(sys, drive, n * dt, dt).samples
             want = coupled_rk4(sys, drive, n * dt, dt)
             assert got.shape == want.shape
@@ -204,11 +202,11 @@ class TestTransient:
     @pytest.mark.parametrize("name", ["cascade", "amplifier"])
     def test_each_distinct_block_stepped_once(self, name, monkeypatch):
         # the cascade's three input blocks are one object; the amplifier
-        # steps its input block and its output block
+        # runs its input block and its output block
         calls = []
-        step = probing._step_block
-        monkeypatch.setattr(probing, "_step_block",
-                            lambda *a: calls.append(1) or step(*a))
+        run = probing._run_block
+        monkeypatch.setattr(probing, "_run_block",
+                            lambda *a: calls.append(1) or run(*a))
         transient(SYSTEMS[name], constant, 100 * self.DT, self.DT)
         assert len(calls) == {"cascade": 1, "amplifier": 2}[name]
 
@@ -243,31 +241,42 @@ class TestTransient:
         assert order >= 3.5
 
     # at a 4 ns step RK4 is unstable for the ladder blocks: the state
-    # grows about 200-fold a step from the first
+    # grows about 200-fold a step from the first, and step 3 is the first
+    # past the limit
 
     def test_blowup_detected(self):
-        # the check after the first step passes; the next check is after
-        # the first step of the second block, long past overflow
         dt = 4e-9
         for sys in (MultiplierCascade(), SaturatingAmplifier()):
-            with pytest.raises(TransientBlowupError) as err:
-                transient(sys, constant, (CHECK_INTERVAL + 300) * dt, dt)
-            at = float(str(err.value).split(" at t=")[1].rstrip(" s"))
-            assert at == pytest.approx((CHECK_INTERVAL + 1) * dt, rel=1e-2)
+            for steps in (25, 2348):
+                with pytest.raises(TransientBlowupError, match=r"magnitude "
+                                   r"\d.*e\+\d+ at t=1\.2e-08 s$"):
+                    transient(sys, constant, steps * dt, dt)
 
     def test_blowup_checked_after_last_step(self):
-        # 25 steps, fewer than a check interval: the check after the first
-        # passes, and the state ends finite but far past the limit
+        dt = 4e-9
         for sys in (MultiplierCascade(), SaturatingAmplifier()):
             with pytest.raises(TransientBlowupError,
-                               match=r"magnitude \d.*e\+\d+ at t=1e-07 s"):
-                transient(sys, constant, 100e-9, 4e-9)
+                               match=r"at t=1\.2e-08 s$"):
+                transient(sys, constant, 3 * dt, dt)
+            assert len(transient(sys, constant, 2 * dt, dt).samples) == 2
 
     def test_non_finite_state_is_a_blowup(self):
-        for sys in (MultiplierCascade(), SaturatingAmplifier()):
-            with pytest.raises(TransientBlowupError,
-                               match="nan at t=2e-06 s"):
-                transient(sys, constant, 2e-6, 4e-9)
+        # static feeds NaN into the output block from stage 10 on, so the
+        # output block's state is NaN after step 11
+
+        class NanStatic:
+            input_blocks = (lowpass_ladder(),)
+            output_block = lowpass_ladder()
+
+            def static(self, outs):
+                w = outs[0].copy()
+                w[:, 10:] = np.nan
+                return w
+
+        dt = self.DT
+        with pytest.raises(TransientBlowupError,
+                           match=f"nan at t={11 * dt:.3g} s$"):
+            transient(NanStatic(), constant, 40 * dt, dt)
 
     @pytest.mark.parametrize("dt", [0.0, np.nan, np.inf, -1e-12])
     def test_step_must_be_finite_and_positive(self, dt):

@@ -619,6 +619,23 @@ class TestMalformedFiles:
         assert err.startswith("error: order-3 grid has no samples")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["synthesize", "validate"])
+    def test_over_bound_archive_exit_code_3(self, command, tiny_files,
+                                            tmp_path, capsys):
+        # the order-3 grid re-declared on 600 lattice units keeps its
+        # points on the lattice, but its dense cube is over the bound
+        doc = read_doc(tiny_files / "archive.npz")
+        doc["grids"]["3"]["lattice_units"] = list(range(1, 601))
+        path, out = tmp_path / "archive.npz", tmp_path / "out"
+        write_npz(path, doc)
+        assert load_archive(path).grid(3).lattice_units[-1] == 600
+        assert main([command, "--archive", str(path),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("error: order-3 grid's dense cube of 1728000000 "
+                       "entries is over MAX_DENSE_ENTRIES (16777216)\n")
+        assert not out.exists()
+
     def test_truncation_below_one_is_input_error(self, tiny_files, tmp_path,
                                                  capsys):
         assert main(["extract", "--dataset", str(tiny_files / "dataset.npz"),
@@ -1059,6 +1076,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must lie in [0, 1]" in err
+        assert not out.exists()
+
+    def test_synthesize_huge_period(self, tiny_files, tmp_path, capsys):
+        # its bin count is capped before int(); at a 1 ps step the window
+        # is refused instead
+        archive = str(tiny_files / "archive.npz")
+        assert main(["synthesize", "--archive", archive, "--period-s",
+                     "1e300", "--out", str(tmp_path / "ok")]) == 0
+        assert (tmp_path / "ok" / "waveform.csv").exists()
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["synthesize", "--archive", archive, "--period-s",
+                     "1e300", "--dt-s", "1e-12", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than 4194304 steps" in err
         assert not out.exists()
 
     def test_synthesize_writes_empty_window(self, tiny_files, tmp_path):

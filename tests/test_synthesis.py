@@ -124,6 +124,12 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="finite and positive"):
             spectrum_of(pulse(), period)
 
+    def test_huge_period_is_capped_before_counting_bins(self):
+        # the bin count of a 1e300 s period overflows an int; its
+        # coefficients underflow, so no bin is kept
+        spec, info = spectrum_of(pulse(), 1e300)
+        assert spec.period_s == 1e300 and info.n_bins == 0
+
     def test_first_spectral_null_scale(self):
         p = pulse()
         f = np.linspace(1e6, 250e6, 4000)
