@@ -34,9 +34,11 @@ class ExtractionError(RuntimeError):
 def _phasor_map(plan: SweepPlan, indices, truncation: int):
     """Per index: its unknown terms (by order, r), their (amplitudes, terms)
     coefficient matrix and each term's (triplets, order) signed arguments.
-    Powers are taken per (row, tone, exponent) as ``input_coefficient``
-    takes them (numpy's vectorised power can be an ulp off) and divided in
-    tone by tone, so the two agree bit for bit."""
+    A term's coefficient at real tone amplitudes Vm is
+    prod_m (Vm/2)^(|km|+2 rm) / ((|km|+rm)! rm!).  Powers are taken per
+    (row, tone, exponent) as Python floats (numpy's vectorised power can
+    be an ulp off) and divided in tone by tone, so each coefficient is bit
+    for bit that product taken tone by tone in scalar arithmetic."""
     terms = [unknowns_at_index(k, truncation) for k in indices]
     k_r = np.array([t.k + t.r for ts in terms for t in ts], int).reshape(
         -1, 2, plan.m_tones)

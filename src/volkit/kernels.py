@@ -17,8 +17,7 @@ For synthesis the sparse canonical samples are frozen into a dense tensor
 over the signed sweep lattice.  Probing never co-sweeps some coordinate
 combinations (for example two different points of the same source comb),
 which leaves structured holes.  Freezing fills them on the canonical wedge
-only, one entry per symmetry class (``_canonical_walk``, which also gives
-synthesis its bin tuples), pass by pass: a hole takes the mean of
+only, one entry per symmetry class, pass by pass: a hole takes the mean of
 the interpolants, linear in magnitude and in shortest-step phase, along
 every axis whose line brackets it, and goes to all its images, so the
 tensor is exactly symmetric.  Freezing records which entries are measured
@@ -26,12 +25,23 @@ versus filled; a grid keeps its frozen form until its next insert.
 Off-lattice queries then interpolate multilinearly in (magnitude,
 unwrapped phase), hold the band-edge sample for half a lattice step, and
 return zero beyond that band, ``FrozenKernelGrid.in_band``.
+
+One enumeration, ``_canonical_walk``, gives both the freeze wedge and
+synthesis its bin tuples: the ascending rows of one symmetry class each,
+grouped by their (order-1)-prefix, each prefix with the suffix of last
+indices it keeps, in chunks of at most TUPLE_CHUNK rows.  Interpolation
+goes by prefix lines: a row's value is a lerp along the leading axis
+between two entries of its prefix's line, the (order-1)-linear blend of
+the magnitude and phase tables over the trailing axes.  ``query`` forms
+the two entries of each row's line; ``comb_walk`` forms each prefix's
+line once per chunk, over only the leading-axis cells its rows reach (at
+most 2 x TUPLE_CHUNK entries), so a row costs 2 gathers per table instead
+of 2^order.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -279,28 +289,52 @@ def _prepend_firsts(cols: np.ndarray, firsts: np.ndarray) -> np.ndarray:
 
 def _canonical_walk(size: int, order: int):
     """One row per symmetry class of the (size,)*order index cube of a
-    signed lattice or comb, the rows ``canonical_rows`` keeps, reversed:
-    each ascending row whose reverse is not lexically below its mirror
-    ``size-1-row``, the row of the negated points.  Yields them in lexical
-    order, column-major (order, Q), with their self-mirror flags (Q,), at
-    most TUPLE_CHUNK at a time, so no array grows with the row count."""
-    tail = _ascending_rows(size, order - 1).T
-    # rows that start with a: a, then an ascending row of range(a, size)
-    count = np.array([math.comb(size - a + order - 2, order - 1)
-                      for a in range(size)], dtype=np.int64)
-    cum = np.concatenate([[0], np.cumsum(count)])
-    a = 0
-    while a < size:
-        b = max(a + 1, int(np.searchsorted(cum, cum[a] + TUPLE_CHUNK,
-                                           side="right")) - 1)
-        rows = _prepend_firsts(tail, np.arange(a, b))
-        for lo in range(0, rows.shape[1], TUPLE_CHUNK):
-            cols = rows[:, lo:lo + TUPLE_CHUNK]
-            flip, tie = _mirror_side(cols[::-1].T, size - 1)
-            if not flip.all():
-                keep = ~flip
-                yield cols.compress(keep, axis=1), tie[keep]
-        a = b
+    signed lattice or comb, the rows ``canonical_rows`` keeps, reversed,
+    grouped by prefix.
+
+    Take an ascending row r_0 <= ... <= r_{n-1}, s = size - 1 and
+    e_j = r_j + r_{n-1-j} - s.  The row's mirror ``s - row`` is the row of
+    the negated points; the row is kept unless its first nonzero e_j is
+    negative, and it is its own mirror iff every e_j is zero.  Only e_0
+    involves the last index x, so for each ascending (order-1)-prefix the
+    kept x form the suffix x >= max(r_{n-2}, s - r_0 + f), where f is 1 if
+    the same test fails on the inner indices r_1..r_{n-2}; the suffix's
+    first x is self-mirror iff it is s - r_0 and every inner e_j is 0.
+    Order 1 has an empty prefix and keeps 2x >= s.
+
+    Yields (prefixes (order-1, m), first x (m,), count (m,), self-mirror
+    flag of each first x (m,)) in lexical row order, with at most
+    TUPLE_CHUNK rows per chunk: a prefix's x range is split across chunks
+    where needed."""
+    s = size - 1
+    pre = _ascending_rows(size, order - 1).T     # column-major prefixes
+    if order == 1:
+        first = np.full(pre.shape[1], -(-s // 2))
+        tie = 2 * first == s
+    else:
+        fail, tie = _mirror_side(pre[:0:-1].T, s)
+        first = np.maximum(pre[-1], s - pre[0] + fail)
+        tie &= first == s - pre[0]
+    count = s + 1 - first
+    kept = count > 0
+    pre, first, count, tie = pre[:, kept], first[kept], count[kept], tie[kept]
+    end = np.cumsum(count)
+    start = end - count
+    for lo in range(0, int(end[-1]) if len(end) else 0, TUPLE_CHUNK):
+        hi = lo + TUPLE_CHUNK
+        a = int(np.searchsorted(end, lo, side="right"))
+        b = int(np.searchsorted(start, hi))
+        skip = np.maximum(lo - start[a:b], 0)
+        yield (pre[:, a:b], first[a:b] + skip,
+               np.minimum(end[a:b], hi) - start[a:b] - skip,
+               tie[a:b] & (skip == 0))
+
+
+def _expand(first, count):
+    """The index of each row of pieces that run ``count`` rows from
+    ``first``, pieces one after another."""
+    start = np.cumsum(count) - count
+    return np.arange(count.sum()) + np.repeat(first - start, count)
 
 
 def _scatter_images(vals: np.ndarray, rows: np.ndarray,
@@ -424,8 +458,11 @@ class FrozenKernelGrid:
                         grid._means())
         known = ~np.isnan(vals)
         # the wedge as descending rows, one per symmetry class
-        wedge = np.concatenate(
-            [cols for cols, _ in _canonical_walk(size, n)], axis=1)[::-1].T
+        parts = []
+        for pre, first, count, _ in _canonical_walk(size, n):
+            parts.append(np.vstack([np.repeat(pre, count, axis=1),
+                                    _expand(first, count)]))
+        wedge = np.concatenate(parts, axis=1)[::-1].T
         # interpolate while any hole is bracketed; hold flat only when none is
         while (_fill_pass(vals, wedge, axis_hz, hold=False)
                or _fill_pass(vals, wedge, axis_hz, hold=True)):
@@ -454,30 +491,73 @@ class FrozenKernelGrid:
             raise ValueError("query arguments must not be NaN")
         canon, conj, self_conj = canonical_rows(arr)
         cell, w, inside = self._stencil(canon)
-        out = self._interpolate(cell, w, inside.all(axis=1), conj, self_conj)
+        rows = len(canon)
+        # each row's line at its leading-axis cell and the next one up
+        lines = self._lines(cell[:, 1:].T, w[:, 1:].T, np.full(rows, 2),
+                            (cell[:, :1] + (0, 1)).ravel())
+        out = self._lerp(lines, 2 * np.arange(rows), 1.0 - w[:, 0], w[:, 0])
+        node = np.all((w == 0.0) | (w == 1.0), axis=1)
+        strides = len(self.axis_hz) ** np.arange(self.order - 1, -1, -1)
+        out = self._settle(out, node, (cell + (w == 1.0))[node] @ strides,
+                           ~inside.all(axis=1), conj, self_conj)
         return complex(out[0]) if scalar else out
 
     def comb_walk(self, comb_hz):
-        """Yields each ``_canonical_walk`` chunk (cols, self_mirror) of the
-        comb's indices as (cols, values, self_mirror), with ``values`` bit
-        for bit what ``query`` returns at ``comb_hz[cols.T]``.
+        """Yields each ``_canonical_walk`` chunk (prefixes, first, count,
+        self_mirror) of the comb's indices as (chunk, x, values): the
+        chunk's rows are the ascending index rows (prefix, x), the prefix
+        repeated ``count`` times, and ``values`` is bit for bit what
+        ``query`` returns at their comb points.
 
         ``comb_hz`` is a strictly ascending comb that is its own negation,
-        such as the bins of a Hermitian spectrum; each of its points'
-        lattice cell and weight is computed once per call.
+        such as the bins of a Hermitian spectrum.  Each comb point's
+        lattice cell and weight is computed once per call, and each
+        prefix's line once per chunk, over only the leading-axis cells
+        that its rows reach; each row is then one lerp along the line.
         """
         comb = np.asarray(comb_hz, dtype=float)
         if not (np.array_equal(comb[::-1], -comb)
                 and (np.diff(comb) > 0).all()):
             raise ValueError("comb must be strictly ascending and symmetric")
         cell, w, inside = self._stencil(comb)
-        for cols, tie in _canonical_walk(len(comb), self.order):
-            desc = cols[::-1].T  # F-order: each column gathers contiguously
-            # rows are ascending and the band is an interval about zero, so
-            # a row lies inside when its first and last points do
-            yield cols, self._interpolate(
-                cell[desc], w[desc], inside[cols[0]] & inside[cols[-1]],
-                False, tie), tie
+        u = 1.0 - w
+        up = w == 1.0
+        on_node = (w == 0.0) | up
+        strides = len(self.axis_hz) ** np.arange(self.order - 1, -1, -1)
+        # the leading-axis cells the comb reaches: point x's cell is
+        # reach[pos[x]] and the next cell up reach[pos[x] + 1], so a piece
+        # of k rows has a line of at most 2k entries
+        reach = np.unique(np.concatenate([cell, cell + 1]))
+        pos = np.searchsorted(reach, cell)
+        none = np.zeros(0, dtype=np.intp)
+        for chunk in _canonical_walk(len(comb), self.order):
+            pre, first, count, tie = chunk
+            x = _expand(first, count)
+            desc = pre[::-1]  # the prefix's points on the trailing axes
+            lo = pos[first]
+            length = pos[first + count - 1] + 2 - lo
+            lines = self._lines(cell[desc], w[desc], length,
+                                reach[_expand(lo, length)])
+            shift = np.cumsum(length) - length - lo
+            vals = self._lerp(lines, pos[x] + np.repeat(shift, count),
+                              u[x], w[x])
+            start = np.cumsum(count) - count
+            # only prefixes whose points all sit on lattice nodes can give
+            # a row on a node, and a synthesis comb lies in band
+            node = flat = outside = none
+            sel = np.flatnonzero(on_node[desc].all(axis=0))
+            if len(sel):
+                at = _expand(start[sel], count[sel])
+                hit = on_node[x[at]]
+                node, lead = at[hit], x[at[hit]]
+                trail = strides[1:] @ (cell[desc] + up[desc])
+                flat = ((cell[lead] + up[lead]) * strides[0]
+                        + np.repeat(trail[sel], count[sel])[hit])
+            if not inside.all():
+                outside = ~(np.repeat(inside[pre].all(axis=0), count)
+                            & inside[x])
+            yield chunk, x, self._settle(vals, node, flat, outside, none,
+                                         start[tie])
 
     def _stencil(self, pts_hz: np.ndarray):
         """Lattice cell, weight in the cell and in-band flag per entry."""
@@ -493,40 +573,53 @@ class FrozenKernelGrid:
         """Whether each frequency is within half a step of the band edge."""
         return np.abs(freqs_hz) <= self.band_edge_hz + self.margin_hz
 
-    def _interpolate(self, cell, w, inside, conj, self_conj) -> np.ndarray:
-        """Kernel values at canonical points given as (Q, order) lattice
-        cells and weights.
-
-        Interpolates multilinearly in magnitude and unwrapped phase, returns
-        the stored value at exact lattice nodes and zero for rows not
-        ``inside`` the band, conjugates the ``conj`` rows and keeps only the
-        real part of the ``self_conj`` rows.
-        """
-        strides = len(self.axis_hz) ** np.arange(self.order - 1, -1, -1)
-        base = cell @ strides
+    def _lines(self, cell, w, length, lead):
+        """Lines of the magnitude and phase tables, ``length[r]`` entries
+        for row r, one after another: each entry blends each table
+        (order-1)-linearly over the trailing axes of its row, at the
+        leading-axis lattice cell ``lead`` gives.  ``cell`` and ``w`` are
+        the rows' lattice cells and weights on the trailing axes,
+        (order-1, R).  Corners add in itertools.product order, each
+        weighted by a left-to-right product over the axes."""
+        size, n = len(self.axis_hz), self.order
+        strides = size ** np.arange(n - 2, -1, -1)
+        base = lead * size ** (n - 1) + np.repeat(strides @ cell, length)
+        heads = [np.ones(cell.shape[1])]
+        for wj in w:
+            heads = [h * f for h in heads for f in (1.0 - wj, wj)]
         mag, phase = self.mag.ravel(), self.phase.ravel()
-        # corner weights in itertools.product order, each a left-to-right
-        # product over the axes, sharing the products over the leading axes
-        factors = [(1.0 - w[:, j], w[:, j]) for j in range(self.order)]
-        heads = [np.ones(len(cell))]
-        for pair in factors[:-1]:
-            heads = [h * f for h in heads for f in pair]
-        mag_acc = np.zeros(len(cell))
-        ph_acc = np.zeros(len(cell))
-        for k, corner in enumerate(itertools.product((0, 1),
-                                                     repeat=self.order)):
-            weight = heads[k // 2] * factors[-1][corner[-1]]
-            flat = base + np.dot(corner, strides)
-            mag_acc += weight * mag[flat]
-            ph_acc += weight * phase[flat]
-        vals = mag_acc * np.exp(1j * ph_acc)
+        line_mag = line_ph = None
+        for head, corner in zip(heads, itertools.product((0, 1),
+                                                         repeat=n - 1)):
+            flat = base + int(np.dot(corner, strides))
+            weight = np.repeat(head, length)
+            if line_mag is None:
+                line_mag, line_ph = weight * mag[flat], weight * phase[flat]
+            else:
+                line_mag += weight * mag[flat]
+                line_ph += weight * phase[flat]
+        return line_mag, line_ph
+
+    @staticmethod
+    def _lerp(lines, pos, u, w) -> np.ndarray:
+        """Values lerped along the leading axis between line entries
+        ``pos`` and ``pos + 1`` with weights ``u`` = 1 - ``w`` and ``w``,
+        in magnitude and in unwrapped phase."""
+        line_mag, line_ph = lines
+        nxt = pos + 1
+        mag = u * line_mag[pos] + w * line_mag[nxt]
+        ph = u * line_ph[pos] + w * line_ph[nxt]
+        return mag * np.exp(1j * ph)
+
+    def _settle(self, vals, node, flat, outside, conj, self_conj):
+        """``vals`` with the stored values at exact lattice nodes (the
+        ``node`` rows, at flat indices ``flat``), zero for rows
+        ``outside`` the band, conjugated where ``conj`` and kept real where
+        ``self_conj``."""
         # exact lattice hits return the stored complex value bit-for-bit
-        on_node = np.all((w == 0.0) | (w == 1.0), axis=1)
-        if on_node.any():
-            node = base[on_node] + (w[on_node] == 1.0) @ strides
-            vals[on_node] = self.values.ravel()[node]
-        vals[~inside] = 0.0
-        np.conjugate(vals, out=vals, where=conj)
+        vals[node] = self.values.ravel()[flat]
+        vals[outside] = 0.0
+        vals[conj] = np.conj(vals[conj])
         # a self-conjugate argument multiset forces a real kernel value;
         # project interpolation roundoff back onto that constraint
         vals[self_conj] = vals.real[self_conj] + 0.0

@@ -100,20 +100,6 @@ def term_multiplicity(term: MixTerm) -> int:
     return mult
 
 
-def input_coefficient(term: MixTerm, amps: tuple[float, ...]) -> float:
-    """Amplitude coefficient multiplying the term's kernel in the output phasor.
-
-    For real per-tone amplitudes ``Vm`` (zero phases) the phasor at the
-    term's mixing frequency picks up
-    ``prod_m (Vm/2)^(|km|+2*rm) / ((|km|+rm)! * rm!)``.
-    """
-    c = 1.0
-    for Vm, km, rm in zip(amps, term.k, term.r):
-        c *= (0.5 * Vm) ** (abs(km) + 2 * rm)
-        c /= math.factorial(abs(km) + rm) * math.factorial(rm)
-    return c
-
-
 def terms_at_index(k: FrequencyIndex, order: int) -> list[MixTerm]:
     """All MixTerms of exactly ``order`` landing on index ``k``, r ascending."""
     residual = order - sum(abs(v) for v in k)

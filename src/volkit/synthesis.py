@@ -19,9 +19,11 @@ arrays being read-only.  So only the canonical member of each pair is
 summed (a self-mirror tuple at half weight), and the order's output is
 twice the real part of the inverse FFT.  Every tuple is summed;
 ``FrozenKernelGrid.comb_walk`` hands them over with their kernel values
-``kernels.TUPLE_CHUNK`` at a time, and they are weighted and binned chunk
-by chunk, so no array grows with the tuple count, and ``spectrum_of``'s
-bin limits bound the work.
+``kernels.TUPLE_CHUNK`` at a time, grouped by their (n-1)-prefix.  Each
+prefix's coefficient product, bin sum and repetition weight are formed
+once per chunk, and each tuple multiplies in its last bin's coefficient
+and adds its last bin, so no per-tuple array outgrows a chunk, and
+``spectrum_of``'s bin limits bound the work.
 """
 
 from __future__ import annotations
@@ -132,8 +134,11 @@ def spectrum_of(source, period_s: float, bin_cap: float = 1e-4,
                 max_bins_per_side: int = 200):
     """Two-sided spectrum of a pulse or waveform, truncated by magnitude.
 
-    Bins below ``bin_cap`` times the peak coefficient are dropped (in
-    conjugate pairs); the report carries the dropped power fraction.
+    Bins below ``bin_cap`` times the peak coefficient are dropped, and of
+    the rest DC and at most ``max_bins_per_side`` conjugate pairs are
+    kept, pairs ranked by the larger magnitude of their two members (ties
+    to the lower bin).  The report carries the dropped power fraction,
+    against the pulse's exact mean square or the waveform's whole FFT.
     """
     if not (math.isfinite(period_s) and period_s > 0):
         raise ValueError("period must be finite and positive")
@@ -144,7 +149,11 @@ def spectrum_of(source, period_s: float, bin_cap: float = 1e-4,
         n_side = int(min(period_s * 0.5 / 1e-12, 20 * max_bins_per_side))
         k = np.arange(-n_side, n_side + 1)
         coeffs = source.fourier_transform(k / period_s) / period_s
-        lost = 0.0
+        # the bins beyond +-n_side hold the rest of the pulse's exact mean
+        # square, v0^2 (w + (a + b)/3) / T
+        a, w, b = source.t_rise, source.t_width, source.t_fall
+        mean_square = source.v0 ** 2 * (w + (a + b) / 3) / period_s
+        lost = max(mean_square - (np.abs(coeffs) ** 2).sum(), 0.0)
     elif isinstance(source, Waveform):
         n = int(round(period_s / source.dt))
         if abs(n * source.dt - period_s) > 1e-9 * period_s:
@@ -160,15 +169,20 @@ def spectrum_of(source, period_s: float, bin_cap: float = 1e-4,
     else:
         raise TypeError(f"unsupported source {type(source).__name__}")
 
-    power = np.abs(coeffs) ** 2
+    mag = np.abs(coeffs)
+    power = mag ** 2
     total = power.sum() + lost
-    keep = np.abs(coeffs) >= bin_cap * np.abs(coeffs).max()
-    keep &= keep[::-1]  # conjugate pairs live or die together
+    # k runs symmetrically about 0, so a bin's twin is its mirror; each
+    # pair lives or dies together, ranked by its larger member
+    pair = np.maximum(mag, mag[::-1])
+    keep = pair >= bin_cap * mag.max()
     if keep.sum() > 2 * max_bins_per_side + 1:
-        rank = np.argsort(np.abs(coeffs))[::-1]
-        allowed = np.zeros_like(keep)
-        allowed[rank[: 2 * max_bins_per_side + 1]] = True
-        keep &= allowed & allowed[::-1]
+        # DC, if kept, and the largest max_bins_per_side positive pairs
+        half = np.nonzero(keep & (k > 0))[0]
+        half = half[np.argsort(-pair[half], kind="stable")]
+        keep &= k == 0
+        keep[half[:max_bins_per_side]] = True
+        keep |= keep[::-1]
     dropped = float((power[~keep].sum() + lost) / total) if total > 0 else 0.0
     spectrum = DiscreteSpectrum(period_s=period_s, bins=k[keep],
                                 coeffs=coeffs[keep])
@@ -220,18 +234,33 @@ def synthesize_order(archive: KernelArchive, spectrum: DiscreteSpectrum,
     coeffs = spectrum.coeffs[reach]
     comb = spectrum.freqs_hz[reach]
     nb = len(bins)
-    # fold the output spectrum modulo N: exact at the sample times
-    z_re, z_im = np.zeros(n_period), np.zeros(n_period)
-    for cols, values, tie in frozen.comb_walk(comb):
+    # fold the output spectrum modulo N: exact at the sample times.  With
+    # bins and bin sums reduced mod N, a row's slot lies below 2N
+    bin_mod = bins % n_period
+    z_re, z_im = np.zeros(2 * n_period), np.zeros(2 * n_period)
+    for (pre, first, count, tie), x, values in frozen.comb_walk(comb):
+        # once per prefix: its coefficient product times its repetition
+        # weight, and its bin sum
+        coeff = coeffs[pre].prod(axis=0)
+        rows = pre.T
+        factor = np.repeat(coeff * _repetition_weights(rows), count)
+        start = np.cumsum(count) - count
+        if order > 1:
+            # x repeats the prefix's last index only at a piece's first
+            # row, whose weight is the prefix's with that index once more
+            rep = first == pre[-1]
+            again = _repetition_weights(np.hstack([rows, rows[:, -1:]]))
+            factor[start[rep]] = (coeff * again)[rep]
         # a row and its mirror add conjugate terms at negated output bins:
         # the walk gives one member, and a self-mirror row counts half
-        weight = _repetition_weights(cols.T)
-        weight[tie] *= 0.5
-        contrib = values * coeffs[cols].prod(axis=0) * weight
-        slot = bins[cols].sum(axis=0) % n_period
-        z_re += np.bincount(slot, contrib.real, n_period)
-        z_im += np.bincount(slot, contrib.imag, n_period)
-    y = 2.0 * (n_period * np.fft.ifft(z_re + 1j * z_im)).real
+        factor[start[tie]] *= 0.5
+        contrib = values * (factor * coeffs[x])
+        slot = np.repeat(bins[pre].sum(axis=0) % n_period, count) + bin_mod[x]
+        z_re += np.bincount(slot, contrib.real, 2 * n_period)
+        z_im += np.bincount(slot, contrib.imag, 2 * n_period)
+    z = z_re[:n_period] + z_re[n_period:] + 1j * (z_im[:n_period]
+                                                   + z_im[n_period:])
+    y = 2.0 * (n_period * np.fft.ifft(z)).real
     info = OrderInfo(order=order, n_tuples=math.comb(nb + order - 1, order),
                      n_bins_used=nb)
     return Waveform(samples=np.resize(y, int(round(duration / dt))),

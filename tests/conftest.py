@@ -1,6 +1,8 @@
 """Session fixtures: probed datasets, extracted archives and transient
 references take up to a few seconds each, so every test shares one copy."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,19 @@ from volkit.systems import MultiplierCascade, SaturatingAmplifier
 PULSE_PERIOD = 28e-9
 PULSE_WINDOW = 27e-9  # pulse support plus 20 ns
 PULSE_DT = 5e-12
+
+
+def input_coefficient(term, amps) -> float:
+    """Amplitude coefficient multiplying the term's kernel in the output
+    phasor, one term at a time: for real per-tone amplitudes ``Vm`` (zero
+    phases) the phasor at the term's mixing frequency picks up
+    ``prod_m (Vm/2)^(|km|+2*rm) / ((|km|+rm)! * rm!)``.  The reference
+    that extraction's vectorised phasor map matches bit for bit."""
+    c = 1.0
+    for Vm, km, rm in zip(amps, term.k, term.r):
+        c *= (0.5 * Vm) ** (abs(km) + 2 * rm)
+        c /= math.factorial(abs(km) + rm) * math.factorial(rm)
+    return c
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,6 @@ from volkit.extraction import (
 from volkit.kernels import KernelGrid
 from volkit.mixing import (
     enumerate_output_indices,
-    input_coefficient,
     unknowns_at_index,
 )
 from volkit.probing import SpectralDataset, simulate_dataset
@@ -27,6 +26,8 @@ from volkit.sweeps import (
     validate_plan,
 )
 from volkit.systems import MultiplierCascade, SaturatingAmplifier, kernel_oracle
+
+from conftest import input_coefficient
 
 CASCADE_KERNEL = partial(kernel_oracle, MultiplierCascade())
 

@@ -11,6 +11,7 @@ from volkit.kernels import (
     KernelGrid,
     OffLatticeError,
     _canonical_walk,
+    _expand,
     _unwrap,
     canonical_rows,
 )
@@ -568,9 +569,14 @@ class TestFreezeMatchesReference:
             signed = 2 * cube - (size - 1)
             canon, conj, self_conj = canonical_rows(signed)
             own = (canon == signed).all(axis=1)
-            walk = list(_canonical_walk(size, n))
-            got = np.concatenate([cols for cols, _ in walk], axis=1)[::-1].T
-            ties = np.concatenate([tie for _, tie in walk])
+            got, ties = [], []
+            for pre, first, count, tie in _canonical_walk(size, n):
+                got.append(np.vstack([np.repeat(pre, count, axis=1),
+                                      _expand(first, count)])[::-1].T)
+                flags = np.zeros(count.sum(), dtype=bool)
+                flags[np.cumsum(count) - count] = tie
+                ties.append(flags)
+            got, ties = np.concatenate(got), np.concatenate(ties)
             np.testing.assert_array_equal(np.unique(got, axis=0), cube[own])
             assert len(got) == own.sum()
             at = np.ravel_multi_index(got.T, (size,) * n)

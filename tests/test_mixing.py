@@ -11,12 +11,13 @@ from volkit.mixing import (
     MixTerm,
     enumerate_kernels_for_order,
     enumerate_output_indices,
-    input_coefficient,
     is_canonical,
     term_multiplicity,
     terms_at_index,
     unknowns_at_index,
 )
+
+from conftest import input_coefficient
 
 
 def brute_force_indices(m, m0):

@@ -6,7 +6,7 @@ import pytest
 
 from volkit import probing
 from volkit.extraction import analytic_dataset, extract
-from volkit.mixing import MixTerm, enumerate_output_indices, input_coefficient
+from volkit.mixing import MixTerm, enumerate_output_indices
 from volkit.probing import (
     ALIAS_TOL,
     MAX_WINDOW_SAMPLES,
@@ -30,6 +30,8 @@ from volkit.systems import (
     kernel_oracle,
     lowpass_ladder,
 )
+
+from conftest import input_coefficient
 
 
 def tone_drive(freqs_hz, amps_v):

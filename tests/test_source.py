@@ -22,8 +22,7 @@ CORPUS = sorted(p for part in ("src", "perfbench")
                 if p.name != "__init__.py")
 # public names kept only as references that tests compare against
 REFERENCE_APIS = {
-    "query",              # FrozenKernelGrid.query, bitwise for comb_walk
-    "input_coefficient",  # per term, bitwise for the vectorised phasor map
+    "query",  # FrozenKernelGrid.query, bitwise for comb_walk's prefix lines
 }
 
 

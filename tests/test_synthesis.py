@@ -10,10 +10,12 @@ import pytest
 import volkit.kernels
 from volkit.cli import main
 from volkit.kernels import (
+    FrozenKernelGrid,
     KernelArchive,
     KernelGrid,
     _ascending_rows,
     _canonical_walk,
+    _expand,
     canonical_rows,
 )
 from volkit.probing import MAX_WINDOW_SAMPLES, Waveform
@@ -126,9 +128,51 @@ class TestSpectrum:
 
     def test_huge_period_is_capped_before_counting_bins(self):
         # the bin count of a 1e300 s period overflows an int; its
-        # coefficients underflow, so no bin is kept
+        # coefficients are subnormal but equal, so the cap keeps DC and
+        # 200 pairs, and nearly all of the power is dropped
         spec, info = spectrum_of(pulse(), 1e300)
-        assert spec.period_s == 1e300 and info.n_bins == 0
+        assert spec.period_s == 1e300 and info.n_bins == 401
+        assert info.dropped_power_fraction >= 0.999
+
+    @pytest.mark.parametrize("period", [1e250, 1e300])
+    def test_cap_keeps_whole_pairs_among_ties(self, period):
+        # near-equal coefficients, twins among them differing in the last
+        # bit: ranking each pair once keeps DC and 200 whole pairs
+        spec, info = spectrum_of(pulse(), period)
+        assert info.n_bins == len(spec.bins) == 401
+        assert 0 in spec.bins
+        np.testing.assert_array_equal(spec.bins, -spec.bins[::-1])
+
+    def test_cap_ranks_a_pair_by_its_larger_member(self):
+        # DC ties with the members of the pair at +-3; ranked bin by bin, a
+        # member of +-3 took the third place and fell with its twin, which
+        # left two bins; ranked pair by pair, DC and +-1 stay
+        t = np.arange(64) / 64
+        wave = Waveform(samples=np.cos(2 * np.pi * t)
+                        + 0.5 * np.cos(6 * np.pi * t) + 0.25, dt=1.0)
+        spec, _ = spectrum_of(wave, 64.0, bin_cap=1e-3, max_bins_per_side=1)
+        assert spec.bins.tolist() == [-1, 0, 1]
+
+    @pytest.mark.parametrize("period, want", [(1e-4, 0.9745288607),
+                                              (1e-2, 0.9997452471)])
+    def test_dropped_power_counts_the_unevaluated_bins(self, period, want):
+        # a long period evaluates only +-4000 bins; the dropped fraction is
+        # taken against the pulse's exact mean square v0^2 (w + (a+b)/3)/T
+        _, info = spectrum_of(pulse(), period)
+        assert info.n_bins == 401
+        assert info.dropped_power_fraction == pytest.approx(want, rel=1e-8)
+
+    def test_dropped_power_against_the_exact_mean_square(self):
+        # with every bin of significance kept, kept power plus dropped
+        # power is the pulse's mean square
+        p = TrapezoidPulse(0.7, 1e-9, 3e-9, 2e-9)
+        spec, info = spectrum_of(p, PERIOD, bin_cap=1e-6,
+                                 max_bins_per_side=2000)
+        kept = (np.abs(spec.coeffs) ** 2).sum()
+        total = 0.49 * (3e-9 + 3e-9 / 3) / PERIOD
+        assert kept == pytest.approx(total * (1 - info.dropped_power_fraction),
+                                     rel=1e-12)
+        assert info.dropped_power_fraction < 1e-6
 
     def test_first_spectral_null_scale(self):
         p = pulse()
@@ -455,41 +499,64 @@ class TestTupleRows:
             assert got.shape == (len(want), order)
             assert list(map(tuple, got.tolist())) == want
 
-    @pytest.mark.parametrize("chunk", [1, 7, 50])
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("chunk", [1, 7, 50, None])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
     def test_chunks_split_the_rows_in_order(self, monkeypatch, order, chunk):
-        """The walk's chunks are the canonical ascending rows, in lexical
-        order: those whose reverse is not below its mirror."""
-        monkeypatch.setattr(volkit.kernels, "TUPLE_CHUNK", chunk)
+        """The walk's chunks, expanded, are the canonical ascending rows in
+        lexical order, those whose reverse is not below its mirror, with
+        the self-mirror flags of the brute-force canonical form."""
+        if chunk is not None:
+            monkeypatch.setattr(volkit.kernels, "TUPLE_CHUNK", chunk)
+        chunk = volkit.kernels.TUPLE_CHUNK
         for nb in range(13):
             parts = list(_canonical_walk(nb, order))
-            assert all(0 < cols.shape[1] <= chunk for cols, _ in parts)
-            assert all(cols.flags.c_contiguous for cols, _ in parts)
-            got = (np.concatenate([cols.T for cols, _ in parts]) if parts
+            rows, ties = [], []
+            for pre, first, count, tie in parts:
+                assert pre.shape == (order - 1, len(first))
+                assert (count > 0).all() and count.sum() <= chunk
+                rows.append(np.vstack([np.repeat(pre, count, axis=1),
+                                       _expand(first, count)]).T)
+                flags = np.zeros(count.sum(), dtype=bool)
+                flags[np.cumsum(count) - count] = tie
+                ties.append(flags)
+            got = (np.concatenate(rows) if parts
                    else np.zeros((0, order), dtype=int))
-            rows = _ascending_rows(nb, order)
-            mirror = nb - 1 - rows
+            want = _ascending_rows(nb, order)
+            mirror = nb - 1 - want
             keep = [tuple(r[::-1]) >= tuple(m) for r, m in
-                    zip(rows.tolist(), mirror.tolist())]
-            np.testing.assert_array_equal(got, rows[keep])
+                    zip(want.tolist(), mirror.tolist())]
+            np.testing.assert_array_equal(got, want[keep])
+            # a kept row is its own canonical form, reversed: its signed
+            # lattice positions are the canonical row's, ascending
+            signed = 2 * got[:, ::-1] - (nb - 1)
+            canon, conj, self_conj = canonical_rows(signed)
+            assert not conj.any()
+            np.testing.assert_array_equal(canon, signed)
+            np.testing.assert_array_equal(
+                np.concatenate(ties) if parts else np.zeros(0, bool),
+                self_conj)
 
 
 class TestStencilQueries:
     """Per-bin stencils give exactly what per-argument queries give."""
 
     @staticmethod
-    def _check(archive, spectrum):
+    def _check(archive, spectrum, in_band=True):
         for order in sorted(archive.grids):
             frozen = archive.frozen(order)
             reach = (np.abs(spectrum.freqs_hz)
                      <= frozen.band_edge_hz + frozen.margin_hz)
-            comb = spectrum.freqs_hz[reach]
+            comb = spectrum.freqs_hz[reach if in_band else slice(None)]
             parts = list(frozen.comb_walk(comb))
             assert parts
-            for cols, values, tie in parts:
-                args = comb[cols.T]
+            for (pre, first, count, tie), x, values in parts:
+                np.testing.assert_array_equal(x, _expand(first, count))
+                args = comb[np.vstack([np.repeat(pre, count, axis=1), x]).T]
                 assert values.tobytes() == frozen.query(args).tobytes()
-                np.testing.assert_array_equal(tie, canonical_rows(args)[2])
+                self_mirror = np.zeros(len(x), dtype=bool)
+                self_mirror[np.cumsum(count) - count] = tie
+                np.testing.assert_array_equal(self_mirror,
+                                              canonical_rows(args)[2])
 
     def test_oracle_archive(self, archive):
         spec, _ = spectrum_of(pulse(), PERIOD, max_bins_per_side=40)
@@ -500,6 +567,38 @@ class TestStencilQueries:
 
         spec, _ = spectrum_of(unit_pulse, PULSE_PERIOD)
         self._check(bench_archive, spec)
+
+    def test_comb_beyond_the_band(self, bench_archive, unit_pulse):
+        # rows with a point beyond the band are zero, as queries are
+        from conftest import PULSE_PERIOD
+
+        spec, _ = spectrum_of(unit_pulse, PULSE_PERIOD, max_bins_per_side=60)
+        frozen = bench_archive.frozen(1)
+        assert not frozen.in_band(spec.freqs_hz).all()
+        self._check(bench_archive, spec, in_band=False)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_chunks_bound_rows_and_line_entries(self, archive, monkeypatch,
+                                                order):
+        """With TUPLE_CHUNK 7, no chunk holds more than 7 rows or 14 line
+        entries, on a comb denser and on one sparser than the lattice."""
+        monkeypatch.setattr(volkit.kernels, "TUPLE_CHUNK", 7)
+        entries = []
+        lines = FrozenKernelGrid._lines
+
+        def spy(self, cell, w, length, lead):
+            entries.append(len(lead))
+            return lines(self, cell, w, length, lead)
+
+        monkeypatch.setattr(FrozenKernelGrid, "_lines", spy)
+        frozen = archive.frozen(order)
+        for step in (0.5, 3.0):
+            half = np.arange(1, 12) * step / PERIOD
+            comb = np.concatenate([-half[::-1], [0.0], half])
+            entries.clear()
+            rows = [len(x) for _, x, _ in frozen.comb_walk(comb)]
+            assert max(rows) == 7 and sum(rows) > 7
+            assert len(entries) == len(rows) and max(entries) <= 14
 
     def test_rejects_asymmetric_comb(self, archive):
         frozen = archive.frozen(2)
